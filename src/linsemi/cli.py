@@ -213,7 +213,7 @@ def cmd_variant(args) -> Report:
 
 def cmd_verify_all(args) -> Report:
     report = Report("verify-all", {"p": args.p, "n": args.n})
-    report.checks = verify.run_all(args.p, args.n, threads=args.threads)
+    report.checks = verify.run_all(args.p, args.n)
     return report
 
 
@@ -261,7 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     variant.add_argument("--census", action="store_true", help="non-principal cone census only")
     vall = subparsers.add_parser("verify-all", help="run the full check registry")
     common(vall)
-    vall.add_argument("--threads", type=int, default=1, help="worker threads for the registry")
+    vall.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect, checks run one after another",
+    )
     return parser
 
 

@@ -189,10 +189,6 @@ def functor_p_object(h: HFunctor) -> Subspace:
     return annihilator(h.key)
 
 
-def functor_p_morphism(dm: DualMorphism) -> Morphism:
-    return dm.as_morphism()
-
-
 class NormalDual(NamedTuple):
     hfunctors: tuple[HFunctor, ...]
     object_map: tuple[tuple[HFunctor, Subspace], ...]

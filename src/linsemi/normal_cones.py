@@ -55,6 +55,10 @@ class SubspaceCategory:
     def all_morphisms(self) -> tuple[Morphism, ...]:
         return _all_morphisms(self.n, self.p, self.side)
 
+    def morphism_count(self) -> int:
+        """len(all_morphisms()) in closed form, without building a morphism."""
+        return sum(self.p ** (a.dim * b.dim) for a in self.objects for b in self.objects)
+
 
 @lru_cache(maxsize=None)
 def category(n: int, p: int, side: Side = Side.PRIMAL) -> SubspaceCategory:
@@ -101,10 +105,6 @@ class Factorization(NamedTuple):
 
     def composite(self) -> Morphism:
         return self.q.compose(self.u).compose(self.j)
-
-
-def image_of_morphism(f: Morphism) -> Subspace:
-    return f.image()
 
 
 def normal_factorization(f: Morphism) -> Factorization:

@@ -9,7 +9,6 @@ and the annihilator is a kernel computation.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -328,7 +327,3 @@ def transport_morphism(f: Morphism, g: Mat) -> Morphism:
             raise NotInvertible("transported image escapes the transported codomain")
         rows.append(coords)
     return Morphism(dom2, cod2, Mat.make(rows, f.dom.p, ncols=cod2.dim))
-
-
-def subspace_to_json_str(a: Subspace) -> str:
-    return json.dumps(a.to_json(), sort_keys=True)

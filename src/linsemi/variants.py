@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .crossconn import LinkedPair
 from .errors import NotInvertible
+from .indexed import universe
 from .normal_cones import hom_between
 from .semigroup import (
     Endo,
@@ -93,13 +94,17 @@ def reg_variant(ctx: VariantContext) -> tuple[tuple[Endo, ...], tuple[tuple[Endo
 @lru_cache(maxsize=None)
 def tr_elements(ctx: VariantContext) -> tuple[Endo, ...]:
     """Image-side carrier: transformations with image inside the complement."""
-    return tuple(f for f in all_endos(ctx.n, ctx.p) if ctx.w.contains(f.image))
+    u = universe(ctx.n, ctx.p)
+    w = u.subspace_at[ctx.w]
+    return tuple(f for f, s in zip(u.elements, u.image) if u.contains(w, s))
 
 
 @lru_cache(maxsize=None)
 def tb_elements(ctx: VariantContext) -> tuple[Endo, ...]:
     """Kernel-side carrier: transformations with kernel above the null space."""
-    return tuple(f for f in all_endos(ctx.n, ctx.p) if f.kernel.contains(ctx.null))
+    u = universe(ctx.n, ctx.p)
+    null = u.subspace_at[ctx.null]
+    return tuple(f for f, k in zip(u.elements, u.kernel) if u.contains(k, null))
 
 
 def phi(a: Endo, ctx: VariantContext) -> LinkedPair:

@@ -1,17 +1,17 @@
 """Named verification checks over a given field size, shared by the CLI.
 
 Each check returns a Check record with a witness small enough to print.
-The registry order is fixed, so report output is deterministic; when a
-thread pool is used the results are still assembled in registry order.
+The registry order is fixed and the checks run one after another in
+that order, so report output is deterministic.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 from . import crossconn as cx
 from . import dual as du
+from . import indexed as ix
 from . import normal_cones as nc
 from . import semigroup as sg
 from . import subspaces as sub
@@ -130,7 +130,7 @@ def check_sing_regular(p: int, n: int) -> Check:
 
 def check_factorization(p: int, n: int) -> Check:
     cat = nc.category(n, p)
-    if len(cat.all_morphisms()) > 20000:
+    if cat.morphism_count() > 20000:
         return _skip("cones.factorization", "morphism sweep bounded to 20000")
     for f in cat.all_morphisms():
         fact = nc.normal_factorization(f)
@@ -428,13 +428,15 @@ def check_variant_phi(p: int, n: int) -> Check:
 
 
 def check_variant_membership(p: int, n: int) -> Check:
-    thetas = _variant_thetas(p, n)
-    for theta in thetas:
-        for a in sg.all_endos(n, p):
-            if not theta.image.contains((a @ theta).image):
-                return Check("variant.membership-laws", False, _endo_text(theta))
-            if not (theta @ a).kernel.contains(theta.kernel):
-                return Check("variant.membership-laws", False, _endo_text(theta))
+    """For every a: image(a @ theta) lies in image(theta), ker(theta @ a) contains ker(theta)."""
+    u = ix.universe(n, p)
+    for theta in _variant_thetas(p, n):
+        t = u.index(theta)
+        image, null = u.image[t], u.kernel[t]
+        if not all(u.contains(image, u.image[x]) for x in u.right_products(t)):
+            return Check("variant.membership-laws", False, _endo_text(theta))
+        if not all(u.contains(u.kernel[x], null) for x in u.left_products(t)):
+            return Check("variant.membership-laws", False, _endo_text(theta))
     return Check("variant.membership-laws", True, None)
 
 
@@ -509,9 +511,6 @@ REGISTRY: tuple[tuple[str, Callable[[int, int], Check]], ...] = (
 )
 
 
-def run_all(p: int, n: int, threads: int = 1) -> list[Check]:
+def run_all(p: int, n: int) -> list[Check]:
     """Run every registered check at the given size, in registry order."""
-    if threads <= 1:
-        return [fn(p, n) for _, fn in REGISTRY]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda item: item[1](p, n), REGISTRY))
+    return [fn(p, n) for _, fn in REGISTRY]

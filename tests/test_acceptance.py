@@ -182,12 +182,15 @@ def test_criterion_8_determinism(capsys):
     ok = code1 == code2 == code3 == 0 and out1 == out2 == out3
     data = json.loads(out1)
     ok = ok and all(c["pass"] for c in data["checks"]) and len(data["checks"]) == 30
-    # fresh interpreters with different hash seeds must agree byte for byte
+    # fresh interpreters with different hash seeds must agree byte for byte;
+    # the child gets this interpreter's import path, so it finds linsemi
+    # whether it is installed or only on PYTHONPATH
+    import os
     import subprocess
     import sys
 
     def spawn(seed):
-        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"}
+        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path)}
         return subprocess.run(
             [sys.executable, "-m", "linsemi.cli", "semigroup", "--p", "2", "--n", "2", "--json"],
             capture_output=True,

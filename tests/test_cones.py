@@ -68,6 +68,11 @@ class TestFactorization:
             # splitting: the inclusion into the domain followed by q is the identity
             assert inclusion(fact.q.cod, fact.q.dom).compose(fact.q) == Morphism.identity(fact.q.cod)
 
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+    def test_morphism_count_closed_form(self, p, n):
+        cat = category(n, p)
+        assert cat.morphism_count() == len(cat.all_morphisms())
+
 
 class TestEpimorphicComponent:
     def test_surjective_unchanged(self):

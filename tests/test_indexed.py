@@ -1,0 +1,57 @@
+"""The index-coded element core against the row-reduction route in `gf`."""
+import dataclasses
+
+import pytest
+
+from linsemi import indexed
+from linsemi.gf import kernel_basis, row_basis
+from linsemi.verify import _variant_thetas, check_variant_membership
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_tables_match_gf(p, n):
+    u = indexed.universe(n, p)
+    assert len(u.elements) == p ** (n * n)
+    for i, e in enumerate(u.elements):
+        assert u.index(e) == i
+        assert u.subspaces[u.image[i]].basis == row_basis(e.mat)
+        assert u.subspaces[u.kernel[i]].basis == kernel_basis(e.mat)
+        assert u.elements[u.transpose[i]].mat == e.mat.transpose()
+
+
+def _assert_products(u, thetas):
+    for theta in thetas:
+        t = u.index(theta)
+        right, left = u.right_products(t), u.left_products(t)
+        for a, e in enumerate(u.elements):
+            assert u.elements[right[a]].mat == e.mat @ theta.mat
+            assert u.elements[left[a]].mat == theta.mat @ e.mat
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_products_all_pairs(p, n):
+    u = indexed.universe(n, p)
+    _assert_products(u, u.elements)
+
+
+def test_products_with_variant_thetas():
+    u = indexed.universe(3, 2)
+    thetas = _variant_thetas(2, 3)
+    assert len(thetas) == 4
+    _assert_products(u, thetas)
+
+
+@pytest.mark.parametrize("law", ["image", "kernel"])
+def test_membership_check_reads_the_containment_table(monkeypatch, law):
+    # theta = 0 comes first at (2, 2). Its image law needs "zero contains
+    # zero"; its kernel law needs "V contains V". Clearing either bit must
+    # make the check fail with theta = 0 as the witness.
+    real = indexed.universe(2, 2)
+    s = 0 if law == "image" else len(real.subspaces) - 1
+    below = list(real.below)
+    below[s] &= ~(1 << s)
+    tampered = dataclasses.replace(real, below=tuple(below))
+    monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
+    check = check_variant_membership(2, 2)
+    assert not check.passed
+    assert check.witness == "0,0;0,0"
