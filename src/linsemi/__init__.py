@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     TooLarge,
 )
-from .gf import Mat, Scalar, invert, is_prime, kernel_basis, mat_to_text, parse_mat, rank, row_basis, rref
+from .gf import Mat, invert, is_prime, kernel_basis, mat_to_text, parse_mat, rank, row_basis, rref
 from .subspaces import (
     ComplementMode,
     Morphism,

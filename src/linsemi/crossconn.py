@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import NotInduced, NotInvertible, TooLarge
 from .gf import Mat, inv_mod
 from .dual import DualMorphism, dual_morphisms, globalize
-from .normal_cones import category
+from .normal_cones import category, hom_between
 from .semigroup import Endo, SemigroupTable, mult_table, sing
 from .subspaces import (
     Morphism,
@@ -61,21 +61,28 @@ class CrossConn:
         )
 
 
-def functor_from_global(g: Mat, n: int, p: int, side: Side) -> CrossConn:
-    """The functor transporting objects and morphisms along an injective global map."""
-    cat = category(n, p, side)
-    omap = {a: image_subspace(a, g) for a in cat.objects}
-    mmap = {f: transport_morphism(f, g) for f in cat.all_morphisms()}
-    return CrossConn(n, p, side, omap, mmap)
+def functor_from_global(g: Mat, objects: Sequence[Subspace]) -> CrossConn:
+    """The functor transporting the full subcategory on objects along a global map.
+
+    The map has to be injective on every object; n, p and the side are
+    read off the objects.
+    """
+    a0 = objects[0]
+    omap = {a: image_subspace(a, g) for a in objects}
+    mmap = {
+        f: transport_morphism(f, g) for a in objects for b in objects for f in hom_between(a, b)
+    }
+    return CrossConn(a0.n, a0.p, a0.side, omap, mmap)
 
 
 def gamma_delta_theta(theta: Endo) -> tuple[CrossConn, CrossConn]:
     """The dual-side and primal-side functors induced by an automorphism."""
     if theta.inverse() is None:
         raise NotInvertible("the inducing transformation must be invertible")
-    delta = functor_from_global(theta.mat, theta.n, theta.p, Side.PRIMAL)
+    n, p = theta.n, theta.p
+    delta = functor_from_global(theta.mat, category(n, p, Side.PRIMAL).objects)
     delta.theta = theta
-    gamma = functor_from_global(theta.mat.transpose(), theta.n, theta.p, Side.DUAL)
+    gamma = functor_from_global(theta.mat.transpose(), category(n, p, Side.DUAL).objects)
     gamma.theta = theta
     return gamma, delta
 
@@ -85,45 +92,43 @@ class FunctorVerdict(NamedTuple):
     failure: str | None
 
 
-def check_functor(f: CrossConn) -> FunctorVerdict:
-    """Identities to identities, composites to composites."""
-    cat = category(f.n, f.p, f.side)
-    for a in cat.objects:
-        if f.mor(Morphism.identity(a)) != Morphism.identity(f.obj(a)):
+def is_local_isomorphism(
+    objects: Sequence[Subspace], omap: dict, mmap: dict, targets: Iterable[Subspace]
+) -> FunctorVerdict:
+    """Local isomorphism on the full subcategory spanned by objects.
+
+    Identities and composites are preserved, inclusions go to inclusions,
+    every hom-set is mapped bijectively onto the hom-set between the
+    images, and each principal ideal is mapped onto the objects of
+    targets that lie below the image of its generator.
+    """
+    homs = {(a, b): hom_between(a, b) for a in objects for b in objects}
+    for a in objects:
+        if mmap[Morphism.identity(a)] != Morphism.identity(omap[a]):
             return FunctorVerdict(False, "identity not preserved")
-    by_dom: dict[Subspace, list[Morphism]] = {}
-    for h in cat.all_morphisms():
-        by_dom.setdefault(h.dom, []).append(h)
-    for g in cat.all_morphisms():
-        for h in by_dom[g.cod]:
-            if f.mor(g.compose(h)) != f.mor(g).compose(f.mor(h)):
-                return FunctorVerdict(False, "composition not preserved")
-    return FunctorVerdict(True, None)
-
-
-def is_local_isomorphism(f: CrossConn) -> FunctorVerdict:
-    """Inclusion preserving, fully faithful, isomorphism on principal ideals."""
-    cat = category(f.n, f.p, f.side)
-    base = check_functor(f)
-    if not base.ok:
-        return base
-    for a, b in cat.inclusion_pairs():
-        fa, fb = f.obj(a), f.obj(b)
-        if not fb.contains(fa):
-            return FunctorVerdict(False, "inclusion of objects not preserved")
-        if f.mor(inclusion(a, b)) != inclusion(fa, fb):
-            return FunctorVerdict(False, "inclusion morphism not preserved")
-    for a in cat.objects:
-        for b in cat.objects:
-            hom = cat.hom(a, b)
-            images = {f.mor(g) for g in hom}
-            if len(images) != len(hom):
-                return FunctorVerdict(False, "not faithful")
-            if images != set(cat.hom(f.obj(a), f.obj(b))):
-                return FunctorVerdict(False, "not full")
-    for c in cat.objects:
-        ideal_image = {f.obj(a) for a in cat.objects if c.contains(a)}
-        target_ideal = {a for a in cat.objects if f.obj(c).contains(a)}
+    for (a, b), hom in homs.items():
+        for g in hom:
+            fg = mmap[g]
+            for c in objects:
+                for h in homs[b, c]:
+                    if mmap[g.compose(h)] != fg.compose(mmap[h]):
+                        return FunctorVerdict(False, "composition not preserved")
+    for a, b in homs:
+        if a != b and b.contains(a):
+            fa, fb = omap[a], omap[b]
+            if not fb.contains(fa):
+                return FunctorVerdict(False, "inclusion of objects not preserved")
+            if mmap[inclusion(a, b)] != inclusion(fa, fb):
+                return FunctorVerdict(False, "inclusion morphism not preserved")
+    for (a, b), hom in homs.items():
+        images = {mmap[g] for g in hom}
+        if len(images) != len(hom):
+            return FunctorVerdict(False, "not faithful")
+        if images != set(hom_between(omap[a], omap[b])):
+            return FunctorVerdict(False, "not full")
+    for c in objects:
+        ideal_image = {omap[a] for a in objects if c.contains(a)}
+        target_ideal = {x for x in targets if omap[c].contains(x)}
         if ideal_image != target_ideal:
             return FunctorVerdict(False, "principal ideal not mapped onto")
     return FunctorVerdict(True, None)
@@ -138,11 +143,12 @@ def is_crossconnection(gamma: CrossConn) -> FunctorVerdict:
     """
     if gamma.side is not Side.DUAL:
         raise ValueError("cross-connection check expects a dual-side functor")
-    verdict = is_local_isomorphism(gamma)
-    if not verdict.ok:
-        return verdict
     primal = category(gamma.n, gamma.p, Side.PRIMAL)
     dual = category(gamma.n, gamma.p, Side.DUAL)
+    objects = dual.objects
+    verdict = is_local_isomorphism(objects, gamma.object_map, gamma.morphism_map, objects)
+    if not verdict.ok:
+        return verdict
     for a in primal.objects:
         if not any(is_direct_sum(a, annihilator(gamma.obj(y))) for y in dual.objects):
             return FunctorVerdict(False, f"no M-set contains {a.basis}")

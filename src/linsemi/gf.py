@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import ModulusMismatch, ShapeError
+from .errors import ModulusMismatch, ShapeError, TooLarge
 
 PRIMES = (2, 3, 5, 7)
 
@@ -42,42 +42,6 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 is not invertible mod {p}")
     return pow(a, p - 2, p)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """An element of GF(p). Arithmetic checks that moduli agree."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        check_modulus(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _match(self, other: "Scalar") -> None:
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ModulusMismatch(f"GF({self.p}) vs GF({other.p})")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._match(other)
-        return Scalar((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._match(other)
-        return Scalar((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._match(other)
-        return Scalar((self.value * other.value) % self.p, self.p)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value % self.p, self.p)
-
-    def inv(self) -> "Scalar":
-        return Scalar(inv_mod(self.value, self.p), self.p)
 
 
 @dataclass(frozen=True)
@@ -291,8 +255,6 @@ def solve_left(m: Mat, target: Sequence[int]) -> tuple[int, ...] | None:
 
 def all_matrices(r: int, c: int, p: int, limit: int = MAX_ENUM) -> Iterator[Mat]:
     """All r x c matrices over GF(p) in row-major counting order."""
-    from .errors import TooLarge
-
     total = p ** (r * c)
     if total > limit:
         raise TooLarge(f"{total} matrices of shape {r}x{c} over GF({p}) exceed limit {limit}")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import NotACone, NotSingular, ShapeError, TooLarge
 from .gf import Mat, invert, kernel_basis, rref
-from .semigroup import Endo, SemigroupTable, mult_table, sing
+from .semigroup import Endo, SemigroupTable, idempotent_from, mult_table, sing
 from .subspaces import (
     ComplementMode,
     Morphism,
@@ -262,8 +262,6 @@ def cone_compose(gamma: NormalCone, delta: NormalCone) -> NormalCone:
 
 def idempotent_cone(target: Subspace) -> NormalCone:
     """The idempotent cone at a proper subspace, from the projection fixing it."""
-    from .semigroup import idempotent_from
-
     comp = complement(target, ComplementMode.CANONICAL)
     proj = idempotent_from(comp, target)
     return principal_cone(proj, target.side)

@@ -285,18 +285,6 @@ def retraction(a: Subspace, b: Subspace) -> Morphism:
     return Morphism(b, a, proj)
 
 
-def rref_kernel_image(a: Mat) -> tuple[Mat, int, Subspace, Subspace]:
-    """Row reduction bundle: (rref, rank, left kernel, row space) of a matrix.
-
-    The kernel is {v : v @ a = 0} inside GF(p)^rows, the image is the row
-    space inside GF(p)^cols; both come back canonical.
-    """
-    res = rref(a)
-    ker = Subspace(a.nrows, a.p, Side.PRIMAL, kernel_basis(a))
-    img = Subspace(a.ncols, a.p, Side.PRIMAL, row_basis(a))
-    return res.mat, res.rank, ker, img
-
-
 def image_subspace(a: Subspace, m: Mat) -> Subspace:
     """Image of a under the global map m acting on rows."""
     if m.nrows != a.n:

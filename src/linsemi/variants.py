@@ -14,10 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .crossconn import LinkedPair
+from .crossconn import (
+    CrossConn,
+    FunctorVerdict,
+    LinkedPair,
+    functor_from_global,
+    is_local_isomorphism,
+)
 from .errors import NotInvertible
 from .indexed import universe
-from .normal_cones import hom_between
 from .semigroup import (
     Endo,
     SemigroupTable,
@@ -28,16 +33,12 @@ from .semigroup import (
 )
 from .subspaces import (
     ComplementMode,
-    Morphism,
-    Side,
     Subspace,
     SubspaceFilter,
+    annihilator,
     complement,
     enumerate_subspaces,
-    inclusion,
     is_direct_sum,
-    image_subspace,
-    transport_morphism,
 )
 
 
@@ -131,7 +132,7 @@ def variant_categories(ctx: VariantContext) -> VariantCategories:
         a for a in enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.ALL) if ctx.w.contains(a)
     )
     b_objects = tuple(
-        _ann(a)
+        annihilator(a)
         for a in enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.ALL)
         if a.contains(ctx.null)
     )
@@ -146,65 +147,22 @@ def variant_categories(ctx: VariantContext) -> VariantCategories:
     )
 
 
-def _ann(a: Subspace) -> Subspace:
-    from .subspaces import annihilator
-
-    return annihilator(a)
-
-
-class RestrictedFunctorVerdict(NamedTuple):
-    ok: bool
-    failure: str | None
-    object_surjective: bool
-
-
-def _restricted_local_iso(
-    objects: tuple[Subspace, ...], omap: dict, mmap: dict, target_objects: tuple[Subspace, ...]
-) -> RestrictedFunctorVerdict:
-    """Local-isomorphism axioms for a functor given on a full subcategory."""
-    object_set = set(objects)
-    image_set = {omap[a] for a in objects}
-    surjective = image_set == set(target_objects)
-    for a in objects:
-        if mmap[Morphism.identity(a)] != Morphism.identity(omap[a]):
-            return RestrictedFunctorVerdict(False, "identity not preserved", surjective)
-    for a in objects:
-        for b in objects:
-            for g in hom_between(a, b):
-                for c in objects:
-                    for h in hom_between(b, c):
-                        if mmap[g.compose(h)] != mmap[g].compose(mmap[h]):
-                            return RestrictedFunctorVerdict(False, "composition not preserved", surjective)
-    for a in objects:
-        for b in objects:
-            if a != b and b.contains(a):
-                if not omap[b].contains(omap[a]):
-                    return RestrictedFunctorVerdict(False, "inclusions not preserved", surjective)
-                if mmap[inclusion(a, b)] != inclusion(omap[a], omap[b]):
-                    return RestrictedFunctorVerdict(False, "inclusion morphism not preserved", surjective)
-    for a in objects:
-        for b in objects:
-            hom = hom_between(a, b)
-            images = {mmap[g] for g in hom}
-            if len(images) != len(hom) or images != set(hom_between(omap[a], omap[b])):
-                return RestrictedFunctorVerdict(False, "not fully faithful", surjective)
-    for c in objects:
-        ideal_image = {omap[a] for a in objects if c.contains(a)}
-        target_ideal = {x for x in image_set if omap[c].contains(x)}
-        if ideal_image != target_ideal:
-            return RestrictedFunctorVerdict(False, "principal ideal not mapped onto", surjective)
-    return RestrictedFunctorVerdict(True, None, surjective)
-
-
 class VariantCxnReport(NamedTuple):
     invertible: bool
-    delta_verdict: RestrictedFunctorVerdict | None
-    gamma_verdict: RestrictedFunctorVerdict | None
+    delta_verdict: FunctorVerdict | None
+    gamma_verdict: FunctorVerdict | None
     proper_not_surjective: bool | None
     reg_size: int
     phi_injective: bool
     phi_table_matches: bool
     phi_witness: tuple[int, ...] | None
+
+
+def _restricted_verdict(f: CrossConn) -> tuple[FunctorVerdict, bool]:
+    """Local-isomorphism verdict against the image objects, and object-surjectivity."""
+    images = set(f.object_map.values())
+    verdict = is_local_isomorphism(tuple(f.object_map), f.object_map, f.morphism_map, images)
+    return verdict, images == set(enumerate_subspaces(f.n, f.p, SubspaceFilter.PROPER, f.side))
 
 
 def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
@@ -229,30 +187,16 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     if theta.inverse() is not None:
         return VariantCxnReport(True, None, None, None, len(reg), injective, matches, witness)
     cats = variant_categories(ctx)
-    delta_omap = {a: image_subspace(a, theta.mat) for a in cats.r_objects}
-    delta_mmap = {}
-    for a in cats.r_objects:
-        for b in cats.r_objects:
-            for g in hom_between(a, b):
-                delta_mmap[g] = transport_morphism(g, theta.mat)
-    primal_all = enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.PROPER)
-    delta_verdict = _restricted_local_iso(cats.r_objects, delta_omap, delta_mmap, primal_all)
-    theta_t = theta.mat.transpose()
-    gamma_verdict = None
+    delta = functor_from_global(theta.mat, cats.r_objects)
+    delta_verdict, delta_onto = _restricted_verdict(delta)
     try:
-        gamma_omap = {y: image_subspace(y, theta_t) for y in cats.b_objects}
-        gamma_mmap = {}
-        for y in cats.b_objects:
-            for z in cats.b_objects:
-                for g in hom_between(y, z):
-                    gamma_mmap[g] = transport_morphism(g, theta_t)
-        dual_all = enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.PROPER, Side.DUAL)
-        gamma_verdict = _restricted_local_iso(cats.b_objects, gamma_omap, gamma_mmap, dual_all)
+        gamma = functor_from_global(theta.mat.transpose(), cats.b_objects)
     except NotInvertible:
-        gamma_verdict = RestrictedFunctorVerdict(False, "transpose collapses a dual object", False)
-    not_surjective = not delta_verdict.object_surjective and (
-        gamma_verdict is None or not gamma_verdict.object_surjective
-    )
+        gamma_verdict = FunctorVerdict(False, "transpose collapses a dual object")
+        gamma_onto = False
+    else:
+        gamma_verdict, gamma_onto = _restricted_verdict(gamma)
+    not_surjective = not delta_onto and not gamma_onto
     return VariantCxnReport(
         False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches, witness
     )

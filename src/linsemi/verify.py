@@ -302,12 +302,13 @@ def check_gl_crossconnections(p: int, n: int) -> Check:
     if n != 2:
         return _skip("crossconn.gl-batch", "run at n = 2")
     autos = _gl_scope(p, n)
+    objects = nc.category(n, p).objects
     for theta in autos:
         gamma, delta = cx.gamma_delta_theta(theta)
         verdict = cx.is_crossconnection(gamma)
         if not verdict.ok:
             return Check("crossconn.gl-batch", False, (_endo_text(theta), verdict.failure))
-        if not cx.is_local_isomorphism(delta).ok:
+        if not cx.is_local_isomorphism(objects, delta.object_map, delta.morphism_map, objects).ok:
             return Check("crossconn.gl-batch", False, (_endo_text(theta), "delta"))
     return Check("crossconn.gl-batch", True, {"automorphisms": len(autos)})
 

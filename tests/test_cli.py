@@ -109,9 +109,13 @@ def test_timing_flag_fills_elapsed(capsys):
 def test_failing_check_exits_one(monkeypatch, capsys):
     import linsemi.verify as verify_mod
 
-    monkeypatch.setattr(
-        verify_mod, "check_subspace_counts", lambda p, n: Check("lattice.subspace-counts", False, "forced")
+    def forced(p, n):
+        return Check("lattice.subspace-counts", False, "forced")
+
+    registry = tuple(
+        (name, forced if name == "lattice.subspace-counts" else fn) for name, fn in verify_mod.REGISTRY
     )
+    monkeypatch.setattr(verify_mod, "REGISTRY", registry)
     code, out = run(["lattice", "--p", "2", "--n", "2"], capsys)
     assert code == 1
     assert "FAIL lattice.subspace-counts" in out

@@ -9,9 +9,9 @@ from linsemi.crossconn import (
     bifunctor_gamma_set,
     canonical_scalar_rep,
     check_chi_naturality,
-    check_functor,
     chi,
     classify_crossconnections,
+    functor_from_global,
     gamma_delta_theta,
     is_crossconnection,
     is_local_isomorphism,
@@ -22,6 +22,7 @@ from linsemi.crossconn import (
 from linsemi.normal_cones import category
 from linsemi.semigroup import Endo, are_isomorphic, gl, pgl_order, sing
 from linsemi.subspaces import Morphism, Side, annihilator, canonical, zero_subspace
+from linsemi.variants import make_variant, variant_categories
 
 
 def endo(rows, p=2):
@@ -67,16 +68,17 @@ class TestGammaDelta:
 
 class TestLocalIso:
     def test_delta_theta_passes(self):
+        objects = category(2, 2, Side.PRIMAL).objects
         for theta in gl(2, 2):
             _, delta = gamma_delta_theta(theta)
-            assert is_local_isomorphism(delta).ok
+            assert is_local_isomorphism(objects, delta.object_map, delta.morphism_map, objects).ok
 
     def test_constant_functor_fails(self):
         cat = category(2, 2, Side.PRIMAL)
         zero = zero_subspace(2, 2)
         omap = {a: zero for a in cat.objects}
         mmap = {f: Morphism.zero(zero, zero) for f in cat.all_morphisms()}
-        verdict = is_local_isomorphism(CrossConn(2, 2, Side.PRIMAL, omap, mmap))
+        verdict = is_local_isomorphism(cat.objects, omap, mmap, cat.objects)
         assert not verdict.ok
 
     def test_collapsing_functor_fails(self):
@@ -251,4 +253,35 @@ def test_functor_check_catches_broken_composition():
     broken = dict(delta.morphism_map)
     target = next(f for f in cat.all_morphisms() if f.dom == a and f.cod == a and f.is_iso)
     broken[target] = Morphism.zero(delta.obj(a), delta.obj(a))
-    assert not check_functor(CrossConn(2, 2, Side.PRIMAL, delta.object_map, broken)).ok
+    assert not is_local_isomorphism(cat.objects, delta.object_map, broken, cat.objects).ok
+
+
+class TestRestrictedLocalIso:
+    """The merged checker on the restricted functors of sandwich variants."""
+
+    def test_corrupted_composite_breaks_composition(self):
+        # theta = E11 at (2, 2): the restricted delta lives on {0, L}, L = <e1>.
+        ctx = make_variant(endo([[1, 0], [0, 0]]))
+        objects = variant_categories(ctx).r_objects
+        delta = functor_from_global(ctx.theta.mat, objects)
+        images = set(delta.object_map.values())
+        assert is_local_isomorphism(objects, delta.object_map, delta.morphism_map, images).ok
+        line = next(a for a in objects if a.dim == 1)
+        # The zero endomorphism of L is the composite L -> 0 -> L; send it
+        # to the identity instead.
+        broken = dict(delta.morphism_map)
+        broken[Morphism.zero(line, line)] = Morphism.identity(delta.obj(line))
+        verdict = is_local_isomorphism(objects, delta.object_map, broken, images)
+        assert verdict == (False, "composition not preserved")
+
+    def test_extra_target_in_an_ideal(self):
+        # The full subcategory on {0, P} for a plane P of GF(2)^3, carried
+        # identically: a line of P among the targets is missed by the ideal of P.
+        plane = canonical([[1, 0, 0], [0, 1, 0]], 3, 2)
+        objects = (zero_subspace(3, 2), plane)
+        f = functor_from_global(Mat.identity(3, 2), objects)
+        images = set(f.object_map.values())
+        assert is_local_isomorphism(objects, f.object_map, f.morphism_map, images).ok
+        targets = images | {canonical([[1, 0, 0]], 3, 2)}
+        verdict = is_local_isomorphism(objects, f.object_map, f.morphism_map, targets)
+        assert verdict == (False, "principal ideal not mapped onto")

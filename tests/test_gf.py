@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from linsemi.errors import ModulusMismatch, ShapeError
 from linsemi.gf import (
     Mat,
-    Scalar,
     all_matrices,
+    check_modulus,
     invert,
     inv_mod,
     is_prime,
@@ -35,33 +35,20 @@ def mats(r: int, c: int, p: int):
 
 
 class TestScalar:
-    def test_inv_2_mod_3(self):
-        assert Scalar(2, 3).inv() == Scalar(2, 3)
+    """Field inverses in GF(p), on the integer representation that Mat uses."""
 
-    def test_char_2_addition(self):
-        assert Scalar(1, 2) + Scalar(1, 2) == Scalar(0, 2)
+    def test_inv_2_mod_3(self):
+        assert inv_mod(2, 3) == 2
 
     def test_inv_3_mod_5_matches_search(self):
         assert brute_inverse(3, 5) == 2
-        assert Scalar(3, 5).inv() == Scalar(2, 5)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatch):
-            Scalar(1, 2) + Scalar(1, 3)
-
-    def test_zero_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            Scalar(0, 5).inv()
-
-    def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
-            Scalar(1, 6)
+        assert inv_mod(3, 5) == 2
 
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=1, max_value=6))
     def test_inverse_roundtrip(self, p, a):
-        s = Scalar(a, p)
-        if s.value:
-            assert s * s.inv() == Scalar(1, p)
+        a %= p
+        if a:
+            assert a * inv_mod(a, p) % p == 1
 
 
 class TestMat:
@@ -86,6 +73,14 @@ class TestMat:
         with pytest.raises(ModulusMismatch):
             Mat.identity(2, 2) @ Mat.identity(2, 3)
 
+    def test_add_modulus_mismatch(self):
+        with pytest.raises(ModulusMismatch):
+            Mat.identity(2, 2) + Mat.identity(2, 3)
+
+    def test_char_2_addition(self):
+        ones = Mat.make([[1, 1], [1, 1]], 2)
+        assert ones + ones == Mat.zeros(2, 2, 2)
+
     def test_empty_shapes(self):
         e = Mat.make([], 2, ncols=2)
         assert (e @ Mat.identity(2, 2)).nrows == 0
@@ -98,6 +93,7 @@ class TestRref:
         m = Mat.make([[1, 1], [1, 1]], 2)
         res = rref(m)
         assert res.rank == 1
+        assert res.mat == Mat.make([[1, 1], [0, 0]], 2)
         assert row_basis(m) == Mat.make([[1, 1]], 2)
         assert kernel_basis(m) == Mat.make([[1, 1]], 2)
 
@@ -110,6 +106,7 @@ class TestRref:
         m = Mat.identity(3, 3)
         assert rank(m) == 3
         assert kernel_basis(m).nrows == 0
+        assert row_basis(m) == m
 
     @given(st.sampled_from([2, 3, 5]), st.integers(0, 2**12 - 1))
     @settings(max_examples=60)
@@ -126,6 +123,10 @@ class TestRref:
         ker = kernel_basis(m)
         assert ker @ m == Mat.zeros(ker.nrows, 3, p)
         assert ker.nrows + rank(m) == 3
+
+    def test_rank_nullity_exhaustive(self):
+        for m in all_matrices(2, 3, 2):
+            assert kernel_basis(m).nrows + rank(m) == m.nrows
 
     def test_transform_reconstructs(self):
         m = Mat.make([[1, 2], [2, 1], [0, 1]], 3)
@@ -209,3 +210,15 @@ def test_inv_mod_matches_oracle():
     for p in (2, 3, 5, 7):
         for a in range(1, p):
             assert inv_mod(a, p) == brute_inverse(a, p)
+            assert a * inv_mod(a, p) % p == 1
+
+
+def test_inv_mod_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        inv_mod(0, 5)
+
+
+def test_check_modulus_rejects_nonprime():
+    with pytest.raises(ValueError):
+        check_modulus(6)
+    check_modulus(7)

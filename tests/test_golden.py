@@ -1,8 +1,10 @@
-"""Byte identity of the `verify-all --json` report against recorded digests.
+"""Byte identity of the CLI reports against recorded digests.
 
-The digests are those of `perfbench/reference_digests.json`, taken from the
-reports of the seed implementation; a change to the report bytes has to
-update them on purpose.
+The `verify-all` digests are those of `perfbench/reference_digests.json`,
+taken from the reports of the seed implementation; the subcommand digests
+were taken before the two local-isomorphism checkers were merged and the
+subcommands were made to read the check registry. A change to the report
+bytes has to update them on purpose.
 """
 import hashlib
 
@@ -15,6 +17,26 @@ DIGESTS = {
     (2, 4): "1abf263def5d145bafb5e073be797cac235837fa578585b664c507d4879371e4",
 }
 
+# argv -> sha256 of the report; every subcommand in JSON, and the lattice
+# listing, which only the text report carries.
+SUBCOMMAND_DIGESTS = {
+    "lattice --p 2 --n 2 --json": "5974fa108424623692b7de8bad268ccb6b8b1a79cbff63885b451561c8ff6bad",
+    "lattice --p 3 --n 2 --json": "7db9765e50c07ef1fde513c9124ed45995d0292370a90d338e5b174f24967258",
+    "lattice --p 2 --n 2": "6cd82aded41197a57e1840f0a068e9ce5570967d3cdb951c5d91e05bedc670d6",
+    "lattice --p 3 --n 2": "2eae24958eebd9b60e3c28cbe36c35cda6e49d49a622aaf90fc1f93391af2362",
+    "semigroup --p 2 --n 2 --json": "a7d9b6cad435627ccf6f1a1d6f389f3f67cfb429df0f7ff66bd13e86a3322ffc",
+    "cones --p 2 --n 2 --json": "abb82fd16ed8c4b0f07fdf09fb4d0d27d7e599af77a3e837ecc33f265ef39595",
+    "cones --p 2 --n 2 --census --json": "3d5a6ec60c6805ef0df0dc896700ca8878433f1111eb9e2cf9e27b373ac2c0dc",
+    "dual --p 2 --n 2 --json": "8ec6a4f8a54592a042bf6ee3950d48d2a08a191313a627516bd96e48b15231f4",
+    "crossconn --p 2 --n 2 --json": "8a22f9079115563d79a036ebb8151a043b84573dfe56b673312b9a0600a0952c",
+    "crossconn --p 2 --n 2 --classify --json": "c1af5292f6403bea481e28536dad2061e60609dcb6a7ec70229b90a46286036a",
+    "crossconn --p 2 --n 2 --theta 0,1;1,0 --json": "b87f4c723e6335585433381dfe9947133c2fede0281184e462bb8b42958719d7",
+    "crossconn --p 3 --n 2 --theta 0,1;1,1 --json": "30c2bcc7f5942ccc75f6cf4b54474ecc0125c5ccbaefc1520a45b762557d6a95",
+    "variant --p 2 --n 2 --theta 1,0;0,0 --json": "5a9dcb92d0882172d35401aaac38a7bc75fa0926aec9123c9ba33e9a37d429bf",
+    "variant --p 3 --n 2 --theta 1,0;0,0 --json": "96864942008bacbd420ca43affbb1e09da5fdb27978190cfa99559d725a2b7c6",
+    "variant --p 3 --n 2 --theta 0,0;1,0 --json": "2700c8879a73af632b98d22a18c25839bc7d04cfd01873be33ec93ae5842214b",
+}
+
 
 @pytest.mark.parametrize("p,n", sorted(DIGESTS))
 def test_verify_all_report_bytes(p, n, capsys):
@@ -22,3 +44,11 @@ def test_verify_all_report_bytes(p, n, capsys):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == DIGESTS[(p, n)]
+
+
+@pytest.mark.parametrize("argv", sorted(SUBCOMMAND_DIGESTS))
+def test_subcommand_report_bytes(argv, capsys):
+    code = main(argv.split())
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == SUBCOMMAND_DIGESTS[argv]

@@ -2,7 +2,7 @@
 import pytest
 
 from linsemi.errors import NotIncluded, ShapeError
-from linsemi.gf import Mat
+from linsemi.gf import Mat, rref
 from linsemi.subspaces import (
     ComplementMode,
     Morphism,
@@ -214,34 +214,28 @@ def test_json_roundtrip():
 
 
 class TestRrefKernelImage:
-    def test_ones_matrix(self):
-        from linsemi.subspaces import rref_kernel_image
+    """Reduced form, rank, left kernel and row space of a square matrix."""
 
-        reduced, rank_, kernel, image = rref_kernel_image(Mat.make([[1, 1], [1, 1]], 2))
-        assert rank_ == 1
-        assert image == canonical([[1, 1]], 2, 2)
-        assert kernel == canonical([[1, 1]], 2, 2)
-        assert reduced == Mat.make([[1, 1], [0, 0]], 2)
+    @staticmethod
+    def endomorphism(m: Mat) -> Morphism:
+        full = full_subspace(m.nrows, m.p)
+        return Morphism(full, full, m)
+
+    def test_ones_matrix(self):
+        m = Mat.make([[1, 1], [1, 1]], 2)
+        f = self.endomorphism(m)
+        assert f.rank == 1
+        assert f.image() == canonical([[1, 1]], 2, 2)
+        assert f.kernel() == canonical([[1, 1]], 2, 2)
+        assert rref(m).mat == Mat.make([[1, 1], [0, 0]], 2)
 
     def test_zero_matrix(self):
-        from linsemi.subspaces import rref_kernel_image
-
-        _, rank_, kernel, _ = rref_kernel_image(Mat.zeros(2, 2, 3))
-        assert rank_ == 0
-        assert kernel == full_subspace(2, 3)
+        f = self.endomorphism(Mat.zeros(2, 2, 3))
+        assert f.rank == 0
+        assert f.kernel() == full_subspace(2, 3)
 
     def test_identity(self):
-        from linsemi.subspaces import rref_kernel_image
-
-        _, rank_, kernel, image = rref_kernel_image(Mat.identity(3, 3))
-        assert rank_ == 3
-        assert kernel == zero_subspace(3, 3)
-        assert image == full_subspace(3, 3)
-
-    def test_rank_nullity(self):
-        from linsemi.gf import all_matrices
-        from linsemi.subspaces import rref_kernel_image
-
-        for m in all_matrices(2, 3, 2):
-            _, rank_, kernel, _ = rref_kernel_image(m)
-            assert kernel.dim + rank_ == m.nrows
+        f = self.endomorphism(Mat.identity(3, 3))
+        assert f.rank == 3
+        assert f.kernel() == zero_subspace(3, 3)
+        assert f.image() == full_subspace(3, 3)
