@@ -157,13 +157,16 @@ def cmd_variant(args) -> Report:
     if args.cxn or run_all_groups:
         cxn = va.variant_crossconnection(ctx)
         ok = cxn.phi_injective and cxn.phi_table_matches
-        if not cxn.invertible:
-            ok = ok and cxn.delta_verdict.ok and bool(cxn.proper_not_surjective)
         witness = {
             "reg_size": cxn.reg_size,
             "invertible": cxn.invertible,
             "carrier_sizes": [len(va.tr_elements(ctx)), len(va.tb_elements(ctx))],
         }
+        if not cxn.invertible:
+            verdicts = (("delta", cxn.delta_verdict), ("gamma", cxn.gamma_verdict))
+            failures = {f"{side}_failure": v.failure for side, v in verdicts if not v.ok}
+            witness.update(failures)
+            ok = ok and not failures and bool(cxn.proper_not_surjective)
         if cxn.phi_witness is not None:
             witness["iso_witness"] = list(cxn.phi_witness)
         report.checks.append(Check("variant.crossconnection", ok, witness))

@@ -201,10 +201,12 @@ def rref_with_transform(m: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     """Return (R, T, pivots) with R = T @ m in RREF and T invertible."""
     n = m.nrows
     aug = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(m.rows)]
-    red, _ = _rref_rows(aug, m.ncols + n, m.p)
+    red, aug_pivots = _rref_rows(aug, m.ncols + n, m.p)
     left = Mat(tuple(tuple(row[: m.ncols]) for row in red), m.ncols, m.p)
     right = Mat(tuple(tuple(row[m.ncols :]) for row in red), n, m.p)
-    pivots = tuple(rref(m).pivots)
+    # Columns are reduced left to right, so the pivots among the first
+    # ncols columns are exactly those of m.
+    pivots = tuple(c for c in aug_pivots if c < m.ncols)
     return left, right, pivots
 
 

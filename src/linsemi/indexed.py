@@ -8,10 +8,14 @@ in `enumerate_subspaces(n, p)`.
 
 The tables are built once per size, on first use:
 
-- `image[i]` is read from the `Endo.image` that `sing()` already
-  computed by row reduction, so this module sits beside the field kernel
-  in `gf`, not in place of it; the tests compare every table entry with
-  `row_basis`, `kernel_basis` and `Mat.transpose`.
+- `join[s][v]` is the index of s + <v>, for every subspace s and every
+  vector v; it costs one row reduction per pair with v outside s.
+- `image[i]` comes from the join table by a recurrence on the row
+  digits: the span of the first k rows joined with row k is the span of
+  the first k + 1, so n rounds of lookups, row 0 first, give the image
+  of every element without a row reduction per element. The tests
+  compare every table entry with `row_basis`, `kernel_basis` and
+  `Mat.transpose`.
 - `kernel[i]` uses the identity ker(M) = ann(image(M^T)): v @ M = 0
   says exactly that v is orthogonal to every row of M^T. One annihilator
   per subspace and the transpose table give every kernel without a row
@@ -19,6 +23,10 @@ The tables are built once per size, on first use:
 - `transpose[i]` is the index of the transposed matrix.
 - `below[s]` is a bitmask over subspaces: bit t is set when subspace s
   contains subspace t.
+- `squares[i]`, built on its own first use, is the index of M @ M: row r of
+  M @ M is the combination of the rows of M with the entries of row r
+  as coefficients, summed with addition and scaling tables over the p^n
+  vectors.
 
 Products with a fixed factor t are lookups: the rows of a @ t are the
 rows of a acted on by t, so one p^n-entry action table maps each row
@@ -29,11 +37,11 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .semigroup import Endo, all_endos
-from .subspaces import Side, Subspace, annihilator, enumerate_subspaces
+from . import semigroup
+from .subspaces import Side, Subspace, annihilator, canonical, enumerate_subspaces
 
 
 def _value(digits: Sequence[int], base: int) -> int:
@@ -54,7 +62,7 @@ class Universe:
 
     n: int
     p: int
-    elements: tuple[Endo, ...]
+    elements: tuple[semigroup.Endo, ...]
     subspaces: tuple[Subspace, ...]
     subspace_at: dict[Subspace, int]
     image: array
@@ -62,12 +70,33 @@ class Universe:
     transpose: array
     below: tuple[int, ...]
 
-    def index(self, e: Endo) -> int:
+    def index(self, e: semigroup.Endo) -> int:
         return _value(e.mat.flat(), self.p)
 
     def contains(self, s: int, t: int) -> bool:
         """Whether subspace s contains subspace t."""
         return bool(self.below[s] >> t & 1)
+
+    @cached_property
+    def squares(self) -> array:
+        """Entry a is the index of a @ a, for every element a."""
+        n, p = self.n, self.p
+        q = p**n
+        vectors = list(itertools.product(range(p), repeat=n))
+        add = [[_value([(x + y) % p for x, y in zip(u, v)], p) for v in vectors] for u in vectors]
+        scale = [[_value([c * x % p for x in v], p) for v in vectors] for c in range(p)]
+        # terms[v]: the nonzero entries of vector v, as (row position, scaling table).
+        terms = [[(j, scale[c]) for j, c in enumerate(v) if c] for v in vectors]
+        out = array("L")
+        for rows in itertools.product(range(q), repeat=n):
+            square = 0
+            for r in rows:
+                acc = 0
+                for j, times in terms[r]:
+                    acc = add[acc][times[rows[j]]]
+                square = square * q + acc
+            out.append(square)
+        return out
 
     def right_products(self, t: int) -> array:
         """Entry a is the index of a @ t, for every element a."""
@@ -99,13 +128,38 @@ def _transpose_table(n: int, p: int) -> array:
     return _digit_sums(places)
 
 
+def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> list[array]:
+    """Entry [s][v] is the index of subspace s + <v>, vectors in counting order."""
+    out = []
+    for i, s in enumerate(subspaces):
+        inside = set(s.vectors())
+        out.append(array("L", (
+            i if v in inside else at[canonical((*s.basis.rows, v), s.n, s.p)]
+            for v in itertools.product(range(s.p), repeat=s.n)
+        )))
+    return out
+
+
+def _image_table(n: int, join: Sequence[array]) -> array:
+    # Round k maps each prefix of k rows to its span; the prefix is the
+    # more significant part of the index, so appending join[span] extends
+    # it by every value of the next row. Subspace 0 is the zero subspace.
+    spans = array("L", [0])
+    for _ in range(n):
+        nxt = array("L")
+        for s in spans:
+            nxt.extend(join[s])
+        spans = nxt
+    return spans
+
+
 @lru_cache(maxsize=None)
 def universe(n: int, p: int) -> Universe:
     """Build the tables for End(GF(p)^n); raises TooLarge beyond `all_endos`' limit."""
-    elements = all_endos(n, p)
+    elements = semigroup.all_endos(n, p)
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
-    image = array("L", (at[e.image] for e in elements))
+    image = _image_table(n, _join_table(subspaces, at))
     transpose = _transpose_table(n, p)
     ann = [at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces]
     kernel = array("L", (ann[image[t]] for t in transpose))

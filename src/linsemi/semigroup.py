@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
+from . import indexed
 from .errors import NotADirectSum, NotClosed, ShapeError
 from .gf import MAX_ENUM, Mat, all_matrices, invert, kernel_basis, row_basis
 from .subspaces import (
@@ -93,15 +94,21 @@ def all_endos(n: int, p: int, limit: int = MAX_ENUM) -> tuple[Endo, ...]:
     return tuple(Endo(m) for m in all_matrices(n, n, p, limit))
 
 
+def _by_rank(n: int, p: int, singular: bool) -> tuple[Endo, ...]:
+    u = indexed.universe(n, p)
+    dims = [s.dim for s in u.subspaces]
+    return tuple(e for e, s in zip(u.elements, u.image) if (dims[s] < n) == singular)
+
+
 @lru_cache(maxsize=None)
 def sing(n: int, p: int) -> tuple[Endo, ...]:
     """The singular (non-invertible) transformations, in counting order."""
-    return tuple(e for e in all_endos(n, p) if e.is_singular)
+    return _by_rank(n, p, singular=True)
 
 
 @lru_cache(maxsize=None)
 def gl(n: int, p: int) -> tuple[Endo, ...]:
-    return tuple(e for e in all_endos(n, p) if not e.is_singular)
+    return _by_rank(n, p, singular=False)
 
 
 def gl_order(n: int, p: int) -> int:

@@ -109,7 +109,8 @@ def check_idempotents(p: int, n: int) -> Check:
     es = sg.idempotents(n, p)
     if any(not e.is_idempotent for e in es):
         return Check("semigroup.idempotents", False, "a non-idempotent was produced")
-    brute = [e for e in sg.all_endos(n, p) if e.is_idempotent]
+    u = ix.universe(n, p)
+    brute = [e for i, (e, sq) in enumerate(zip(u.elements, u.squares)) if sq == i]
     if len(es) != len(brute) or set(es) != set(brute):
         return Check("semigroup.idempotents", False, {"built": len(es), "brute": len(brute)})
     for e in es:

@@ -46,6 +46,17 @@ class TestReports:
         assert set(data) == {"command", "params", "checks", "elapsed_ms"}
         assert data["checks"][0]["witness"]["reg_size"] == 5
 
+    def test_variant_crossconnection_needs_gamma(self, capsys):
+        # rank(theta^2) < rank(theta): the transpose collapses a dual object.
+        code, out = run(["variant", "--p", "3", "--n", "2", "--theta", "0,0;1,0", "--cxn"], capsys)
+        assert code == 1
+        assert "FAIL variant.crossconnection" in out
+        assert "transpose collapses a dual object" in out
+        for p in ("2", "3"):
+            code, out = run(["variant", "--p", p, "--n", "2", "--theta", "1,0;0,0", "--cxn"], capsys)
+            assert code == 0
+            assert "PASS variant.crossconnection" in out
+
     def test_lattice_listing(self, capsys):
         code, out = run(["lattice", "--p", "2", "--n", "3"], capsys)
         assert code == 0

@@ -128,6 +128,11 @@ class TestRref:
         for m in all_matrices(2, 3, 2):
             assert kernel_basis(m).nrows + rank(m) == m.nrows
 
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3)])
+    def test_transform_pivots_match_rref(self, n, p):
+        for m in all_matrices(n, n, p):
+            assert rref_with_transform(m)[2] == rref(m).pivots
+
     def test_transform_reconstructs(self):
         m = Mat.make([[1, 2], [2, 1], [0, 1]], 3)
         left, t, _ = rref_with_transform(m)

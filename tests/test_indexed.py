@@ -5,6 +5,7 @@ import pytest
 
 from linsemi import indexed
 from linsemi.gf import kernel_basis, row_basis
+from linsemi.semigroup import all_endos, gl, sing
 from linsemi.verify import _variant_thetas, check_variant_membership
 
 
@@ -17,6 +18,20 @@ def test_tables_match_gf(p, n):
         assert u.subspaces[u.image[i]].basis == row_basis(e.mat)
         assert u.subspaces[u.kernel[i]].basis == kernel_basis(e.mat)
         assert u.elements[u.transpose[i]].mat == e.mat.transpose()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+def test_squares_match_gf(p, n):
+    u = indexed.universe(n, p)
+    for e, sq in zip(u.elements, u.squares):
+        assert u.elements[sq].mat == e.mat @ e.mat
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_sing_and_gl_match_rank_filter(p, n):
+    ranks = [row_basis(e.mat).nrows for e in all_endos(n, p)]
+    assert sing(n, p) == tuple(e for e, r in zip(all_endos(n, p), ranks) if r < n)
+    assert gl(n, p) == tuple(e for e, r in zip(all_endos(n, p), ranks) if r == n)
 
 
 def _assert_products(u, thetas):

@@ -188,5 +188,6 @@ class TestIsomorphism:
 def test_enumeration_bound_guard():
     from linsemi.errors import TooLarge
 
-    with pytest.raises(TooLarge):
-        all_endos(5, 2)
+    for build in (all_endos, sing, gl):
+        with pytest.raises(TooLarge):
+            build(5, 2)
