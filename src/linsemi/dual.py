@@ -87,8 +87,8 @@ def h_map(e: Endo, g: Morphism) -> dict[Endo, Endo]:
 
 def m_set_components(cone: NormalCone) -> frozenset[Subspace]:
     """Objects where the cone component is an isomorphism."""
-    cat = category(cone.n, cone.p, cone.side)
-    return frozenset(a for a in cat.objects if cone.component(a).is_iso)
+    objects = category(cone.n, cone.p, cone.side).objects
+    return frozenset(a for a, c in zip(objects, cone.components) if c.is_iso)
 
 
 def m_set_complements(key: Subspace) -> frozenset[Subspace]:
@@ -206,9 +206,9 @@ def build_normal_dual(n: int, p: int) -> NormalDual:
     dual_objects = set(enumerate_subspaces(n, p, SubspaceFilter.PROPER, Side.DUAL))
     count_matches = set(images) == dual_objects
     incl = all(
-        (h1.key.contains(h2.key)) == (functor_p_object(h2).contains(functor_p_object(h1)))
-        for h1 in hfs
-        for h2 in hfs
+        h1.key.contains(h2.key) == im2.contains(im1)
+        for h1, im1 in zip(hfs, images)
+        for h2, im2 in zip(hfs, images)
     )
     return NormalDual(hfs, tuple(zip(hfs, images)), injective, count_matches, incl)
 

@@ -260,8 +260,10 @@ def all_matrices(r: int, c: int, p: int, limit: int = MAX_ENUM) -> Iterator[Mat]
     total = p ** (r * c)
     if total > limit:
         raise TooLarge(f"{total} matrices of shape {r}x{c} over GF({p}) exceed limit {limit}")
-    for flat in itertools.product(range(p), repeat=r * c):
-        yield Mat(tuple(flat[i * c : (i + 1) * c] for i in range(r)), c, p)
+    # Row 0 is the most significant digit, so this is the flat counting order.
+    rows = tuple(itertools.product(range(p), repeat=c))
+    for mat_rows in itertools.product(rows, repeat=r):
+        yield Mat(mat_rows, c, p)
 
 
 def parse_mat(text: str, p: int) -> Mat:

@@ -12,6 +12,13 @@ families with an isomorphism component that restrict no global map, so
 it is enforced explicitly; the cone census counts only coherent
 families, and this is what makes the count match the singular
 semigroup.
+
+A principal cone's components are the restrictions of one map alpha to
+every object. The objects' bases share few rows (the 130 basis rows of
+the proper subspaces of GF(2)^4 are 15 distinct vectors), so each
+distinct row is sent through alpha and located in the vertex once, and
+every component is assembled from those coordinates. The coherence test
+of `validate_cone` uses the same routine.
 """
 from __future__ import annotations
 
@@ -205,7 +212,7 @@ def validate_cone(cone: NormalCone) -> ConeValidation:
         coherent = True
     else:
         cand = _induced_endo(cone)
-        coherent = all(cone.component(a) == _restriction(cand, a, cone.vertex) for a in cat.objects)
+        coherent = cone.components == _restrictions(cand, cone.side, cone.vertex)
         if coherent:
             induced = cand
     valid = compatible and has_iso and coherent
@@ -219,14 +226,30 @@ def validate_cone(cone: NormalCone) -> ConeValidation:
     return ConeValidation(valid, compatible, has_iso, coherent, induced, reason)
 
 
-def _restriction(alpha: Endo, a: Subspace, target: Subspace) -> Morphism | None:
-    rows = []
-    for v in a.basis.rows:
-        coords = target.coords_of(alpha.apply(v))
-        if coords is None:
-            return None
-        rows.append(coords)
-    return Morphism(a, target, Mat.make(rows, a.p, ncols=target.dim))
+@lru_cache(maxsize=None)
+def _basis_rows(n: int, p: int, side: Side) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The distinct basis rows of the category's objects, and each object's rows as positions in them."""
+    position: dict[tuple[int, ...], int] = {}
+    per_object = tuple(
+        tuple(position.setdefault(v, len(position)) for v in a.basis.rows)
+        for a in category(n, p, side).objects
+    )
+    return tuple(position), per_object
+
+
+def _restrictions(alpha: Endo, side: Side, target: Subspace) -> tuple[Morphism | None, ...]:
+    """alpha restricted to each object of the category into target, in object order.
+
+    An object with a basis row that alpha sends outside target gets None.
+    """
+    rows, per_object = _basis_rows(alpha.n, alpha.p, side)
+    # coords_of returns reduced entries, so the components skip Mat.make.
+    coords = [target.coords_of(alpha.apply(v)) for v in rows]
+    out = []
+    for a, at in zip(category(alpha.n, alpha.p, side).objects, per_object):
+        mat_rows = tuple(coords[i] for i in at)
+        out.append(None if None in mat_rows else Morphism(a, target, Mat(mat_rows, target.dim, alpha.p)))
+    return tuple(out)
 
 
 def principal_cone(alpha: Endo, side: Side = Side.PRIMAL) -> NormalCone:
@@ -235,12 +258,7 @@ def principal_cone(alpha: Endo, side: Side = Side.PRIMAL) -> NormalCone:
         raise NotSingular("principal cones require a proper image, so a singular map")
     n, p = alpha.n, alpha.p
     vertex = Subspace(n, p, side, alpha.image.basis)
-    cat = category(n, p, side)
-    comps = []
-    for a in cat.objects:
-        comp = _restriction(alpha, a, vertex)
-        comps.append(comp)
-    return NormalCone(n, p, side, vertex, tuple(comps))
+    return NormalCone(n, p, side, vertex, _restrictions(alpha, side, vertex))
 
 
 def cone_to_map(cone: NormalCone) -> Endo:

@@ -5,6 +5,12 @@ subspaces is plain equality of values. Functionals on V are encoded as
 coordinate row vectors w acting by v -> v . w, which makes the dual
 space concrete: DUAL-side subspaces live in the same coordinate model
 and the annihilator is a kernel computation.
+
+Coordinates are read from a table: for each distinct RREF basis, a dict
+from every one of its p^dim vectors to its coordinates, built once on
+first use and cached on the basis. A table costs p^dim vector-matrix
+products, once per distinct basis; a query is then one reduction mod p
+and one lookup, and a vector outside the subspace is simply absent.
 """
 from __future__ import annotations
 
@@ -61,11 +67,7 @@ class Subspace:
         v = tuple(x % self.p for x in v)
         if len(v) != self.n:
             raise ShapeError(f"vector of length {len(v)} in ambient dimension {self.n}")
-        pivots = rref(self.basis).pivots
-        coords = tuple(v[c] for c in pivots)
-        if self.basis.apply(coords) != v:
-            return None
-        return coords
+        return _coordinate_table(self.basis).get(v)
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         return self.coords_of(v) is not None
@@ -80,8 +82,7 @@ class Subspace:
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All p^dim vectors of the subspace, coordinates in counting order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            yield self.basis.apply(coeffs)
+        return iter(_coordinate_table(self.basis))
 
     def sort_key(self) -> tuple:
         return (self.dim, self.basis.flat())
@@ -92,6 +93,17 @@ class Subspace:
     @staticmethod
     def from_json(data: dict) -> "Subspace":
         return canonical(data["basis"], data["n"], data["p"], Side(data["side"]))
+
+
+@lru_cache(maxsize=None)
+def _coordinate_table(basis: Mat) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every vector spanned by the rows of basis, mapped to its coordinates.
+
+    Keys are inserted in counting order of the coordinates, which `vectors` relies on.
+    """
+    return {
+        basis.apply(coords): coords for coords in itertools.product(range(basis.p), repeat=basis.nrows)
+    }
 
 
 def canonical(vectors: Sequence[Sequence[int]], n: int, p: int, side: Side = Side.PRIMAL) -> Subspace:

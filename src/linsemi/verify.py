@@ -69,9 +69,10 @@ def check_annihilator_involution(p: int, n: int) -> Check:
 
 def check_annihilator_antitone(p: int, n: int) -> Check:
     spaces = sub.enumerate_subspaces(n, p)
-    for a in spaces:
-        for b in spaces:
-            if b.contains(a) != sub.annihilator(a).contains(sub.annihilator(b)):
+    anns = [sub.annihilator(a) for a in spaces]
+    for a, ann_a in zip(spaces, anns):
+        for b, ann_b in zip(spaces, anns):
+            if b.contains(a) != ann_a.contains(ann_b):
                 return Check(
                     "lattice.annihilator-antitone", False, {"a": str(a.basis), "b": str(b.basis)}
                 )
@@ -435,9 +436,9 @@ def check_variant_membership(p: int, n: int) -> Check:
     for theta in _variant_thetas(p, n):
         t = u.index(theta)
         image, null = u.image[t], u.kernel[t]
-        if not all(u.contains(image, u.image[x]) for x in u.right_products(t)):
+        if not all(u.contains(image, s) for s in {u.image[x] for x in u.right_products(t)}):
             return Check("variant.membership-laws", False, _endo_text(theta))
-        if not all(u.contains(u.kernel[x], null) for x in u.left_products(t)):
+        if not all(u.contains(s, null) for s in {u.kernel[x] for x in u.left_products(t)}):
             return Check("variant.membership-laws", False, _endo_text(theta))
     return Check("variant.membership-laws", True, None)
 

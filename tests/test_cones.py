@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linsemi.errors import NotACone, NotSingular, TooLarge
-from linsemi.gf import Mat
+from linsemi.gf import Mat, solve_left
 from linsemi.normal_cones import (
     NormalCone,
+    _restrictions,
     build_cone_semigroup,
     category,
     cone_census,
@@ -19,11 +20,25 @@ from linsemi.normal_cones import (
     validate_cone,
 )
 from linsemi.semigroup import Endo, mult_table, sing
-from linsemi.subspaces import Morphism, Side, canonical, inclusion, zero_subspace
+from linsemi.subspaces import (
+    Morphism,
+    Side,
+    Subspace,
+    canonical,
+    image_subspace,
+    inclusion,
+    zero_subspace,
+)
 
 
 def endo(rows, p=2):
     return Endo(Mat.make(rows, p))
+
+
+def restriction(alpha: Endo, a: Subspace, target: Subspace) -> Morphism:
+    """Per-object reference: solve for each basis row of a, sent through alpha, in target."""
+    rows = [solve_left(target.basis, alpha.apply(v)) for v in a.basis.rows]
+    return Morphism(a, target, Mat.make(rows, a.p, ncols=target.dim))
 
 
 E11 = endo([[1, 0], [0, 0]])
@@ -121,6 +136,25 @@ class TestPrincipalCone:
     def test_invertible_rejected(self):
         with pytest.raises(NotSingular):
             principal_cone(Endo.identity(2, 2))
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+    def test_components_match_per_object_restriction(self, n, p, side):
+        objects = category(n, p, side).objects
+        for alpha in sing(n, p):
+            cone = principal_cone(alpha, side)
+            assert cone.vertex == Subspace(n, p, side, alpha.image.basis)
+            assert cone.components == tuple(restriction(alpha, a, cone.vertex) for a in objects)
+
+    def test_escaping_row_gives_no_restriction(self):
+        # validate_cone's coherence test relies on this: an object with a
+        # basis row sent outside the target has no restriction into it.
+        objects = category(2, 3, Side.PRIMAL).objects
+        for alpha in sing(2, 3):
+            for target in objects:
+                inside = [target.contains(image_subspace(a, alpha.mat)) for a in objects]
+                want = tuple(restriction(alpha, a, target) if ok else None for a, ok in zip(objects, inside))
+                assert _restrictions(alpha, Side.PRIMAL, target) == want
 
 
 class TestConeToMap:

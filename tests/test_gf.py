@@ -207,6 +207,17 @@ class TestTextFormat:
             parse_mat("1,0;1", 2)
 
 
+@pytest.mark.parametrize("r,c", [(0, 3), (3, 0), (1, 1), (2, 3)])
+def test_all_matrices_counting_order(r, c):
+    """Matrix number k has the base-3 digits of k as its flat entries, row 0 first."""
+    p = 3
+    got = list(all_matrices(r, c, p))
+    assert len(got) == p ** (r * c)
+    for k, m in enumerate(got):
+        flat = [k // p ** (r * c - 1 - i) % p for i in range(r * c)]
+        assert m == Mat(tuple(tuple(flat[i * c : (i + 1) * c]) for i in range(r)), c, p)
+
+
 def test_is_prime():
     assert [q for q in range(2, 12) if is_prime(q)] == [2, 3, 5, 7, 11]
 

@@ -1,4 +1,6 @@
 """Subspace lattice: enumeration counts, complements, annihilators, inclusions."""
+import itertools
+
 import pytest
 
 from linsemi.errors import NotIncluded, ShapeError
@@ -59,6 +61,36 @@ class TestCanonical:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             canonical([[1, 0, 0]], 2, 2)
+
+
+def pivot_coords(s: Subspace, v) -> tuple | None:
+    """Independent oracle: read v at the pivot columns, keep it if it rebuilds v."""
+    v = tuple(x % s.p for x in v)
+    coords = tuple(v[c] for c in rref(s.basis).pivots)
+    return coords if s.basis.apply(coords) == v else None
+
+
+class TestCoordsOf:
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("n,p", [(3, 2), (2, 3), (2, 7)])
+    def test_matches_pivot_reading(self, n, p, side):
+        vectors = list(itertools.product(range(p), repeat=n))
+        for s in enumerate_subspaces(n, p, SubspaceFilter.ALL, side):
+            inside = 0
+            for v in vectors:
+                want = pivot_coords(s, v)
+                assert s.coords_of(v) == want
+                # unreduced and negative representatives of the same vector
+                assert s.coords_of([x + p * (i + 1) for i, x in enumerate(v)]) == want
+                assert s.coords_of([x - p for x in v]) == want
+                inside += want is not None
+            assert inside == p**s.dim
+
+    def test_wrong_length(self):
+        for s in (canonical([[1, 0, 1]], 3, 2), zero_subspace(3, 2), full_subspace(3, 2)):
+            for v in [(), (1, 0), (1, 0, 1, 0)]:
+                with pytest.raises(ShapeError):
+                    s.coords_of(v)
 
 
 class TestEnumeration:
