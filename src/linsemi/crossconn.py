@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
 from .gf import Mat, inv_mod
-from .dual import DualMorphism, dual_morphisms, globalize
+from .dual import DualMorphism, dual_morphisms, globalize, row_map
 from .normal_cones import category, hom_between
 from .semigroup import Endo, SemigroupTable, mult_table, sing
 from .subspaces import (
@@ -155,24 +156,22 @@ def is_crossconnection(gamma: CrossConn) -> FunctorVerdict:
     return FunctorVerdict(True, None)
 
 
+def _bifunctor_indices(image_in: Subspace, coimage_in: Subspace) -> tuple[int, ...]:
+    """Singular x with im x <= image_in and (ker x)ann <= coimage_in, i.e. ker x >= ann(coimage_in)."""
+    u = ix.universe(image_in.n, image_in.p)
+    return u.confined(u.subspace_at[image_in], u.subspace_at[annihilator(coimage_in)])
+
+
 def bifunctor_gamma_set(a: Subspace, y: Subspace, gamma: CrossConn) -> tuple[Endo, ...]:
     """{alpha singular : im alpha <= a, (ker alpha)ann <= gamma(y)}."""
-    target = gamma.obj(y)
-    return tuple(
-        x
-        for x in sing(a.n, a.p)
-        if a.contains(x.image) and target.contains(annihilator(x.kernel))
-    )
+    elements = ix.universe(a.n, a.p).elements
+    return tuple(elements[x] for x in _bifunctor_indices(a, gamma.obj(y)))
 
 
 def bifunctor_delta_set(a: Subspace, y: Subspace, delta: CrossConn) -> tuple[Endo, ...]:
     """{alpha singular : im alpha <= delta(a), (ker alpha)ann <= y}."""
-    target = delta.obj(a)
-    return tuple(
-        x
-        for x in sing(a.n, a.p)
-        if target.contains(x.image) and y.contains(annihilator(x.kernel))
-    )
+    elements = ix.universe(a.n, a.p).elements
+    return tuple(elements[x] for x in _bifunctor_indices(delta.obj(a), y))
 
 
 def gamma_action(f: Morphism, w: DualMorphism, theta: Endo) -> Callable[[Endo], Endo]:
@@ -207,41 +206,50 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     """Verify the commuting square for every pair (f, w) of morphisms.
 
     Also checks that the duality map is a bijection between the two
-    bifunctor sets at every object pair.
+    bifunctor sets at every object pair. Elements are indices: products
+    are Cayley-table lookups and the duality is a permutation.
     """
     n, p = theta.n, theta.p
     primal = category(n, p, Side.PRIMAL)
     dual = category(n, p, Side.DUAL)
-    chi_map = chi(theta)
+    u = ix.universe(n, p)
+    prod, q = u.products, len(u.transpose)
+    t, t_inv = u.index(theta), u.index(theta.inverse())
+    chi_of = [prod[prod[t_inv * q + x] * q + t] for x in range(q)]  # theta^-1 x theta
+    chi_back = [prod[prod[t * q + x] * q + t_inv] for x in range(q)]  # theta x theta^-1
     gamma_sets = {
-        (a, y): bifunctor_gamma_set(a, y, gamma) for a in primal.objects for y in dual.objects
+        (a, y): _bifunctor_indices(a, gamma.obj(y)) for a in primal.objects for y in dual.objects
     }
     delta_sets = {
-        (a, y): set(bifunctor_delta_set(a, y, delta)) for a in primal.objects for y in dual.objects
+        (a, y): set(_bifunctor_indices(delta.obj(a), y)) for a in primal.objects for y in dual.objects
     }
     for (a, y), gset in gamma_sets.items():
-        mapped = {chi_map(x) for x in gset}
+        mapped = {chi_of[x] for x in gset}
         if len(mapped) != len(gset) or mapped != delta_sets[(a, y)]:
             return ChiReport(False, 0, (a, y, "duality is not a bijection"))
+    # The row maps of each f: a -> b and of its image under delta.
+    homs = {
+        (a, b): [(f, row_map(f), row_map(delta.mor(f))) for f in primal.hom(a, b)]
+        for a in primal.objects
+        for b in primal.objects
+    }
     checked = 0
-    theta_inv = theta.inverse()
     for y in dual.objects:
         for z in dual.objects:
-            duals = dual_morphisms(y, z)
-            carriers = [theta @ w.carrier @ theta_inv for w in duals]
+            duals = [u.index(w.carrier) for w in dual_morphisms(y, z)]
+            carriers = [chi_back[w] for w in duals]
             for a in primal.objects:
                 gset_ay = gamma_sets[(a, y)]
-                chis = [chi_map(x) for x in gset_ay]
+                chis = [chi_of[x] for x in gset_ay]
                 for b in primal.objects:
                     target = delta_sets[(b, z)]
-                    for f in primal.hom(a, b):
-                        g = delta.mor(f)
+                    for f, f_rows, g_rows in homs[(a, b)]:
                         for w, carrier_y in zip(duals, carriers):
                             for alpha, alpha_chi in zip(gset_ay, chis):
-                                lhs = chi_map(globalize(carrier_y @ alpha, f))
-                                rhs = globalize(w.carrier @ alpha_chi, g)
+                                lhs = chi_of[ix.globalize(prod[carrier_y * q + alpha], f_rows)]
+                                rhs = ix.globalize(prod[w * q + alpha_chi], g_rows)
                                 if lhs != rhs:
-                                    return ChiReport(False, checked, (a, y, b, z, f, alpha))
+                                    return ChiReport(False, checked, (a, y, b, z, f, u.elements[alpha]))
                                 if rhs not in target:
                                     return ChiReport(False, checked, (a, y, b, z, f, "escapes"))
                             checked += 1

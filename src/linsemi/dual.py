@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, invert
+from .indexed import universe
 from .normal_cones import NormalCone, category, cone_compose, principal_cone
 from .semigroup import Endo, SemigroupTable, idempotent_from, mult_table, sing
 from .subspaces import (
@@ -80,6 +81,17 @@ def globalize(alpha: Endo, f: Morphism) -> Endo:
     return Endo(Mat.make(rows, alpha.p, ncols=alpha.n))
 
 
+@lru_cache(maxsize=None)
+def row_map(f: Morphism) -> tuple[int, ...]:
+    """Entry v is the index of vector v followed by f, or -1 when v is outside f.dom.
+
+    Element v < p^n of the universe has vector v as its last row and zero rows above it.
+    """
+    u = universe(f.dom.n, f.dom.p)
+    vectors = u.elements[: f.dom.p ** f.dom.n]
+    return tuple(u.index(globalize(e, f)) if f.dom.contains(e.image) else -1 for e in vectors)
+
+
 def h_map(e: Endo, g: Morphism) -> dict[Endo, Endo]:
     """The functor action on a morphism g: sends x to x . g between h-sets."""
     return {x: globalize(x, g) for x in h_set(e, g.dom)}
@@ -91,6 +103,7 @@ def m_set_components(cone: NormalCone) -> frozenset[Subspace]:
     return frozenset(a for a, c in zip(objects, cone.components) if c.is_iso)
 
 
+@lru_cache(maxsize=None)
 def m_set_complements(key: Subspace) -> frozenset[Subspace]:
     """Proper subspaces A with A (+) key = V."""
     return frozenset(
@@ -122,9 +135,6 @@ class DualMorphism:
     cod: Subspace  # DUAL side: (ker f)ann
     fmat: Mat  # dim(dom) x dim(cod) functional-coordinate matrix
     carrier: Endo = field(compare=False)
-
-    def as_morphism(self) -> Morphism:
-        return Morphism(self.dom, self.cod, self.fmat)
 
     def compose(self, other: "DualMorphism") -> "DualMorphism":
         if self.cod != other.dom:
@@ -163,6 +173,7 @@ def component_action(dm: DualMorphism, e: Endo, a: Subspace) -> dict[Endo, Endo]
     return {x: dm.carrier @ x for x in h_set(e, a)}
 
 
+@lru_cache(maxsize=None)
 def dual_morphisms(y: Subspace, z: Subspace) -> tuple[DualMorphism, ...]:
     """All morphisms y -> z of the annihilator category, via their carriers.
 

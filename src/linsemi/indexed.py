@@ -31,6 +31,14 @@ The tables are built once per size, on first use:
 Products with a fixed factor t are lookups: the rows of a @ t are the
 rows of a acted on by t, so one p^n-entry action table maps each row
 digit, and t @ a = transpose[transpose[a] @ transpose[t]].
+
+The Cayley table `products`, built on its own first use column by column
+from `right_products`, makes every product a @ b one lookup (Froidure &
+Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. A subspace
+morphism f acts on the rows of an element whose image lies in f.dom:
+`dual.row_map(f)`, built on first use per morphism, sends each vector of
+f.dom to its image and marks the others -1, so x followed by f
+(`globalize`) is one lookup per row digit of x.
 """
 from __future__ import annotations
 
@@ -41,7 +49,10 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import semigroup
+from .errors import ShapeError, TooLarge
 from .subspaces import Side, Subspace, annihilator, canonical, enumerate_subspaces
+
+MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 46 MB
 
 
 def _value(digits: Sequence[int], base: int) -> int:
@@ -77,6 +88,15 @@ class Universe:
         """Whether subspace s contains subspace t."""
         return bool(self.below[s] >> t & 1)
 
+    @lru_cache(maxsize=None)
+    def confined(self, top: int, bottom: int) -> tuple[int, ...]:
+        """The singular elements with image inside subspace top and kernel above subspace bottom."""
+        return tuple(
+            x
+            for x, (im, ker) in enumerate(zip(self.image, self.kernel))
+            if self.subspaces[im].dim < self.n and self.contains(top, im) and self.contains(ker, bottom)
+        )
+
     @cached_property
     def squares(self) -> array:
         """Entry a is the index of a @ a, for every element a."""
@@ -96,6 +116,17 @@ class Universe:
                     acc = add[acc][times[rows[j]]]
                 square = square * q + acc
             out.append(square)
+        return out
+
+    @cached_property
+    def products(self) -> array:
+        """Entry a * q + b is the index of a @ b, for q = p^(n^2)."""
+        q = len(self.transpose)
+        if q * q > MAX_PRODUCTS:
+            raise TooLarge(f"a Cayley table of {q}^2 products exceeds {MAX_PRODUCTS}")
+        out = array("L", [0]) * (q * q)
+        for b in range(q):
+            out[b::q] = self.right_products(b)
         return out
 
     def right_products(self, t: int) -> array:
@@ -167,3 +198,18 @@ def universe(n: int, p: int) -> Universe:
         sum(1 << j for j, b in enumerate(subspaces) if a.contains(b)) for a in subspaces
     )
     return Universe(n, p, elements, subspaces, at, image, kernel, transpose, below)
+
+
+def globalize(x: int, rows: Sequence[int]) -> int:
+    """Element x followed by the morphism of `dual.row_map` rows; ShapeError if a row escapes."""
+    q = len(rows)
+    out, place = 0, 1
+    # Zero rows map to zero, so the leading zero digits need no lookup.
+    while x:
+        x, v = divmod(x, q)
+        w = rows[v]
+        if w < 0:
+            raise ShapeError("image escapes the domain of the partial map")
+        out += w * place
+        place *= q
+    return out

@@ -307,14 +307,14 @@ def cone_census(n: int, p: int, budget: int = 2000) -> ConeCensus:
     exceed the coherent ones exactly when n = 2.
     """
     cat = category(n, p, Side.PRIMAL)
+    # A vertex of dimension d takes p^(d * sum of object dimensions) families;
+    # the sum stops at the budget, so the count is never formatted.
+    dims = sum(a.dim for a in cat.objects)
     total = 0
     for vertex in cat.objects:
-        size = 1
-        for a in cat.objects:
-            size *= p ** (a.dim * vertex.dim)
-        total += size
-    if total > budget:
-        raise TooLarge(f"cone census would enumerate {total} families (budget {budget})")
+        total += p ** (vertex.dim * dims)
+        if total > budget:
+            raise TooLarge(f"cone census would enumerate more than {budget} families")
     valid: list[NormalCone] = []
     near = 0
     per_vertex = []

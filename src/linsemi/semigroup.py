@@ -8,7 +8,6 @@ backtracking with propagation).
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -260,9 +259,6 @@ class SemigroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def product_index(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def idempotent_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.order) if self.table[i][i] == i)
 
@@ -277,9 +273,6 @@ class SemigroupTable:
             "elements": [label(e) for e in self.elements],
             "table": [list(row) for row in self.table],
         }
-
-    def to_json_str(self, label: Callable = str) -> str:
-        return json.dumps(self.to_json(label), sort_keys=True)
 
 
 def mult_table(elements: Sequence, product: Callable) -> SemigroupTable:

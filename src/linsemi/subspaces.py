@@ -58,10 +58,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.dim == self.n
-
     def coords_of(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Coordinates of v in the canonical basis, or None when v is outside."""
         v = tuple(x % self.p for x in v)
@@ -83,9 +79,6 @@ class Subspace:
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All p^dim vectors of the subspace, coordinates in counting order."""
         return iter(_coordinate_table(self.basis))
-
-    def sort_key(self) -> tuple:
-        return (self.dim, self.basis.flat())
 
     def to_json(self) -> dict:
         return {"n": self.n, "p": self.p, "side": self.side.value, "basis": [list(r) for r in self.basis.rows]}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .crossconn import (
     CrossConn,
@@ -26,7 +26,6 @@ from .indexed import universe
 from .semigroup import (
     Endo,
     SemigroupTable,
-    all_endos,
     are_isomorphic,
     mult_table,
     regular_elements,
@@ -84,12 +83,27 @@ def sandwich(a: Endo, b: Endo, ctx: VariantContext) -> Endo:
     return a @ ctx.theta @ b
 
 
+def sandwich_index(ctx: VariantContext) -> Callable[[int, int], int]:
+    """The sandwich product on element indices: a theta b is (a theta) b, one table lookup."""
+    u = universe(ctx.n, ctx.p)
+    prod, q = u.products, len(u.transpose)
+    right = u.right_products(u.index(ctx.theta))
+    return lambda a, b: prod[right[a] * q + b]
+
+
+@lru_cache(maxsize=None)
+def reg_indices(ctx: VariantContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indices of the regular elements of the variant, and of their first witnesses."""
+    reg, witness = regular_elements(range(ctx.p ** (ctx.n * ctx.n)), sandwich_index(ctx))
+    return tuple(reg), tuple(witness.values())
+
+
 @lru_cache(maxsize=None)
 def reg_variant(ctx: VariantContext) -> tuple[tuple[Endo, ...], tuple[tuple[Endo, Endo], ...]]:
     """Regular elements of the variant, with their first witnesses."""
-    elements = all_endos(ctx.n, ctx.p)
-    reg, witness = regular_elements(elements, lambda a, b: sandwich(a, b, ctx))
-    return tuple(reg), tuple(witness.items())
+    elements = universe(ctx.n, ctx.p).elements
+    reg, witnesses = reg_indices(ctx)
+    return tuple(elements[a] for a in reg), tuple((elements[a], elements[b]) for a, b in zip(reg, witnesses))
 
 
 @lru_cache(maxsize=None)

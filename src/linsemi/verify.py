@@ -6,6 +6,7 @@ that order, so report output is deterministic.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -273,22 +274,24 @@ def check_nat_trans(p: int, n: int) -> Check:
     """Naturality of carrier action: act then push along g equals push then act."""
     if sg.sing_order(n, p) > 600:
         return _skip("dual.naturality", "h-set enumeration bounded to order 600")
-    idems = sg.idempotents(n, p, singular_only=True)
-    cat = nc.category(n, p)
+    u = ix.universe(n, p)
+    prod, q = u.products, len(u.transpose)
+    idems = [u.index(e) for e in sg.idempotents(n, p, singular_only=True)]
+    singular = [x for x, s in enumerate(u.image) if u.subspaces[s].dim < n]
+    morphisms = [(g, u.subspace_at[g.dom], du.row_map(g)) for g in nc.category(n, p).all_morphisms()]
     checked = 0
     cap = 50000
     for e in idems:
         for f in idems:
-            carriers = sorted({f @ x @ e for x in sg.sing(n, p)}, key=lambda u: u.mat.flat())
-            for u in carriers:
-                dm = du.nat_trans(u, e, f)
-                for g in cat.all_morphisms():
-                    for x in du.h_set(e, g.dom):
-                        acted = dm.carrier @ x
-                        if not (acted.kernel.contains(f.kernel) and g.dom.contains(acted.image)):
-                            return Check("dual.naturality", False, (_endo_text(u), "escapes the h-set"))
-                        if du.globalize(acted, g) != dm.carrier @ du.globalize(x, g):
-                            return Check("dual.naturality", False, (_endo_text(u), str(g.dom.basis)))
+            for c in sorted({prod[prod[f * q + x] * q + e] for x in singular}):
+                row = prod[c * q : (c + 1) * q]  # entry x is c x
+                for g, dom, rows in morphisms:
+                    for x in u.confined(dom, u.kernel[e]):  # the h-set of e at g.dom
+                        acted = row[x]
+                        if not (u.contains(u.kernel[acted], u.kernel[f]) and u.contains(dom, u.image[acted])):
+                            return Check("dual.naturality", False, (_endo_text(u.elements[c]), "escapes the h-set"))
+                        if ix.globalize(acted, rows) != row[ix.globalize(x, rows)]:
+                            return Check("dual.naturality", False, (_endo_text(u.elements[c]), str(g.dom.basis)))
                     checked += 1
                     if checked >= cap:
                         return Check("dual.naturality", True, {"squares_checked": checked, "capped": True})
@@ -333,10 +336,8 @@ def check_linked_semigroups(p: int, n: int) -> Check:
         return _skip("crossconn.linked-semigroup", "run at n = 2")
     for theta in _gl_scope(p, n):
         linked = cx.linked_pair_semigroup(theta)
+        # matches_sing compares the table with Sing's entry by entry.
         if not (linked.pairing_ok and linked.matches_sing):
-            return Check("crossconn.linked-semigroup", False, _endo_text(theta))
-        ok, _ = sg.are_isomorphic(linked.table, cx.sing_table(n, p), witness=linked.witness)
-        if not ok:
             return Check("crossconn.linked-semigroup", False, _endo_text(theta))
     return Check("crossconn.linked-semigroup", True, {"order": sg.sing_order(n, p)})
 
@@ -392,15 +393,13 @@ def check_variant_regularity(p: int, n: int) -> Check:
     thetas = _variant_thetas(p, n)
     for theta in thetas:
         ctx = va.make_variant(theta)
-        reg, witnesses = va.reg_variant(ctx)
+        sandwich = va.sandwich_index(ctx)
+        reg, witnesses = va.reg_indices(ctx)
         reg_set = set(reg)
-        for a in reg:
-            for b in reg:
-                if va.sandwich(a, b, ctx) not in reg_set:
-                    return Check("variant.reg-closed", False, _endo_text(theta))
-        for a, b in witnesses:
-            if va.sandwich(va.sandwich(a, b, ctx), a, ctx) != a:
-                return Check("variant.reg-closed", False, _endo_text(theta))
+        if not reg_set.issuperset(sandwich(a, b) for a in reg for b in reg):
+            return Check("variant.reg-closed", False, _endo_text(theta))
+        if any(sandwich(sandwich(a, b), a) != a for a, b in zip(reg, witnesses)):
+            return Check("variant.reg-closed", False, _endo_text(theta))
     return Check("variant.reg-closed", True, {"thetas": len(thetas)})
 
 
@@ -408,24 +407,22 @@ def check_variant_phi(p: int, n: int) -> Check:
     if p ** (n * n) > 1000:
         return _skip("variant.phi-homomorphism", "regular-part search bounded to 1000 elements")
     thetas = _variant_thetas(p, n)
+    u = ix.universe(n, p)
+    prod, q = u.products, len(u.transpose)
     cap = 40000
     capped = False
     for theta in thetas:
         ctx = va.make_variant(theta)
-        elements = sg.all_endos(n, p)
-        pairs = 0
-        for a in elements:
-            for b in elements:
-                if va.phi(va.sandwich(a, b, ctx), ctx) != va.phi(a, ctx).combine(va.phi(b, ctx)):
-                    return Check("variant.phi-homomorphism", False, _endo_text(theta))
-                pairs += 1
-                if pairs >= cap:
-                    capped = True
-                    break
-            if pairs >= cap:
-                break
-        reg, _ = va.reg_variant(ctx)
-        if len({va.phi(a, ctx) for a in reg}) != len(reg):
+        t = u.index(theta)
+        # phi(a) = (theta a, a theta); the product of two pairs multiplies slotwise.
+        left, right = u.left_products(t), u.right_products(t)
+        for a, b in itertools.islice(itertools.product(range(q), repeat=2), cap):
+            s = prod[right[a] * q + b]  # the sandwich a theta b
+            if left[s] != prod[left[a] * q + left[b]] or right[s] != prod[right[a] * q + right[b]]:
+                return Check("variant.phi-homomorphism", False, _endo_text(theta))
+        capped = capped or q * q >= cap
+        reg, _ = va.reg_indices(ctx)
+        if len({(left[a], right[a]) for a in reg}) != len(reg):
             return Check("variant.phi-homomorphism", False, (_endo_text(theta), "not injective"))
     return Check("variant.phi-homomorphism", True, {"thetas": len(thetas), "capped": capped})
 
@@ -444,6 +441,10 @@ def check_variant_membership(p: int, n: int) -> Check:
 
 
 def check_variant_crossconnection(p: int, n: int) -> Check:
+    if n == 1:
+        return Check(
+            "variant.crossconnection", True, {"not_applicable": "the only singular theta at n = 1 is 0"}
+        )
     if p ** (n * n) > 1000:
         return _skip("variant.crossconnection", "regular-part search bounded to 1000 elements")
     e11 = [[0] * n for _ in range(n)]
@@ -515,5 +516,11 @@ REGISTRY: tuple[tuple[str, Callable[[int, int], Check]], ...] = (
 
 
 def run_all(p: int, n: int) -> list[Check]:
-    """Run every registered check at the given size, in registry order."""
-    return [fn(p, n) for _, fn in REGISTRY]
+    """Run every registered check at the given size, in registry order; TooLarge skips a check."""
+    checks = []
+    for name, fn in REGISTRY:
+        try:
+            checks.append(fn(p, n))
+        except TooLarge as exc:
+            checks.append(_skip(name, str(exc)))
+    return checks

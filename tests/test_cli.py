@@ -130,3 +130,19 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     code, out = run(["lattice", "--p", "2", "--n", "2"], capsys)
     assert code == 1
     assert "FAIL lattice.subspace-counts" in out
+
+
+def test_too_large_check_becomes_a_skip(monkeypatch, capsys):
+    import linsemi.verify as verify_mod
+    from linsemi.errors import TooLarge
+
+    def too_large(p, n):
+        raise TooLarge("forced bound")
+
+    registry = (("lattice.subspace-counts", too_large),) + verify_mod.REGISTRY[1:3]
+    monkeypatch.setattr(verify_mod, "REGISTRY", registry)
+    code, out = run(["verify-all", "--p", "2", "--n", "2", "--json"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [name for name, _ in registry]
+    assert checks[0] == {"name": "lattice.subspace-counts", "pass": True, "witness": {"skipped": "forced bound"}}

@@ -29,6 +29,7 @@ from linsemi.subspaces import (
     inclusion,
     zero_subspace,
 )
+from linsemi.verify import check_cone_census
 
 
 def endo(rows, p=2):
@@ -239,6 +240,14 @@ class TestValidateAndCensus:
     def test_census_too_large(self):
         with pytest.raises(TooLarge):
             cone_census(3, 2)
+
+    def test_census_budget_stops_before_a_huge_count(self):
+        # At (5, 4) the family count has more than 4300 digits; the message
+        # states the budget instead, and the registry check reports the skip.
+        with pytest.raises(TooLarge, match="more than 2000 families"):
+            cone_census(4, 5)
+        check = check_cone_census(5, 4)
+        assert check.passed and check.witness == {"skipped": "beyond census budget"}
 
     def test_idempotent_cones_are_vertex_identities(self):
         for alpha in sing(2, 2):

@@ -1,10 +1,13 @@
 """The index-coded element core against the row-reduction route in `gf`."""
 import dataclasses
+import random
 
 import pytest
 
-from linsemi import indexed
+from linsemi import dual, indexed
+from linsemi.errors import ShapeError
 from linsemi.gf import kernel_basis, row_basis
+from linsemi.normal_cones import category
 from linsemi.semigroup import all_endos, gl, sing
 from linsemi.verify import _variant_thetas, check_variant_membership
 
@@ -47,6 +50,40 @@ def _assert_products(u, thetas):
 def test_products_all_pairs(p, n):
     u = indexed.universe(n, p)
     _assert_products(u, u.elements)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_cayley_table_all_pairs(p, n):
+    u = indexed.universe(n, p)
+    q = len(u.elements)
+    assert len(u.products) == q * q
+    for a, x in enumerate(u.elements):
+        for b, y in enumerate(u.elements):
+            assert u.elements[u.products[a * q + b]] == x @ y
+
+
+def test_cayley_table_seeded_pairs():
+    u = indexed.universe(3, 2)
+    q = len(u.elements)
+    rng = random.Random(20190101)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert u.elements[u.products[a * q + b]] == u.elements[a] @ u.elements[b]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_row_map_globalize_matches_dual(p):
+    u = indexed.universe(2, p)
+    for f in category(2, p).all_morphisms():
+        rows = dual.row_map(f)
+        for x, e in enumerate(u.elements):
+            if f.dom.contains(e.image):
+                assert u.elements[indexed.globalize(x, rows)] == dual.globalize(e, f)
+            else:
+                with pytest.raises(ShapeError):
+                    dual.globalize(e, f)
+                with pytest.raises(ShapeError):
+                    indexed.globalize(x, rows)
 
 
 def test_products_with_variant_thetas():
