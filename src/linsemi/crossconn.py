@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
-from .gf import Mat, inv_mod
+from .gf import Mat, inv_mod, mat_to_text
 from .dual import DualMorphism, dual_morphisms, globalize, row_map
 from .normal_cones import category, hom_between
 from .semigroup import Endo, SemigroupTable, mult_table, sing
@@ -199,7 +199,7 @@ def chi(theta: Endo) -> Callable[[Endo], Endo]:
 class ChiReport(NamedTuple):
     ok: bool
     squares_checked: int
-    failure: tuple | None
+    failure: tuple[str, ...] | None  # text only: subspace bases, then matrices or a reason
 
 
 def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> ChiReport:
@@ -226,7 +226,7 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     for (a, y), gset in gamma_sets.items():
         mapped = {chi_of[x] for x in gset}
         if len(mapped) != len(gset) or mapped != delta_sets[(a, y)]:
-            return ChiReport(False, 0, (a, y, "duality is not a bijection"))
+            return ChiReport(False, 0, (str(a.basis), str(y.basis), "duality is not a bijection"))
     # The row maps of each f: a -> b and of its image under delta.
     homs = {
         (a, b): [(f, row_map(f), row_map(delta.mor(f))) for f in primal.hom(a, b)]
@@ -248,10 +248,10 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
                             for alpha, alpha_chi in zip(gset_ay, chis):
                                 lhs = chi_of[ix.globalize(prod[carrier_y * q + alpha], f_rows)]
                                 rhs = ix.globalize(prod[w * q + alpha_chi], g_rows)
-                                if lhs != rhs:
-                                    return ChiReport(False, checked, (a, y, b, z, f, u.elements[alpha]))
-                                if rhs not in target:
-                                    return ChiReport(False, checked, (a, y, b, z, f, "escapes"))
+                                if lhs != rhs or rhs not in target:
+                                    what = mat_to_text(u.elements[alpha].mat) if lhs != rhs else "escapes"
+                                    told = (*(str(x.basis) for x in (a, y, b, z)), mat_to_text(f.mat), what)
+                                    return ChiReport(False, checked, told)
                             checked += 1
     return ChiReport(True, checked, None)
 

@@ -255,11 +255,15 @@ def solve_left(m: Mat, target: Sequence[int]) -> tuple[int, ...] | None:
     return (coeff_row @ transform).rows[0]
 
 
-def all_matrices(r: int, c: int, p: int, limit: int = MAX_ENUM) -> Iterator[Mat]:
-    """All r x c matrices over GF(p) in row-major counting order."""
+def enum_guard(r: int, c: int, p: int, limit: int = MAX_ENUM) -> None:
     total = p ** (r * c)
     if total > limit:
         raise TooLarge(f"{total} matrices of shape {r}x{c} over GF({p}) exceed limit {limit}")
+
+
+def all_matrices(r: int, c: int, p: int, limit: int = MAX_ENUM) -> Iterator[Mat]:
+    """All r x c matrices over GF(p) in row-major counting order."""
+    enum_guard(r, c, p, limit)
     # Row 0 is the most significant digit, so this is the flat counting order.
     rows = tuple(itertools.product(range(p), repeat=c))
     for mat_rows in itertools.product(rows, repeat=r):

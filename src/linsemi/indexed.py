@@ -6,6 +6,9 @@ Equivalently the index is a base-p^n number whose digits are the vector
 indices of the rows, row 0 most significant. A subspace is its position
 in `enumerate_subspaces(n, p)`.
 
+`Universe.elements` (all p^(n^2) `Endo`s) is built only when read, never
+at (2, 4); every table is an `array` of typecode "I", 4 bytes an entry.
+
 The tables are built once per size, on first use:
 
 - `join[s][v]` is the index of s + <v>, for every subspace s and every
@@ -29,8 +32,8 @@ The tables are built once per size, on first use:
   vectors.
 
 Products with a fixed factor t are lookups: the rows of a @ t are the
-rows of a acted on by t, so one p^n-entry action table maps each row
-digit, and t @ a = transpose[transpose[a] @ transpose[t]].
+rows of a acted on by t's row digits, so one p^n-entry action table maps
+each row digit, and t @ a = transpose[transpose[a] @ transpose[t]].
 
 The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
@@ -50,9 +53,11 @@ from typing import Sequence
 
 from . import semigroup
 from .errors import ShapeError, TooLarge
+from .gf import enum_guard
 from .subspaces import Side, Subspace, annihilator, canonical, enumerate_subspaces
 
-MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 46 MB
+MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 23 MB
+INDEX = "I"  # the typecode of every table
 
 
 def _value(digits: Sequence[int], base: int) -> int:
@@ -64,7 +69,7 @@ def _value(digits: Sequence[int], base: int) -> int:
 
 def _digit_sums(places: Sequence[Sequence[int]]) -> array:
     """Entry i is the sum of the place values picked by the base-len digits of i."""
-    return array("L", map(sum, itertools.product(*places)))
+    return array(INDEX, map(sum, itertools.product(*places)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +78,20 @@ class Universe:
 
     n: int
     p: int
-    elements: tuple[semigroup.Endo, ...]
     subspaces: tuple[Subspace, ...]
     subspace_at: dict[Subspace, int]
     image: array
     kernel: array
     transpose: array
     below: tuple[int, ...]
+
+    @cached_property
+    def elements(self) -> tuple[semigroup.Endo, ...]:
+        return semigroup.all_endos(self.n, self.p)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:  # the p^n rows, in counting order
+        return tuple(itertools.product(range(self.p), repeat=self.n))
 
     def index(self, e: semigroup.Endo) -> int:
         return _value(e.mat.flat(), self.p)
@@ -100,14 +112,13 @@ class Universe:
     @cached_property
     def squares(self) -> array:
         """Entry a is the index of a @ a, for every element a."""
-        n, p = self.n, self.p
-        q = p**n
-        vectors = list(itertools.product(range(p), repeat=n))
+        n, p, vectors = self.n, self.p, self.vectors
+        q = len(vectors)
         add = [[_value([(x + y) % p for x, y in zip(u, v)], p) for v in vectors] for u in vectors]
         scale = [[_value([c * x % p for x in v], p) for v in vectors] for c in range(p)]
         # terms[v]: the nonzero entries of vector v, as (row position, scaling table).
         terms = [[(j, scale[c]) for j, c in enumerate(v) if c] for v in vectors]
-        out = array("L")
+        out = array(INDEX)
         for rows in itertools.product(range(q), repeat=n):
             square = 0
             for r in rows:
@@ -124,27 +135,23 @@ class Universe:
         q = len(self.transpose)
         if q * q > MAX_PRODUCTS:
             raise TooLarge(f"a Cayley table of {q}^2 products exceeds {MAX_PRODUCTS}")
-        out = array("L", [0]) * (q * q)
+        out = array(INDEX, [0]) * (q * q)
         for b in range(q):
             out[b::q] = self.right_products(b)
         return out
 
     def right_products(self, t: int) -> array:
         """Entry a is the index of a @ t, for every element a."""
-        n, p = self.n, self.p
-        rows = self.elements[t].mat.rows
-        action = [
-            _value([sum(v[j] * rows[j][k] for j in range(n)) % p for k in range(n)], p)
-            for v in itertools.product(range(p), repeat=n)
-        ]
-        q = p**n
+        n, p, q = self.n, self.p, len(self.vectors)
+        rows = [self.vectors[t // q ** (n - 1 - j) % q] for j in range(n)]
+        action = [_value([sum(v[j] * rows[j][k] for j in range(n)) % p for k in range(n)], p) for v in self.vectors]
         return _digit_sums([[w * q ** (n - 1 - i) for w in action] for i in range(n)])
 
     def left_products(self, t: int) -> array:
         """Entry a is the index of t @ a, for every element a."""
         tr = self.transpose
         flipped = self.right_products(tr[t])
-        return array("L", (tr[flipped[ta]] for ta in tr))
+        return array(INDEX, (tr[flipped[ta]] for ta in tr))
 
 
 def _transpose_table(n: int, p: int) -> array:
@@ -164,7 +171,7 @@ def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> list[
     out = []
     for i, s in enumerate(subspaces):
         inside = set(s.vectors())
-        out.append(array("L", (
+        out.append(array(INDEX, (
             i if v in inside else at[canonical((*s.basis.rows, v), s.n, s.p)]
             for v in itertools.product(range(s.p), repeat=s.n)
         )))
@@ -175,9 +182,9 @@ def _image_table(n: int, join: Sequence[array]) -> array:
     # Round k maps each prefix of k rows to its span; the prefix is the
     # more significant part of the index, so appending join[span] extends
     # it by every value of the next row. Subspace 0 is the zero subspace.
-    spans = array("L", [0])
+    spans = array(INDEX, [0])
     for _ in range(n):
-        nxt = array("L")
+        nxt = array(INDEX)
         for s in spans:
             nxt.extend(join[s])
         spans = nxt
@@ -187,17 +194,17 @@ def _image_table(n: int, join: Sequence[array]) -> array:
 @lru_cache(maxsize=None)
 def universe(n: int, p: int) -> Universe:
     """Build the tables for End(GF(p)^n); raises TooLarge beyond `all_endos`' limit."""
-    elements = semigroup.all_endos(n, p)
+    enum_guard(n, n, p)
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
     image = _image_table(n, _join_table(subspaces, at))
     transpose = _transpose_table(n, p)
     ann = [at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces]
-    kernel = array("L", (ann[image[t]] for t in transpose))
+    kernel = array(INDEX, (ann[image[t]] for t in transpose))
     below = tuple(
         sum(1 << j for j, b in enumerate(subspaces) if a.contains(b)) for a in subspaces
     )
-    return Universe(n, p, elements, subspaces, at, image, kernel, transpose, below)
+    return Universe(n, p, subspaces, at, image, kernel, transpose, below)
 
 
 def globalize(x: int, rows: Sequence[int]) -> int:

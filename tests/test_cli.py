@@ -146,3 +146,22 @@ def test_too_large_check_becomes_a_skip(monkeypatch, capsys):
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks] == [name for name, _ in registry]
     assert checks[0] == {"name": "lattice.subspace-counts", "pass": True, "witness": {"skipped": "forced bound"}}
+
+
+def test_algebra_error_in_a_check_fails_it(monkeypatch, capsys):
+    import linsemi.verify as verify_mod
+    from linsemi.errors import ShapeError
+
+    def escapes(p, n):
+        raise ShapeError("image escapes the domain of the partial map")
+
+    registry = (("lattice.subspace-counts", escapes),) + verify_mod.REGISTRY[1:3]
+    monkeypatch.setattr(verify_mod, "REGISTRY", registry)
+    code, out = run(["verify-all", "--p", "2", "--n", "2"], capsys)
+    assert code == 1
+    assert "FAIL lattice.subspace-counts" in out
+    code, out = run(["verify-all", "--p", "2", "--n", "2", "--json"], capsys)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["pass"] for c in checks] == [False, True, True]
+    assert checks[0]["witness"] == {"error": "ShapeError: image escapes the domain of the partial map"}

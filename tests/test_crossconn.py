@@ -1,8 +1,13 @@
 """Automorphism-induced functor pairs, the duality, and the classification."""
+import dataclasses
+import json
+
 import pytest
 
+from linsemi import crossconn, verify
+
 from linsemi.errors import NotInduced, NotInvertible, TooLarge
-from linsemi.gf import Mat
+from linsemi.gf import Mat, mat_to_text
 from linsemi.crossconn import (
     CrossConn,
     bifunctor_delta_set,
@@ -137,6 +142,31 @@ class TestChiNaturality:
             gamma, delta = gamma_delta_theta(theta)
             report = check_chi_naturality(theta, gamma, delta)
             assert report.ok, report.failure
+
+    def test_mismatched_pair_fails_with_text_witness(self):
+        # theta1's duality against theta2's functors: the bijection test fails.
+        theta1, theta2 = gl(2, 2)[:2]
+        report = check_chi_naturality(theta1, *gamma_delta_theta(theta2))
+        assert not report.ok
+        assert report.failure[-1] == "duality is not a bijection"
+        witness = (mat_to_text(theta1.mat), report.failure)
+        json.dumps(verify.Check("crossconn.chi-naturality", False, witness).to_json())
+
+    def test_failing_square_gives_text_witness(self, monkeypatch):
+        # Zero morphisms keep delta's objects, so every bijection holds and a square fails.
+        real = crossconn.gamma_delta_theta
+
+        def zeroed(theta):
+            gamma, delta = real(theta)
+            zero = {f: Morphism.zero(g.dom, g.cod) for f, g in delta.morphism_map.items()}
+            return gamma, dataclasses.replace(delta, morphism_map=zero)
+
+        monkeypatch.setattr(crossconn, "gamma_delta_theta", zeroed)
+        check = verify.check_chi(2, 2)
+        assert not check.passed
+        theta, failure = check.witness
+        assert len(failure) == 6 and failure[-1] != "duality is not a bijection"
+        json.dumps(check.to_json())
 
 
 class TestLinkedSemigroup:

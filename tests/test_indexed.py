@@ -5,7 +5,7 @@ import random
 import pytest
 
 from linsemi import dual, indexed
-from linsemi.errors import ShapeError
+from linsemi.errors import ShapeError, TooLarge
 from linsemi.gf import kernel_basis, row_basis
 from linsemi.normal_cones import category
 from linsemi.semigroup import all_endos, gl, sing
@@ -21,6 +21,16 @@ def test_tables_match_gf(p, n):
         assert u.subspaces[u.image[i]].basis == row_basis(e.mat)
         assert u.subspaces[u.kernel[i]].basis == kernel_basis(e.mat)
         assert u.elements[u.transpose[i]].mat == e.mat.transpose()
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4)])
+def test_too_large_universe_says_what_all_endos_says(p, n):
+    # The message is the skip reason of the checks that read the universe.
+    with pytest.raises(TooLarge) as from_universe:
+        indexed.universe(n, p)
+    with pytest.raises(TooLarge) as from_endos:
+        all_endos(n, p)
+    assert str(from_universe.value) == str(from_endos.value)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
