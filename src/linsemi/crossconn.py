@@ -271,7 +271,6 @@ class LinkedPair:
 
 class LinkedSemigroup(NamedTuple):
     table: SemigroupTable
-    pairing_ok: bool  # second == theta^-1 . first . theta throughout
     matches_sing: bool  # table equals the singular table index for index
     witness: tuple[int, ...]
 
@@ -284,9 +283,8 @@ def linked_pair_semigroup(theta: Endo) -> LinkedSemigroup:
     elements = sing(theta.n, theta.p)
     pairs = tuple(LinkedPair(a, theta_inv @ a @ theta) for a in elements)
     table = mult_table(pairs, LinkedPair.combine)
-    pairing_ok = all(pr.second == theta_inv @ pr.first @ theta for pr in pairs)
     matches = table.table == sing_table(theta.n, theta.p).table
-    return LinkedSemigroup(table, pairing_ok, matches, tuple(range(len(elements))))
+    return LinkedSemigroup(table, matches, tuple(range(len(elements))))
 
 
 def sing_table(n: int, p: int) -> SemigroupTable:

@@ -255,15 +255,15 @@ def solve_left(m: Mat, target: Sequence[int]) -> tuple[int, ...] | None:
     return (coeff_row @ transform).rows[0]
 
 
-def enum_guard(r: int, c: int, p: int, limit: int = MAX_ENUM) -> None:
+def enum_guard(r: int, c: int, p: int) -> None:
     total = p ** (r * c)
-    if total > limit:
-        raise TooLarge(f"{total} matrices of shape {r}x{c} over GF({p}) exceed limit {limit}")
+    if total > MAX_ENUM:
+        raise TooLarge(f"{total} matrices of shape {r}x{c} over GF({p}) exceed limit {MAX_ENUM}")
 
 
-def all_matrices(r: int, c: int, p: int, limit: int = MAX_ENUM) -> Iterator[Mat]:
+def all_matrices(r: int, c: int, p: int) -> Iterator[Mat]:
     """All r x c matrices over GF(p) in row-major counting order."""
-    enum_guard(r, c, p, limit)
+    enum_guard(r, c, p)
     # Row 0 is the most significant digit, so this is the flat counting order.
     rows = tuple(itertools.product(range(p), repeat=c))
     for mat_rows in itertools.product(rows, repeat=r):

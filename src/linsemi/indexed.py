@@ -31,9 +31,9 @@ The tables are built once per size, on first use:
   as coefficients, summed with addition and scaling tables over the p^n
   vectors.
 
-Products with a fixed factor t are lookups: the rows of a @ t are the
-rows of a acted on by t's row digits, so one p^n-entry action table maps
-each row digit, and t @ a = transpose[transpose[a] @ transpose[t]].
+Products with a fixed right factor t are lookups: the rows of a @ t are
+the rows of a acted on by t's row digits, so one p^n-entry action table
+maps each row digit.
 
 The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
@@ -146,12 +146,6 @@ class Universe:
         rows = [self.vectors[t // q ** (n - 1 - j) % q] for j in range(n)]
         action = [_value([sum(v[j] * rows[j][k] for j in range(n)) % p for k in range(n)], p) for v in self.vectors]
         return _digit_sums([[w * q ** (n - 1 - i) for w in action] for i in range(n)])
-
-    def left_products(self, t: int) -> array:
-        """Entry a is the index of t @ a, for every element a."""
-        tr = self.transpose
-        flipped = self.right_products(tr[t])
-        return array(INDEX, (tr[flipped[ta]] for ta in tr))
 
 
 def _transpose_table(n: int, p: int) -> array:

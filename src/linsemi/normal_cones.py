@@ -42,6 +42,8 @@ from .subspaces import (
     inclusion,
 )
 
+CENSUS_BUDGET = 2000  # component families `cone_census` enumerates at most
+
 
 @dataclass(frozen=True)
 class SubspaceCategory:
@@ -298,7 +300,7 @@ class ConeCensus(NamedTuple):
     valid_cones: tuple[NormalCone, ...]
 
 
-def cone_census(n: int, p: int, budget: int = 2000) -> ConeCensus:
+def cone_census(n: int, p: int) -> ConeCensus:
     """Count every component family that is a normal cone, by brute force.
 
     Enumerates all assignments of a morphism into each candidate vertex
@@ -313,8 +315,8 @@ def cone_census(n: int, p: int, budget: int = 2000) -> ConeCensus:
     total = 0
     for vertex in cat.objects:
         total += p ** (vertex.dim * dims)
-        if total > budget:
-            raise TooLarge(f"cone census would enumerate more than {budget} families")
+        if total > CENSUS_BUDGET:
+            raise TooLarge(f"cone census would enumerate more than {CENSUS_BUDGET} families")
     valid: list[NormalCone] = []
     near = 0
     per_vertex = []

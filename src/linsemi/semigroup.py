@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import indexed
 from .errors import NotADirectSum, NotClosed, ShapeError
-from .gf import MAX_ENUM, Mat, all_matrices, invert, kernel_basis, row_basis
+from .gf import Mat, all_matrices, invert, kernel_basis, row_basis
 from .subspaces import (
     ComplementMode,
     Side,
@@ -88,9 +88,9 @@ class Endo:
 
 
 @lru_cache(maxsize=None)
-def all_endos(n: int, p: int, limit: int = MAX_ENUM) -> tuple[Endo, ...]:
+def all_endos(n: int, p: int) -> tuple[Endo, ...]:
     """Every n x n matrix over GF(p) in counting order."""
-    return tuple(Endo(m) for m in all_matrices(n, n, p, limit))
+    return tuple(Endo(m) for m in all_matrices(n, n, p))
 
 
 def _by_rank(n: int, p: int, singular: bool) -> tuple[Endo, ...]:

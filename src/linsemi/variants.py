@@ -171,6 +171,15 @@ class VariantCxnReport(NamedTuple):
     phi_table_matches: bool
     phi_witness: tuple[int, ...] | None
 
+    @property
+    def ok(self) -> bool:
+        """phi is injective and matches the table; for singular theta both
+        functors are local isomorphisms and neither is onto."""
+        functors = self.invertible or (
+            self.delta_verdict.ok and self.gamma_verdict.ok and self.proper_not_surjective
+        )
+        return bool(self.phi_injective and self.phi_table_matches and functors)
+
 
 def _restricted_verdict(f: CrossConn) -> tuple[FunctorVerdict, bool]:
     """Local-isomorphism verdict against the image objects, and object-surjectivity."""

@@ -121,7 +121,7 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     import linsemi.verify as verify_mod
 
     def forced(p, n):
-        return Check("lattice.subspace-counts", False, "forced")
+        return False, "forced"
 
     registry = tuple(
         (name, forced if name == "lattice.subspace-counts" else fn) for name, fn in verify_mod.REGISTRY
@@ -165,3 +165,53 @@ def test_algebra_error_in_a_check_fails_it(monkeypatch, capsys):
     checks = json.loads(out)["checks"]
     assert [c["pass"] for c in checks] == [False, True, True]
     assert checks[0]["witness"] == {"error": "ShapeError: image escapes the domain of the partial map"}
+
+
+def test_subcommand_skips_as_verify_all_does(capsys):
+    # Past MAX_ENUM the semigroup checks skip with the enumeration limit;
+    # the subcommand reports the same records instead of exiting 2.
+    code, out = run(["semigroup", "--p", "2", "--n", "5", "--json"], capsys)
+    assert code == 0
+    group = json.loads(out)["checks"]
+    assert group[0]["witness"] == {"skipped": "33554432 matrices of shape 5x5 over GF(2) exceed limit 300000"}
+    code, out = run(["verify-all", "--p", "2", "--n", "5", "--json"], capsys)
+    assert code == 0
+    full = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert group == [full[c["name"]] for c in group]
+
+
+def test_algebra_error_fails_the_check_under_a_subcommand(monkeypatch, capsys):
+    import linsemi.verify as verify_mod
+    from linsemi.errors import ShapeError
+
+    def escapes(p, n):
+        raise ShapeError("image escapes the domain of the partial map")
+
+    registry = tuple(
+        (name, escapes if name == "lattice.annihilator-antitone" else fn) for name, fn in verify_mod.REGISTRY
+    )
+    monkeypatch.setattr(verify_mod, "REGISTRY", registry)
+    code, out = run(["lattice", "--p", "2", "--n", "2", "--json"], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["lattice.annihilator-antitone"] == {
+        "name": "lattice.annihilator-antitone",
+        "pass": False,
+        "witness": {"error": "ShapeError: image escapes the domain of the partial map"},
+    }
+    assert all(c["pass"] for name, c in checks.items() if name != "lattice.annihilator-antitone")
+
+
+def test_registry_names_every_public_check_once():
+    import linsemi.verify as verify_mod
+
+    names = [name for name, _ in verify_mod.REGISTRY]
+    fns = [fn for _, fn in verify_mod.REGISTRY]
+    public = {
+        obj
+        for attr, obj in vars(verify_mod).items()
+        if attr.startswith("check_") and getattr(obj, "__module__", None) == verify_mod.__name__
+    }
+    assert len(set(names)) == len(names)
+    assert len(set(fns)) == len(fns)
+    assert set(fns) == public

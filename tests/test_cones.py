@@ -29,7 +29,7 @@ from linsemi.subspaces import (
     inclusion,
     zero_subspace,
 )
-from linsemi.verify import check_cone_census
+from linsemi.verify import check_cone_census, run_check
 
 
 def endo(rows, p=2):
@@ -246,7 +246,7 @@ class TestValidateAndCensus:
         # states the budget instead, and the registry check reports the skip.
         with pytest.raises(TooLarge, match="more than 2000 families"):
             cone_census(4, 5)
-        check = check_cone_census(5, 4)
+        check = run_check("cones.census", check_cone_census, 5, 4)
         assert check.passed and check.witness == {"skipped": "beyond census budget"}
 
     def test_idempotent_cones_are_vertex_identities(self):

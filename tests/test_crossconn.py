@@ -162,7 +162,7 @@ class TestChiNaturality:
             return gamma, dataclasses.replace(delta, morphism_map=zero)
 
         monkeypatch.setattr(crossconn, "gamma_delta_theta", zeroed)
-        check = verify.check_chi(2, 2)
+        check = verify.run_check("crossconn.chi-naturality", verify.check_chi, 2, 2)
         assert not check.passed
         theta, failure = check.witness
         assert len(failure) == 6 and failure[-1] != "duality is not a bijection"
@@ -178,7 +178,7 @@ class TestLinkedSemigroup:
     def test_swap_table(self):
         linked = linked_pair_semigroup(SWAP)
         assert linked.table.order == 10
-        assert linked.pairing_ok and linked.matches_sing
+        assert linked.matches_sing
         ok, phi = are_isomorphic(linked.table, sing_table(2, 2), witness=linked.witness)
         assert ok
 
@@ -186,7 +186,7 @@ class TestLinkedSemigroup:
     def test_batch_all_automorphisms(self, p):
         for theta in gl(2, p):
             linked = linked_pair_semigroup(theta)
-            assert linked.pairing_ok and linked.matches_sing
+            assert linked.matches_sing
 
     def test_projection_to_first_is_isomorphism(self):
         linked = linked_pair_semigroup(SWAP)

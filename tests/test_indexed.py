@@ -49,11 +49,9 @@ def test_sing_and_gl_match_rank_filter(p, n):
 
 def _assert_products(u, thetas):
     for theta in thetas:
-        t = u.index(theta)
-        right, left = u.right_products(t), u.left_products(t)
+        right = u.right_products(u.index(theta))
         for a, e in enumerate(u.elements):
             assert u.elements[right[a]].mat == e.mat @ theta.mat
-            assert u.elements[left[a]].mat == theta.mat @ e.mat
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
@@ -114,6 +112,6 @@ def test_membership_check_reads_the_containment_table(monkeypatch, law):
     below[s] &= ~(1 << s)
     tampered = dataclasses.replace(real, below=tuple(below))
     monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
-    check = check_variant_membership(2, 2)
-    assert not check.passed
-    assert check.witness == "0,0;0,0"
+    passed, witness = check_variant_membership(2, 2)
+    assert not passed
+    assert witness == "0,0;0,0"
