@@ -6,7 +6,10 @@ implementation; the subcommand digests were taken before the two
 local-isomorphism checkers were merged and the subcommands were made to read
 the check registry, except the variant report for theta = 0,0;1,0, retaken
 when its crossconnection check started to include the restricted gamma
-functor. A change to the report bytes has to update them on purpose.
+functor, and the two reports of the linked-pair and pair-table routes (the
+rank-2 variant at (2, 3) and the linked semigroup of order 145 at (5, 2)),
+taken before those routes moved onto the Cayley table. A change to the
+report bytes has to update them on purpose.
 """
 import hashlib
 
@@ -45,6 +48,10 @@ SUBCOMMAND_DIGESTS = {
     "variant --p 2 --n 2 --theta 1,0;0,0 --json": "5a9dcb92d0882172d35401aaac38a7bc75fa0926aec9123c9ba33e9a37d429bf",
     "variant --p 3 --n 2 --theta 1,0;0,0 --json": "96864942008bacbd420ca43affbb1e09da5fdb27978190cfa99559d725a2b7c6",
     "variant --p 3 --n 2 --theta 0,0;1,0 --json": "79c09aec9f6290d2785c2180d3dcd07c86fd91182109b2f3304c6fbe076f85e3",
+    # A rank-2 theta: a 133-element regular part, whose iso_witness covers the pair table.
+    "variant --p 2 --n 3 --theta 1,0,0;0,1,0;0,0,0 --json": "cef83ad082f0c939811bfb6a829247fc80027328182b25187dfe61d4e8cf7425",
+    # The linked semigroup of order 145.
+    "crossconn --p 5 --n 2 --theta 0,1;1,0 --json": "fa8a22447c68c7978df51c7281ff4c4f53c5faf0e976dff51238f8447d5ead1d",
 }
 
 # rank(theta^2) < rank(theta): the restricted gamma cannot be built, so the
