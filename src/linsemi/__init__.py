@@ -78,7 +78,6 @@ from .dual import (
 )
 from .crossconn import (
     CrossConn,
-    LinkedPair,
     chi,
     check_chi_naturality,
     classify_crossconnections,

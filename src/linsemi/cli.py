@@ -160,8 +160,8 @@ def cmd_variant(args) -> Report:
         if not cxn.invertible:
             verdicts = (("delta", cxn.delta_verdict), ("gamma", cxn.gamma_verdict))
             witness.update({f"{side}_failure": v.failure for side, v in verdicts if not v.ok})
-        if cxn.phi_witness is not None:
-            witness["iso_witness"] = list(cxn.phi_witness)
+        if cxn.phi_table_matches:  # the identity carries the variant table onto the pair table
+            witness["iso_witness"] = list(range(cxn.reg_size))
         report.checks.append(Check("variant.crossconnection", cxn.ok, witness))
     if args.census or run_all_groups:
         census = va.nonprincipal_cones(ctx)

@@ -2,13 +2,12 @@
 
 Every automorphism induces a pair of functors: one conjugates subspace
 morphisms, the other transports annihilator objects along the
-transpose. The linked-pair semigroup collects (alpha, conjugate of
-alpha) with the componentwise product; the second coordinates carry the
-dual-side cones, so composing them in plain order encodes the double
-opposite once and for all. The classification census enumerates the
-dimension-preserving object bijections at n = 2 and keeps those whose
-line action lifts projectively to an invertible map reproducing the
-bijection.
+transpose. The linked-pair semigroup collects the pairs (alpha,
+theta^-1 alpha theta) under the slotwise product, read from the Cayley
+table: its table is Sing's exactly when the conjugation chi is a
+homomorphism. The classification census enumerates the dimension-preserving
+object bijections at n = 2 and keeps those whose line action lifts
+projectively to an invertible map reproducing the bijection.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from .errors import NotInduced, NotInvertible, TooLarge
 from .gf import Mat, inv_mod, mat_to_text
 from .dual import DualMorphism, dual_morphisms, globalize, row_map
 from .normal_cones import category, hom_between
-from .semigroup import Endo, SemigroupTable, mult_table, sing
+from .semigroup import Endo, SemigroupTable, sing
 from .subspaces import (
     Morphism,
     Side,
@@ -196,6 +195,17 @@ def chi(theta: Endo) -> Callable[[Endo], Endo]:
     return lambda alpha: theta_inv @ alpha @ theta
 
 
+def chi_indices(theta: Endo) -> list[int]:
+    """Entry x is the index of theta^-1 x theta, read from the Cayley table."""
+    theta_inv = theta.inverse()
+    if theta_inv is None:
+        raise NotInvertible("the duality is conjugation by an automorphism")
+    u = ix.universe(theta.n, theta.p)
+    prod, q = u.products, len(u.transpose)
+    t, t_inv = u.index(theta), u.index(theta_inv)
+    return [prod[prod[t_inv * q + x] * q + t] for x in range(q)]
+
+
 class ChiReport(NamedTuple):
     ok: bool
     squares_checked: int
@@ -212,11 +222,10 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     n, p = theta.n, theta.p
     primal = category(n, p, Side.PRIMAL)
     dual = category(n, p, Side.DUAL)
+    chi_of = chi_indices(theta)
+    chi_back = chi_indices(theta.inverse())  # theta x theta^-1
     u = ix.universe(n, p)
     prod, q = u.products, len(u.transpose)
-    t, t_inv = u.index(theta), u.index(theta.inverse())
-    chi_of = [prod[prod[t_inv * q + x] * q + t] for x in range(q)]  # theta^-1 x theta
-    chi_back = [prod[prod[t * q + x] * q + t_inv] for x in range(q)]  # theta x theta^-1
     gamma_sets = {
         (a, y): _bifunctor_indices(a, gamma.obj(y)) for a in primal.objects for y in dual.objects
     }
@@ -256,39 +265,29 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     return ChiReport(True, checked, None)
 
 
-@dataclass(frozen=True)
-class LinkedPair:
-    """A primal cone paired with its dual-side twin, both as carrier matrices."""
-
-    first: Endo
-    second: Endo
-
-    def combine(self, other: "LinkedPair") -> "LinkedPair":
-        # Plain order in both slots: the second coordinates live in the
-        # double opposite, which lands back at the original order.
-        return LinkedPair(self.first @ other.first, self.second @ other.second)
-
-
 class LinkedSemigroup(NamedTuple):
-    table: SemigroupTable
-    matches_sing: bool  # table equals the singular table index for index
-    witness: tuple[int, ...]
+    table: SemigroupTable  # Sing's table on the pairs (a, theta^-1 a theta)
+    matches_sing: bool  # chi is a homomorphism, so the table is the pairs' slotwise table
 
 
 def linked_pair_semigroup(theta: Endo) -> LinkedSemigroup:
-    """The linked-pair semigroup of an automorphism, aligned with the singular order."""
-    theta_inv = theta.inverse()
-    if theta_inv is None:
-        raise NotInvertible("linked pairs here are generated by automorphisms")
-    elements = sing(theta.n, theta.p)
-    pairs = tuple(LinkedPair(a, theta_inv @ a @ theta) for a in elements)
-    table = mult_table(pairs, LinkedPair.combine)
-    matches = table.table == sing_table(theta.n, theta.p).table
-    return LinkedSemigroup(table, matches, tuple(range(len(elements))))
+    """The linked-pair semigroup of an automorphism, aligned with the singular order.
+
+    The slotwise product of the pairs of a and b is (ab, chi(a) chi(b)). It is
+    the pair of ab, at the position of ab, exactly when chi(ab) = chi(a) chi(b).
+    """
+    chi_of = chi_indices(theta)
+    u = ix.universe(theta.n, theta.p)
+    prod, q, s = u.products, len(u.transpose), u.singular
+    matches = all(chi_of[prod[a * q + b]] == prod[chi_of[a] * q + chi_of[b]] for a in s for b in s)
+    pairs = tuple((u.elements[a], u.elements[chi_of[a]]) for a in s)
+    return LinkedSemigroup(SemigroupTable(pairs, sing_table(theta.n, theta.p).table), matches)
 
 
 def sing_table(n: int, p: int) -> SemigroupTable:
-    return mult_table(sing(n, p), lambda a, b: a @ b)
+    """Sing's multiplication table in counting order, read from the Cayley table."""
+    u = ix.universe(n, p)
+    return SemigroupTable(sing(n, p), u.table(u.singular))
 
 
 def recover_theta(

@@ -241,6 +241,7 @@ def dual_cone_table(n: int, p: int) -> tuple[SemigroupTable, tuple[NormalCone, .
 
 
 def dual_op_table(n: int, p: int) -> SemigroupTable:
-    """The same semigroup presented on transposed matrices under the plain product."""
-    elements = tuple(dual_endo(a) for a in sing(n, p))
-    return mult_table(elements, lambda a, b: a @ b)
+    """The same semigroup on transposed matrices under the plain product, read through the transpose."""
+    u = universe(n, p)
+    members = [u.transpose[x] for x in u.singular]
+    return SemigroupTable(tuple(u.elements[t] for t in members), u.table(members))

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import semigroup
-from .errors import ShapeError, TooLarge
+from .errors import NotClosed, ShapeError, TooLarge
 from .gf import enum_guard
 from .subspaces import Side, Subspace, annihilator, canonical, enumerate_subspaces
 
@@ -92,6 +92,12 @@ class Universe:
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:  # the p^n rows, in counting order
         return tuple(itertools.product(range(self.p), repeat=self.n))
+
+    @cached_property
+    def singular(self) -> array:
+        """The singular indices in counting order, the order of `semigroup.sing`."""
+        whole = len(self.subspaces) - 1  # subspaces come dimension-major, so V is last
+        return array(INDEX, itertools.compress(itertools.count(), map(whole.__ne__, self.image)))
 
     def index(self, e: semigroup.Endo) -> int:
         return _value(e.mat.flat(), self.p)
@@ -139,6 +145,15 @@ class Universe:
         for b in range(q):
             out[b::q] = self.right_products(b)
         return out
+
+    def table(self, members: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Entry [i][j] is the position of members[i] @ members[j] in members; NotClosed if it escapes."""
+        prod, q = self.products, len(self.transpose)
+        at = {x: i for i, x in enumerate(members)}
+        try:
+            return tuple(tuple([at[prod[a * q + b]] for b in members]) for a in members)
+        except KeyError:
+            raise NotClosed("a product escapes the members") from None
 
     def right_products(self, t: int) -> array:
         """Entry a is the index of a @ t, for every element a."""

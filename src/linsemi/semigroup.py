@@ -23,6 +23,7 @@ from .subspaces import (
     SubspaceFilter,
     complement,
     enumerate_subspaces,
+    gaussian_binomial,
     is_direct_sum,
 )
 
@@ -93,21 +94,17 @@ def all_endos(n: int, p: int) -> tuple[Endo, ...]:
     return tuple(Endo(m) for m in all_matrices(n, n, p))
 
 
-def _by_rank(n: int, p: int, singular: bool) -> tuple[Endo, ...]:
-    u = indexed.universe(n, p)
-    dims = [s.dim for s in u.subspaces]
-    return tuple(e for e, s in zip(u.elements, u.image) if (dims[s] < n) == singular)
-
-
 @lru_cache(maxsize=None)
 def sing(n: int, p: int) -> tuple[Endo, ...]:
     """The singular (non-invertible) transformations, in counting order."""
-    return _by_rank(n, p, singular=True)
+    u = indexed.universe(n, p)
+    return tuple(u.elements[x] for x in u.singular)
 
 
 @lru_cache(maxsize=None)
 def gl(n: int, p: int) -> tuple[Endo, ...]:
-    return _by_rank(n, p, singular=False)
+    u = indexed.universe(n, p)
+    return tuple(e for e, s in zip(u.elements, u.image) if u.subspaces[s].dim == n)
 
 
 def gl_order(n: int, p: int) -> int:
@@ -119,6 +116,11 @@ def gl_order(n: int, p: int) -> int:
 
 def sing_order(n: int, p: int) -> int:
     return p ** (n * n) - gl_order(n, p)
+
+
+def singular_idempotent_count(n: int, p: int) -> int:
+    """Sum over k < n of [n, k]_p p^(k(n-k)): an image of dimension k, then a complement as kernel."""
+    return sum(gaussian_binomial(n, k, p) * p ** (k * (n - k)) for k in range(n))
 
 
 def pgl_order(n: int, p: int) -> int:

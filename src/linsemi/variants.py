@@ -14,22 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .crossconn import (
-    CrossConn,
-    FunctorVerdict,
-    LinkedPair,
-    functor_from_global,
-    is_local_isomorphism,
-)
+from .crossconn import CrossConn, FunctorVerdict, functor_from_global, is_local_isomorphism
 from .errors import NotInvertible
 from .indexed import universe
-from .semigroup import (
-    Endo,
-    SemigroupTable,
-    are_isomorphic,
-    mult_table,
-    regular_elements,
-)
+from .semigroup import Endo, SemigroupTable, mult_table, regular_elements
 from .subspaces import (
     ComplementMode,
     Subspace,
@@ -122,9 +110,9 @@ def tb_elements(ctx: VariantContext) -> tuple[Endo, ...]:
     return tuple(f for f, k in zip(u.elements, u.kernel) if u.contains(k, null))
 
 
-def phi(a: Endo, ctx: VariantContext) -> LinkedPair:
+def phi(a: Endo, ctx: VariantContext) -> tuple[Endo, Endo]:
     """The pair of translates (theta . a, a . theta)."""
-    return LinkedPair(ctx.theta @ a, a @ ctx.theta)
+    return ctx.theta @ a, a @ ctx.theta
 
 
 class VariantCategories(NamedTuple):
@@ -169,7 +157,6 @@ class VariantCxnReport(NamedTuple):
     reg_size: int
     phi_injective: bool
     phi_table_matches: bool
-    phi_witness: tuple[int, ...] | None
 
     @property
     def ok(self) -> bool:
@@ -201,14 +188,12 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     pairs = tuple(phi(a, ctx) for a in reg)
     injective = len(set(pairs)) == len(pairs)
     matches = False
-    witness = None
     if injective:
         reg_table = mult_table(reg, lambda a, b: sandwich(a, b, ctx))
-        pair_table = mult_table(pairs, LinkedPair.combine)
-        ok, wit = are_isomorphic(reg_table, pair_table, witness=tuple(range(len(reg))))
-        matches, witness = ok, wit
+        pair_table = mult_table(pairs, lambda x, y: (x[0] @ y[0], x[1] @ y[1]))
+        matches = reg_table.table == pair_table.table
     if theta.inverse() is not None:
-        return VariantCxnReport(True, None, None, None, len(reg), injective, matches, witness)
+        return VariantCxnReport(True, None, None, None, len(reg), injective, matches)
     cats = variant_categories(ctx)
     delta = functor_from_global(theta.mat, cats.r_objects)
     delta_verdict, delta_onto = _restricted_verdict(delta)
@@ -221,7 +206,7 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
         gamma_verdict, gamma_onto = _restricted_verdict(gamma)
     not_surjective = not delta_onto and not gamma_onto
     return VariantCxnReport(
-        False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches, witness
+        False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches
     )
 
 

@@ -228,11 +228,10 @@ def check_hfunctor_keys(p: int, n: int) -> Verdict:
 
 
 def check_msets(p: int, n: int) -> Verdict:
-    es = sg.idempotents(n, p, singular_only=True)
-    if len(es) > 1000:
+    if sg.singular_idempotent_count(n, p) > 1000:
         raise TooLarge("idempotent sweep bounded to 1000")
     u = ix.universe(n, p)
-    for e in es:
+    for e in sg.idempotents(n, p, singular_only=True):
         cone = nc.principal_cone(e)
         by_iso = du.m_set_components(cone)
         null = u.subspaces[u.kernel[u.index(e)]]
@@ -274,13 +273,12 @@ def check_nat_trans(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)
     prod, q = u.products, len(u.transpose)
     idems = [u.index(e) for e in sg.idempotents(n, p, singular_only=True)]
-    singular = [x for x, s in enumerate(u.image) if u.subspaces[s].dim < n]
     morphisms = [(g, u.subspace_at[g.dom], du.row_map(g)) for g in nc.category(n, p).all_morphisms()]
     checked = 0
     cap = 50000
     for e in idems:
         for f in idems:
-            for c in sorted({prod[prod[f * q + x] * q + e] for x in singular}):
+            for c in sorted({prod[prod[f * q + x] * q + e] for x in u.singular}):
                 row = prod[c * q : (c + 1) * q]  # entry x is c x
                 for g, dom, rows in morphisms:
                     for x in u.confined(dom, u.kernel[e]):  # the h-set of e at g.dom

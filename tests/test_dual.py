@@ -1,6 +1,8 @@
 """H-functors, M-sets, dual morphisms and the annihilator category."""
 import pytest
 
+from linsemi import crossconn as cx
+from linsemi import semigroup, verify
 from linsemi.errors import NotIdempotent, NotInSandwich, NotSingular
 from linsemi.gf import Mat
 from linsemi.dual import (
@@ -119,6 +121,13 @@ class TestMSet:
             assert got == m_set_complements(e.kernel)
             assert len(got) == 2 ** (k * (n - k))
 
+    def test_sweep_bound_decided_before_building(self):
+        # 20 833 singular idempotents at (2, 5); the closed form says so without building them.
+        semigroup.idempotents.cache_clear()
+        check = verify.run_check("dual.mset-characterizations", verify.check_msets, 2, 5)
+        assert check.witness == {"skipped": "idempotent sweep bounded to 1000"}
+        assert semigroup.idempotents.cache_info().currsize == 0
+
 
 class TestNatTrans:
     def test_identity_carrier(self):
@@ -224,4 +233,5 @@ class TestDualTables:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
     def test_op_representation(self, n, p):
         sing_table = mult_table(sing(n, p), lambda a, b: a @ b)
+        assert cx.sing_table(n, p).table == sing_table.table
         assert dual_op_table(n, p).table == transpose_table(sing_table).table

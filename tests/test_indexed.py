@@ -8,8 +8,8 @@ from linsemi import dual, indexed
 from linsemi.errors import ShapeError, TooLarge
 from linsemi.gf import kernel_basis, row_basis
 from linsemi.normal_cones import category
-from linsemi.semigroup import all_endos, gl, sing
-from linsemi.verify import _variant_thetas, check_variant_membership
+from linsemi.semigroup import Endo, all_endos, gl, sing
+from linsemi.verify import REGISTRY, _variant_thetas, check_variant_membership
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
@@ -115,3 +115,13 @@ def test_membership_check_reads_the_containment_table(monkeypatch, law):
     passed, witness = check_variant_membership(2, 2)
     assert not passed
     assert witness == "0,0;0,0"
+
+
+@pytest.mark.parametrize("name", ["crossconn.linked-semigroup", "crossconn.classification", "dual.table-op"])
+def test_sing_tables_make_no_endo_product(monkeypatch, name):
+    # Every table of Sing these checks compare is read from the Cayley table.
+    calls = []
+    matmul = Endo.__matmul__
+    monkeypatch.setattr(Endo, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    passed, _ = dict(REGISTRY)[name](3, 2)
+    assert passed and not calls

@@ -18,6 +18,7 @@ from linsemi.semigroup import (
     regular_elements,
     sing,
     sing_order,
+    singular_idempotent_count,
     transpose_table,
 )
 from linsemi.subspaces import canonical, full_subspace, zero_subspace
@@ -78,6 +79,10 @@ class TestIdempotents:
     def test_decomposition(self):
         for e in idempotents(3, 2):
             assert idempotent_from(e.kernel, e.image) == e
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
+    def test_singular_count_closed_form(self, p, n):
+        assert singular_idempotent_count(n, p) == len(idempotents(n, p, singular_only=True))
 
 
 class TestIdempotentFrom:
