@@ -15,8 +15,8 @@ from typing import NamedTuple
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, invert
 from .indexed import universe
-from .normal_cones import NormalCone, category, cone_compose, principal_cone
-from .semigroup import Endo, SemigroupTable, idempotent_from, mult_table, sing
+from .normal_cones import IndexCone, NormalCone, category, cone_table
+from .semigroup import Endo, SemigroupTable, idempotent_from, sing
 from .subspaces import (
     ComplementMode,
     Morphism,
@@ -229,15 +229,17 @@ def dual_endo(alpha: Endo) -> Endo:
     return alpha.transpose()
 
 
-def dual_cone_table(n: int, p: int) -> tuple[SemigroupTable, tuple[NormalCone, ...]]:
-    """Component-level cones over the dual category, one per singular map.
+def dual_cone_table(n: int, p: int) -> tuple[SemigroupTable, tuple[IndexCone, ...]]:
+    """Component-level cones over the dual category, one per singular map, composed by lookup.
 
     The cone attached to alpha is the principal cone of its transpose
-    over the proper subspaces of V*; composing these reverses the order
-    of the matrix product.
+    over the proper subspaces of V*, whose bases are those of V, so it is
+    the index cone of the transposed element; composing these reverses
+    the order of the matrix product.
     """
-    cones = tuple(principal_cone(dual_endo(a), Side.DUAL) for a in sing(n, p))
-    return mult_table(cones, cone_compose), cones
+    u = universe(n, p)
+    table = cone_table(u, [u.transpose[x] for x in u.singular])
+    return table, table.elements
 
 
 def dual_op_table(n: int, p: int) -> SemigroupTable:

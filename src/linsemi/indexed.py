@@ -26,10 +26,12 @@ The tables are built once per size, on first use:
 - `transpose[i]` is the index of the transposed matrix.
 - `below[s]` is a bitmask over subspaces: bit t is set when subspace s
   contains subspace t.
+- `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v,
+  built on first use; `combine(v, rows)` sums the given row vectors with
+  the entries of vector v as coefficients.
 - `squares[i]`, built on its own first use, is the index of M @ M: row r of
   M @ M is the combination of the rows of M with the entries of row r
-  as coefficients, summed with addition and scaling tables over the p^n
-  vectors.
+  as coefficients.
 
 Products with a fixed right factor t are lookups: the rows of a @ t are
 the rows of a acted on by t's row digits, so one p^n-entry action table
@@ -84,6 +86,7 @@ class Universe:
     kernel: array
     transpose: array
     below: tuple[int, ...]
+    join: tuple[array, ...]
 
     @cached_property
     def elements(self) -> tuple[semigroup.Endo, ...]:
@@ -116,24 +119,39 @@ class Universe:
         )
 
     @cached_property
+    def add(self) -> tuple[array, ...]:
+        p, vs = self.p, self.vectors
+        return tuple(array(INDEX, (_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
+
+    @cached_property
+    def scale(self) -> tuple[array, ...]:
+        p, vs = self.p, self.vectors
+        return tuple(array(INDEX, (_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, array], ...], ...]:
+        """Entry v: the nonzero entries of vector v, as (position, scaling table)."""
+        return tuple(tuple((j, self.scale[c]) for j, c in enumerate(v) if c) for v in self.vectors)
+
+    def combine(self, v: int, rows: Sequence[int]) -> int:
+        """The vector index of the sum of rows[j] times entry j of vector v."""
+        acc, add = 0, self.add
+        for j, times in self.terms[v]:
+            acc = add[acc][times[rows[j]]]
+        return acc
+
+    def rows(self, x: int) -> list[int]:
+        """The vector indices of the rows of element x, row 0 first."""
+        q = len(self.vectors)
+        return [x // q ** (self.n - 1 - j) % q for j in range(self.n)]
+
+    @cached_property
     def squares(self) -> array:
         """Entry a is the index of a @ a, for every element a."""
-        n, p, vectors = self.n, self.p, self.vectors
-        q = len(vectors)
-        add = [[_value([(x + y) % p for x, y in zip(u, v)], p) for v in vectors] for u in vectors]
-        scale = [[_value([c * x % p for x in v], p) for v in vectors] for c in range(p)]
-        # terms[v]: the nonzero entries of vector v, as (row position, scaling table).
-        terms = [[(j, scale[c]) for j, c in enumerate(v) if c] for v in vectors]
-        out = array(INDEX)
-        for rows in itertools.product(range(q), repeat=n):
-            square = 0
-            for r in rows:
-                acc = 0
-                for j, times in terms[r]:
-                    acc = add[acc][times[rows[j]]]
-                square = square * q + acc
-            out.append(square)
-        return out
+        q = len(self.vectors)
+        return array(INDEX, (
+            _value([self.combine(r, rows) for r in rows], q) for rows in itertools.product(range(q), repeat=self.n)
+        ))
 
     @cached_property
     def products(self) -> array:
@@ -157,9 +175,8 @@ class Universe:
 
     def right_products(self, t: int) -> array:
         """Entry a is the index of a @ t, for every element a."""
-        n, p, q = self.n, self.p, len(self.vectors)
-        rows = [self.vectors[t // q ** (n - 1 - j) % q] for j in range(n)]
-        action = [_value([sum(v[j] * rows[j][k] for j in range(n)) % p for k in range(n)], p) for v in self.vectors]
+        n, q, rows = self.n, len(self.vectors), self.rows(t)
+        action = [self.combine(v, rows) for v in range(q)]
         return _digit_sums([[w * q ** (n - 1 - i) for w in action] for i in range(n)])
 
 
@@ -175,7 +192,7 @@ def _transpose_table(n: int, p: int) -> array:
     return _digit_sums(places)
 
 
-def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> list[array]:
+def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> tuple[array, ...]:
     """Entry [s][v] is the index of subspace s + <v>, vectors in counting order."""
     out = []
     for i, s in enumerate(subspaces):
@@ -184,7 +201,7 @@ def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> list[
             i if v in inside else at[canonical((*s.basis.rows, v), s.n, s.p)]
             for v in itertools.product(range(s.p), repeat=s.n)
         )))
-    return out
+    return tuple(out)
 
 
 def _image_table(n: int, join: Sequence[array]) -> array:
@@ -206,14 +223,15 @@ def universe(n: int, p: int) -> Universe:
     enum_guard(n, n, p)
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
-    image = _image_table(n, _join_table(subspaces, at))
+    join = _join_table(subspaces, at)
+    image = _image_table(n, join)
     transpose = _transpose_table(n, p)
     ann = [at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces]
     kernel = array(INDEX, (ann[image[t]] for t in transpose))
     below = tuple(
         sum(1 << j for j, b in enumerate(subspaces) if a.contains(b)) for a in subspaces
     )
-    return Universe(n, p, subspaces, at, image, kernel, transpose, below)
+    return Universe(n, p, subspaces, at, image, kernel, transpose, below, join)
 
 
 def globalize(x: int, rows: Sequence[int]) -> int:

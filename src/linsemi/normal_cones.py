@@ -19,17 +19,27 @@ the proper subspaces of GF(2)^4 are 15 distinct vectors), so each
 distinct row is sent through alpha and located in the vertex once, and
 every component is assembled from those coordinates. The coherence test
 of `validate_cone` uses the same routine.
+
+An `IndexCone` keeps only the vertex index and the vector index of each
+distinct row's image, read from the row digits of alpha with the vector
+tables of `indexed`. On it the M-set (the objects of the vertex's
+dimension whose row images span the vertex, by the join table) and
+composition (gamma's row images through delta's row map at gamma's
+vertex, cached per component) are lookups, which the composition, M-set
+and cone-table checks use. The `Morphism` cones stay the definition for
+the round trip, the idempotent law and the census.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import NotACone, NotSingular, ShapeError, TooLarge
+from .errors import NotACone, NotClosed, NotSingular, ShapeError, TooLarge
 from .gf import Mat, invert, kernel_basis, rref
-from .semigroup import Endo, SemigroupTable, idempotent_from, mult_table, sing
+from .indexed import Universe, universe
+from .semigroup import Endo, SemigroupTable, idempotent_from
 from .subspaces import (
     ComplementMode,
     Morphism,
@@ -287,10 +297,97 @@ def idempotent_cone(target: Subspace) -> NormalCone:
     return principal_cone(proj, target.side)
 
 
-def build_cone_semigroup(n: int, p: int, side: Side = Side.PRIMAL) -> tuple[SemigroupTable, tuple[NormalCone, ...]]:
+class IndexCone(NamedTuple):
+    """A principal cone by lookup: its vertex and the image of each distinct basis row.
+
+    The vertex indexes `Universe.subspaces`; images[k] is the vector index of
+    row k of `_basis_rows` sent through the cone, on either side (both share bases).
+    """
+
+    vertex: int
+    images: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _rows(u: Universe) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """`_basis_rows` with vector indices; the proper subspaces lead `u.subspaces` in object order."""
+    rows, per_object = _basis_rows(u.n, u.p, Side.PRIMAL)
+    at = {v: i for i, v in enumerate(u.vectors)}
+    return tuple(at[v] for v in rows), per_object
+
+
+def _span(u: Universe, vectors) -> int:
+    """The subspace index of the span of the vectors, by folding the join table."""
+    s = 0
+    for v in vectors:
+        s = u.join[s][v]
+    return s
+
+
+def index_cone(u: Universe, x: int) -> IndexCone:
+    """The principal cone of element x, each row image read from the row digits of x."""
+    digits = u.rows(x)
+    return IndexCone(u.image[x], tuple(u.combine(v, digits) for v in _rows(u)[0]))
+
+
+def index_m_set(u: Universe, cone: IndexCone) -> frozenset[int]:
+    """The objects, as subspace indices, where dim A = dim vertex and A's row images span the vertex."""
+    dim = u.subspaces[cone.vertex].dim
+    return frozenset(
+        a for a, at in enumerate(_rows(u)[1])
+        if len(at) == dim and _span(u, [cone.images[k] for k in at]) == cone.vertex
+    )
+
+
+@lru_cache(maxsize=None)
+def _component(u: Universe, vertex: int, images: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    """A component at a vertex, from its images of the vertex's basis rows.
+
+    Returns their span and the row map over the vertex's p^dim vectors, extended linearly.
+    """
+    rows, per_object = _rows(u)
+    basis = [rows[k] for k in per_object[vertex]]
+    shift = u.p ** (u.n - len(basis))  # coefficient vectors with zeros past position dim
+    extend = {u.combine(c * shift, basis): u.combine(c * shift, images) for c in range(u.p ** len(basis))}
+    return _span(u, images), extend
+
+
+def index_compose(u: Universe, gamma: IndexCone, delta: IndexCone) -> IndexCone:
+    """`cone_compose` by lookup: gamma's row images through delta's component at gamma's vertex."""
+    vertex, extend = _component(u, gamma.vertex, tuple(delta.images[k] for k in _rows(u)[1][gamma.vertex]))
+    return IndexCone(vertex, tuple(map(extend.__getitem__, gamma.images)))
+
+
+def cone_table(u: Universe, members: Sequence[int]) -> SemigroupTable:
+    """The members' principal cones under composition, by lookup; NotClosed if a composite escapes.
+
+    A composite reads delta only at gamma's vertex, so a row composes once per distinct component there.
+    """
+    cones = tuple(index_cone(u, x) for x in members)
+    at = {c: i for i, c in enumerate(cones)}
+    per_object = _rows(u)[1]
+    spread = {}  # vertex -> (one delta per distinct component there, the slot of each delta)
+    for s in {c.vertex for c in cones}:
+        keys = [tuple(d.images[k] for k in per_object[s]) for d in cones]
+        deltas = dict(zip(keys, cones))
+        slot = {key: i for i, key in enumerate(deltas)}
+        spread[s] = (deltas.values(), [slot[key] for key in keys])
+    table = []
+    try:
+        for g in cones:
+            deltas, slots = spread[g.vertex]
+            composites = [at[index_compose(u, g, d)] for d in deltas]
+            table.append(tuple(map(composites.__getitem__, slots)))
+    except KeyError:
+        raise NotClosed("a composite escapes the cones") from None
+    return SemigroupTable(cones, tuple(table))
+
+
+def build_cone_semigroup(n: int, p: int) -> tuple[SemigroupTable, tuple[IndexCone, ...]]:
     """Multiplication table of all principal cones under cone composition."""
-    cones = tuple(principal_cone(a, side) for a in sing(n, p))
-    return mult_table(cones, cone_compose), cones
+    u = universe(n, p)
+    table = cone_table(u, u.singular)
+    return table, table.elements
 
 
 class ConeCensus(NamedTuple):

@@ -11,13 +11,14 @@ from every one of its p^dim vectors to its coordinates, built once on
 first use and cached on the basis. A table costs p^dim vector-matrix
 products, once per distinct basis; a query is then one reduction mod p
 and one lookup, and a vector outside the subspace is simply absent.
+Containment compares two bitmasks of member vectors, cached per subspace.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
 
 from .errors import NotIncluded, NotInvertible, ShapeError, TooLarge
@@ -70,7 +71,12 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._match(other)
-        return all(self.contains_vector(row) for row in other.basis.rows)
+        return not other.members & ~self.members
+
+    @cached_property
+    def members(self) -> int:
+        """Bit v is set for every vector of the subspace, v read as a base-p number."""
+        return sum(1 << reduce(lambda acc, x: acc * self.p + x, v, 0) for v in self.vectors())
 
     def _match(self, other: "Subspace") -> None:
         if (self.n, self.p, self.side) != (other.n, other.p, other.side):

@@ -1,12 +1,17 @@
 """Normal factorization and the cone semigroup over the proper subspaces."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linsemi import dual, indexed
+from linsemi import normal_cones as nc
 from linsemi.errors import NotACone, NotSingular, TooLarge
 from linsemi.gf import Mat, solve_left
 from linsemi.normal_cones import (
     NormalCone,
+    _basis_rows,
     _restrictions,
     build_cone_semigroup,
     category,
@@ -15,6 +20,9 @@ from linsemi.normal_cones import (
     cone_to_map,
     epimorphic_component,
     idempotent_cone,
+    index_compose,
+    index_cone,
+    index_m_set,
     normal_factorization,
     principal_cone,
     validate_cone,
@@ -29,7 +37,14 @@ from linsemi.subspaces import (
     inclusion,
     zero_subspace,
 )
-from linsemi.verify import check_cone_census, run_check
+from linsemi.verify import (
+    check_cone_census,
+    check_cone_homomorphism,
+    check_cone_table,
+    check_dual_tables,
+    check_msets,
+    run_check,
+)
 
 
 def endo(rows, p=2):
@@ -329,3 +344,78 @@ class TestConeSemigroup:
         # coherent families with an isomorphism onto the vertex are exactly
         # the nonzero maps from V into that line
         assert with_iso == 2**3 - 1
+
+
+def decode(u, cone, side):
+    """The vertex and components an index cone stands for, located in the vertex per basis row."""
+    rows, _ = _basis_rows(u.n, u.p, side)
+    image_of = dict(zip(rows, (u.vectors[w] for w in cone.images)))
+    vertex = Subspace(u.n, u.p, side, u.subspaces[cone.vertex].basis)
+    comps = tuple(
+        Morphism(a, vertex, Mat(tuple(vertex.coords_of(image_of[v]) for v in a.basis.rows), vertex.dim, u.p))
+        for a in category(u.n, u.p, side).objects
+    )
+    return vertex, comps
+
+
+SIZES = [(2, 2), (3, 2), (2, 3)]
+
+
+class TestIndexCones:
+    @pytest.mark.parametrize("p,n", SIZES)
+    @pytest.mark.parametrize("side", [Side.PRIMAL, Side.DUAL])
+    def test_decodes_to_principal_cone(self, p, n, side):
+        u = indexed.universe(n, p)
+        for x in u.singular:
+            cone = principal_cone(u.elements[x], side)
+            assert decode(u, index_cone(u, x), side) == (cone.vertex, cone.components)
+
+    @pytest.mark.parametrize("p,n", SIZES)
+    def test_dual_table_holds_the_cones_of_transposes(self, p, n):
+        u = indexed.universe(n, p)
+        _, cones = dual.dual_cone_table(n, p)
+        for x, ic in zip(u.singular, cones):
+            cone = principal_cone(dual.dual_endo(u.elements[x]), Side.DUAL)
+            assert decode(u, ic, Side.DUAL) == (cone.vertex, cone.components)
+
+    @pytest.mark.parametrize("p,n", SIZES)
+    def test_m_set_matches_components(self, p, n):
+        u = indexed.universe(n, p)
+        for x in u.singular:
+            got = {u.subspaces[a] for a in index_m_set(u, index_cone(u, x))}
+            assert got == dual.m_set_components(principal_cone(u.elements[x]))
+
+    @pytest.mark.parametrize("p,n,pairs", [(2, 2, None), (3, 2, None), (2, 3, 2000)])
+    def test_compose_matches_cone_compose(self, p, n, pairs):
+        u = indexed.universe(n, p)
+        singular = list(u.singular)
+        if pairs is None:
+            chosen = [(a, b) for a in singular for b in singular]
+        else:
+            rng = random.Random(11)
+            chosen = [(rng.choice(singular), rng.choice(singular)) for _ in range(pairs)]
+        for a, b in chosen:
+            want = cone_compose(principal_cone(u.elements[a]), principal_cone(u.elements[b]))
+            got = index_compose(u, index_cone(u, a), index_cone(u, b))
+            assert decode(u, got, Side.PRIMAL) == (want.vertex, want.components)
+
+    def test_msets_check_builds_no_morphism(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(Morphism, "__post_init__", lambda self: built.append(self))
+        assert check_msets(2, 4) == (True, None)
+        assert built == []
+
+    @pytest.mark.parametrize("check", [check_cone_homomorphism, check_cone_table, check_dual_tables])
+    def test_table_checks_compose_by_lookup(self, monkeypatch, check):
+        calls = []
+        for module, name in [(nc, "cone_compose"), (nc, "validate_cone"), (dual, "cone_compose")]:
+            original = getattr(module, name, None)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spy, raising=False)
+        passed, _ = check(3, 2)
+        assert passed
+        assert calls == []

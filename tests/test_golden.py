@@ -25,6 +25,8 @@ DIGESTS = {
     (3, 3): "f6e2fa052cb2e93f41044305130f61d9e99e8a25830a44dfbbbdcfe4ef6dd550",
     # Every check runs, on the Cayley table: about 10 s.
     (3, 2): "469c3410007d6d9d7dcac65a4b358069675ae58098b291ff6ee44b6b177989c2",
+    # Cones compose by lookup here: about 3 s, with the compose-homomorphism cap.
+    (2, 3): "a9a99b8bee5a04aea244c39474ecea92f60341683771ad1729e86cf81902887d",
     # Taken when variant.crossconnection became not applicable at n = 1,
     # where the only singular theta is 0.
     (2, 1): "919017a337e3622d683c5f3c7b7b88cb32c8494560382e7bfb0b8da55e390b7b",
