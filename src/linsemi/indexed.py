@@ -29,9 +29,9 @@ The tables are built once per size, on first use:
 - `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v,
   built on first use; `combine(v, rows)` sums the given row vectors with
   the entries of vector v as coefficients.
-- `squares[i]`, built on its own first use, is the index of M @ M: row r of
-  M @ M is the combination of the rows of M with the entries of row r
-  as coefficients.
+- `idempotents`, built on its own first use, lists every M with M @ M = M:
+  row r of M @ M combines the rows of M with the entries of row r as
+  coefficients, and the test of M stops at the first row that moves.
 
 Products with a fixed right factor t are lookups: the rows of a @ t are
 the rows of a acted on by t's row digits, so one p^n-entry action table
@@ -51,7 +51,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import semigroup
 from .errors import NotClosed, ShapeError, TooLarge
@@ -69,9 +69,21 @@ def _value(digits: Sequence[int], base: int) -> int:
     return out
 
 
+def _digit_fold(rounds: Sequence[Callable[[int], Iterable[int]]]) -> array:
+    """Entry i folds the digits of i from 0, most significant first: round k replaces
+    each value s of the first k digits by rounds[k](s), one entry per value of digit k."""
+    out = array(INDEX, [0])
+    for extend in rounds:
+        nxt = array(INDEX)
+        for s in out:
+            nxt.extend(extend(s))
+        out = nxt
+    return out
+
+
 def _digit_sums(places: Sequence[Sequence[int]]) -> array:
     """Entry i is the sum of the place values picked by the base-len digits of i."""
-    return array(INDEX, map(sum, itertools.product(*places)))
+    return _digit_fold([lambda s, place=place: map(s.__add__, place) for place in places])
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +158,16 @@ class Universe:
         return [x // q ** (self.n - 1 - j) % q for j in range(self.n)]
 
     @cached_property
-    def squares(self) -> array:
-        """Entry a is the index of a @ a, for every element a."""
-        q = len(self.vectors)
-        return array(INDEX, (
-            _value([self.combine(r, rows) for r in rows], q) for rows in itertools.product(range(q), repeat=self.n)
-        ))
+    def idempotents(self) -> array:
+        """The indices x with x @ x = x, in counting order."""
+        combine, out = self.combine, array(INDEX)
+        for x, rows in enumerate(itertools.product(range(len(self.vectors)), repeat=self.n)):
+            for r in rows:
+                if combine(r, rows) != r:
+                    break
+            else:
+                out.append(x)
+        return out
 
     @cached_property
     def products(self) -> array:
@@ -204,19 +220,6 @@ def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> tuple
     return tuple(out)
 
 
-def _image_table(n: int, join: Sequence[array]) -> array:
-    # Round k maps each prefix of k rows to its span; the prefix is the
-    # more significant part of the index, so appending join[span] extends
-    # it by every value of the next row. Subspace 0 is the zero subspace.
-    spans = array(INDEX, [0])
-    for _ in range(n):
-        nxt = array(INDEX)
-        for s in spans:
-            nxt.extend(join[s])
-        spans = nxt
-    return spans
-
-
 @lru_cache(maxsize=None)
 def universe(n: int, p: int) -> Universe:
     """Build the tables for End(GF(p)^n); raises TooLarge beyond `all_endos`' limit."""
@@ -224,7 +227,7 @@ def universe(n: int, p: int) -> Universe:
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
     join = _join_table(subspaces, at)
-    image = _image_table(n, join)
+    image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
     transpose = _transpose_table(n, p)
     ann = [at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces]
     kernel = array(INDEX, (ann[image[t]] for t in transpose))

@@ -149,18 +149,13 @@ def green(a: Endo, b: Endo) -> GreenRelations:
 
 
 def principal_ideals(elements: Sequence[Endo]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Left ideals S^1 a and right ideals a S^1 as index sets, per element."""
-    index = {e: i for i, e in enumerate(elements)}
-    left: list[frozenset[int]] = []
-    right: list[frozenset[int]] = []
-    for i, a in enumerate(elements):
-        ls = {i}
-        rs = {i}
-        for s in elements:
-            ls.add(index[s @ a])
-            rs.add(index[a @ s])
-        left.append(frozenset(ls))
-        right.append(frozenset(rs))
+    """Left ideals S^1 a and right ideals a S^1 as index sets, per element, read from the Cayley table."""
+    u = indexed.universe(elements[0].n, elements[0].p)
+    prod, q = u.products, len(u.transpose)
+    xs = [u.index(e) for e in elements]
+    at = {x: i for i, x in enumerate(xs)}
+    left = [frozenset([i, *(at[prod[s * q + a]] for s in xs)]) for i, a in enumerate(xs)]
+    right = [frozenset([i, *(at[prod[a * q + s]] for s in xs)]) for i, a in enumerate(xs)]
     return left, right
 
 
@@ -225,10 +220,10 @@ def idempotent_from(null: Subspace, image: Subspace) -> Endo:
 @lru_cache(maxsize=None)
 def idempotents(n: int, p: int, singular_only: bool = False) -> tuple[Endo, ...]:
     """All idempotent transformations, built from direct-sum decompositions."""
+    if singular_only:  # drop the identity, the one idempotent with kernel 0
+        return tuple(e for e in idempotents(n, p) if not e.kernel.is_zero)
     out = []
     for null in enumerate_subspaces(n, p, SubspaceFilter.ALL):
-        if singular_only and null.is_zero:
-            continue
         for image in complement(null, ComplementMode.ALL):
             out.append(idempotent_from(null, image))
     return tuple(sorted(out, key=lambda e: e.mat.flat()))

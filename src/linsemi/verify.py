@@ -113,10 +113,9 @@ def check_idempotents(p: int, n: int) -> Verdict:
     es = sg.idempotents(n, p)
     if any(not e.is_idempotent for e in es):
         return False, "a non-idempotent was produced"
-    at = [u.index(e) for e in es]
-    brute = {i for i, sq in enumerate(u.squares) if sq == i}
-    if len(es) != len(brute) or set(at) != brute:
-        return False, {"built": len(es), "brute": len(brute)}
+    at = [u.index(e) for e in es]  # counting order is the sort order of `idempotents`
+    if at != u.idempotents.tolist():
+        return False, {"built": len(es), "brute": len(u.idempotents)}
     for e, i in zip(es, at):
         kernel, image = u.subspaces[u.kernel[i]], u.subspaces[u.image[i]]
         if not sub.is_direct_sum(kernel, image) or sg.idempotent_from(kernel, image) != e:
@@ -228,15 +227,16 @@ def check_msets(p: int, n: int) -> Verdict:
         raise TooLarge("idempotent sweep bounded to 1000")
     u = ix.universe(n, p)
     by_comp: dict[int, set[int]] = {}  # kernel -> M-set by complements, as subspace indices
-    for e in sg.idempotents(n, p, singular_only=True):
-        x = u.index(e)
+    for x in u.idempotents:
         null = u.kernel[x]
+        k = u.subspaces[null].dim
+        if k == 0:  # the identity, the one invertible idempotent
+            continue
         if null not in by_comp:
             by_comp[null] = {u.subspace_at[a] for a in du.m_set_complements(u.subspaces[null])}
         by_iso = nc.index_m_set(u, nc.index_cone(u, x))
-        k = u.subspaces[null].dim
         if by_iso != by_comp[null] or len(by_iso) != p ** (k * (n - k)):
-            return False, _endo_text(e)
+            return False, _endo_text(u.elements[x])
     return True, None
 
 

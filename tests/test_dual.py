@@ -128,6 +128,14 @@ class TestMSet:
         assert check.witness == {"skipped": "idempotent sweep bounded to 1000"}
         assert semigroup.idempotents.cache_info().currsize == 0
 
+    def test_sweep_reads_idempotents_from_the_universe(self, monkeypatch):
+        # The 801 singular idempotents at (2, 4) come from `Universe.idempotents`, not as Endos.
+        semigroup.idempotents.cache_clear()
+        built = []
+        monkeypatch.setattr(Endo, "__post_init__", lambda self: built.append(self))
+        assert verify.check_msets(2, 4) == (True, None)
+        assert built == []
+
 
 class TestNatTrans:
     def test_identity_carrier(self):

@@ -15,6 +15,7 @@ from linsemi.semigroup import (
     idempotent_from,
     idempotents,
     mult_table,
+    principal_ideals,
     regular_elements,
     sing,
     sing_order,
@@ -51,6 +52,18 @@ class TestGreen:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
     def test_oracle_agreement(self, n, p):
         assert green_oracle_report(sing(n, p)).agrees
+
+    def test_principal_ideals_read_the_cayley_table(self, monkeypatch):
+        elements = sing(2, 3)
+        calls = []
+        real = Mat.__matmul__
+        monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or real(a, b))
+        left, right = principal_ideals(elements)
+        assert calls == []
+        monkeypatch.undo()
+        index = {e: i for i, e in enumerate(elements)}
+        assert left == [frozenset({i} | {index[s @ a] for s in elements}) for i, a in enumerate(elements)]
+        assert right == [frozenset({i} | {index[a @ s] for s in elements}) for i, a in enumerate(elements)]
 
 
 class TestIdempotents:
