@@ -41,7 +41,6 @@ from .semigroup import (
     GreenRelations,
     SemigroupTable,
     all_endos,
-    are_isomorphic,
     gl,
     green,
     green_oracle_report,

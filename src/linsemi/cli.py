@@ -127,14 +127,13 @@ def cmd_crossconn(args) -> Report:
         report.checks.append(
             Check("crossconn.linked-semigroup", linked.matches_sing, {"order": linked.table.order})
         )
-        recovered = cx.recover_theta(delta)
-        report.checks.append(
-            Check(
-                "crossconn.recover-roundtrip",
-                recovered == cx.canonical_scalar_rep(theta),
-                mat_to_text(recovered.mat),
-            )
-        )
+        if args.n < 2:
+            roundtrip = Check("crossconn.recover-roundtrip", True, {"not_applicable": cx.NEEDS_TWO_LINES})
+        else:
+            recovered = cx.recover_theta(delta)
+            ok = recovered == cx.canonical_scalar_rep(theta)
+            roundtrip = Check("crossconn.recover-roundtrip", ok, mat_to_text(recovered.mat))
+        report.checks.append(roundtrip)
     report.checks += _registry_checks(args, "crossconn", not args.theta)
     return report
 
@@ -150,7 +149,11 @@ def cmd_variant(args) -> Report:
         reg_set = set(reg)
         closed = all(va.sandwich(a, b, ctx) in reg_set for a in reg for b in reg)
         report.checks.append(Check("variant.reg", closed, {"reg_size": len(reg)}))
-    if args.cxn or run_all_groups:
+    if (args.cxn or run_all_groups) and args.n == 1 and theta.inverse() is None:
+        # 0 is the only proper subspace at n = 1, so no functor of theta = 0 fails to be onto.
+        cxn_check = verify.check_variant_crossconnection
+        report.checks.append(verify.run_check("variant.crossconnection", cxn_check, args.p, args.n))
+    elif args.cxn or run_all_groups:
         cxn = va.variant_crossconnection(ctx)
         witness = {
             "reg_size": cxn.reg_size,

@@ -43,22 +43,12 @@ class CrossConn:
     side: Side  # side of the source category
     object_map: dict[Subspace, Subspace]
     morphism_map: dict[Morphism, Morphism]
-    theta: Endo | None = None
 
     def obj(self, a: Subspace) -> Subspace:
         return self.object_map[a]
 
     def mor(self, f: Morphism) -> Morphism:
         return self.morphism_map[f]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossConn):
-            return NotImplemented
-        return (
-            (self.n, self.p, self.side) == (other.n, other.p, other.side)
-            and self.object_map == other.object_map
-            and self.morphism_map == other.morphism_map
-        )
 
 
 def functor_from_global(g: Mat, objects: Sequence[Subspace]) -> CrossConn:
@@ -81,9 +71,7 @@ def gamma_delta_theta(theta: Endo) -> tuple[CrossConn, CrossConn]:
         raise NotInvertible("the inducing transformation must be invertible")
     n, p = theta.n, theta.p
     delta = functor_from_global(theta.mat, category(n, p, Side.PRIMAL).objects)
-    delta.theta = theta
     gamma = functor_from_global(theta.mat.transpose(), category(n, p, Side.DUAL).objects)
-    gamma.theta = theta
     return gamma, delta
 
 
@@ -290,6 +278,9 @@ def sing_table(n: int, p: int) -> SemigroupTable:
     return SemigroupTable(sing(n, p), u.table(u.singular))
 
 
+NEEDS_TWO_LINES = "recovery needs at least two coordinate lines"
+
+
 def recover_theta(
     delta: CrossConn | dict[Subspace, Subspace], n: int | None = None, p: int | None = None
 ) -> Endo:
@@ -308,7 +299,7 @@ def recover_theta(
         if n is None or p is None:
             raise ValueError("object-map recovery needs explicit n and p")
     if n < 2:
-        raise NotInduced("recovery needs at least two coordinate lines")
+        raise NotInduced(NEEDS_TWO_LINES)
 
     def unit(i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(n))

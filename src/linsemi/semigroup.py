@@ -2,13 +2,12 @@
 
 Green's relations are decided from images and kernels; a brute-force
 oracle built from principal ideals is provided so the two routes can be
-compared pair by pair. Multiplication tables are first-class values and
-table isomorphism is decided exactly (invariant refinement, then
-backtracking with propagation).
+compared pair by pair. Multiplication tables are first-class values over
+an ordered element list; tables built over the same order are compared
+entry by entry, and no isomorphism search is offered.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -256,9 +255,6 @@ class SemigroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def idempotent_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.order) if self.table[i][i] == i)
-
     def is_associative(self) -> bool:
         t = self.table
         n = self.order
@@ -296,112 +292,3 @@ def transpose_table(t: SemigroupTable) -> SemigroupTable:
     """The opposite table: same elements, product order reversed."""
     n = t.order
     return SemigroupTable(t.elements, tuple(tuple(t.table[j][i] for j in range(n)) for i in range(n)))
-
-
-def _joint_refine(t1: SemigroupTable, t2: SemigroupTable) -> tuple[list[int], list[int]]:
-    """Iterated signature refinement with a colour namespace shared by both tables."""
-
-    def initial(t: SemigroupTable) -> list[int]:
-        return [1 if t.table[i][i] == i else 0 for i in range(t.order)]
-
-    c1, c2 = initial(t1), initial(t2)
-    while True:
-        sigs: dict = {}
-
-        def signature(t: SemigroupTable, colors: list[int], i: int) -> tuple:
-            cnt = Counter(
-                (colors[j], colors[t.table[i][j]], colors[t.table[j][i]]) for j in range(t.order)
-            )
-            return (colors[i], tuple(sorted(cnt.items())))
-
-        s1 = [signature(t1, c1, i) for i in range(t1.order)]
-        s2 = [signature(t2, c2, i) for i in range(t2.order)]
-        for s in sorted(set(s1) | set(s2)):
-            sigs[s] = len(sigs)
-        n1 = [sigs[s] for s in s1]
-        n2 = [sigs[s] for s in s2]
-        if n1 == c1 and n2 == c2:
-            return c1, c2
-        c1, c2 = n1, n2
-
-
-def _verify_witness(t1: SemigroupTable, t2: SemigroupTable, phi: Sequence[int]) -> bool:
-    n = t1.order
-    if sorted(phi) != list(range(n)):
-        return False
-    return all(phi[t1.table[i][j]] == t2.table[phi[i]][phi[j]] for i in range(n) for j in range(n))
-
-
-def are_isomorphic(
-    t1: SemigroupTable, t2: SemigroupTable, witness: Sequence[int] | None = None
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide table isomorphism; returns the witness index bijection when true.
-
-    A supplied witness is verified instead of searched for. Identical
-    tables short-circuit to the identity. Otherwise invariants are
-    refined jointly and a backtracking search with forced propagation
-    runs over colour-respecting bijections.
-    """
-    if witness is not None:
-        ok = t1.order == t2.order and _verify_witness(t1, t2, list(witness))
-        return (ok, tuple(witness) if ok else None)
-    n = t1.order
-    if n != t2.order:
-        return (False, None)
-    if t1.table == t2.table:
-        return (True, tuple(range(n)))
-    c1, c2 = _joint_refine(t1, t2)
-    if sorted(c1) != sorted(c2):
-        return (False, None)
-    by_color: dict[int, list[int]] = {}
-    for j, c in enumerate(c2):
-        by_color.setdefault(c, []).append(j)
-    order = sorted(range(n), key=lambda i: (len(by_color[c1[i]]), i))
-    phi = [-1] * n
-    used = [False] * n
-
-    def propagate(i: int, j: int, trail: list[int]) -> bool:
-        stack = [(i, j)]
-        while stack:
-            x, y = stack.pop()
-            if phi[x] != -1:
-                if phi[x] != y:
-                    return False
-                continue
-            if used[y] or c1[x] != c2[y]:
-                return False
-            phi[x] = y
-            used[y] = True
-            trail.append(x)
-            for k in range(n):
-                if phi[k] != -1:
-                    stack.append((t1.table[x][k], t2.table[y][phi[k]]))
-                    stack.append((t1.table[k][x], t2.table[phi[k]][y]))
-        return True
-
-    def undo(trail: list[int], mark: int) -> None:
-        while len(trail) > mark:
-            x = trail.pop()
-            used[phi[x]] = False
-            phi[x] = -1
-
-    trail: list[int] = []
-
-    def search(pos: int) -> bool:
-        while pos < n and phi[order[pos]] != -1:
-            pos += 1
-        if pos == n:
-            return True
-        x = order[pos]
-        for y in by_color[c1[x]]:
-            if used[y]:
-                continue
-            mark = len(trail)
-            if propagate(x, y, trail) and search(pos + 1):
-                return True
-            undo(trail, mark)
-        return False
-
-    if search(0):
-        return (True, tuple(phi))
-    return (False, None)

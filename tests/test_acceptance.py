@@ -2,9 +2,12 @@
 
 Every tolerance here is exact (these are finite algebraic computations),
 so each criterion asserts equality of the computed and expected values.
-The table-isomorphism clause of the duality suite runs at the orders the
-table machinery is specified for (up to the singular semigroup of
-GF(2)^3, order 344); at p = 3, n = 3 the non-table clauses still run.
+Tables are compared entry by entry in counting order: the cone and dual
+cone tables are built over Sing's order, so equality with Sing's table
+(or its transpose) is the isomorphism the paper names. The table clause
+of the duality suite runs at the orders the table machinery is specified
+for (up to the singular semigroup of GF(2)^3, order 344); at p = 3,
+n = 3 the non-table clauses still run.
 """
 import json
 
@@ -40,8 +43,7 @@ def test_criterion_2_cone_theorem():
     ok = census.valid_count == 10
     table, cones = nc.build_cone_semigroup(2, 2)
     sing_table = cx.sing_table(2, 2)
-    iso, witness = sg.are_isomorphic(table, sing_table)
-    ok = ok and iso and witness is not None
+    ok = ok and table.table == sing_table.table
     ok = ok and all(nc.cone_to_map(nc.principal_cone(a)) == a for a in sg.sing(2, 2))
     report("criterion-2 cone census = 10, cone table = Sing table, roundtrip", ok)
 
@@ -64,12 +66,10 @@ def test_criterion_3_duality_suite():
     for n, p in ((2, 2), (2, 3)):
         table, _ = du.dual_cone_table(n, p)
         expected = sg.transpose_table(cx.sing_table(n, p))
-        iso, _ = sg.are_isomorphic(table, expected, witness=tuple(range(table.order)))
-        ok = ok and iso
+        ok = ok and table.table == expected.table
     op_table = du.dual_op_table(3, 2)
     expected = sg.transpose_table(cx.sing_table(3, 2))
-    iso, _ = sg.are_isomorphic(op_table, expected, witness=tuple(range(op_table.order)))
-    ok = ok and iso
+    ok = ok and op_table.table == expected.table
     # at (3, 3) the full table (order 8451) is beyond the specified table
     # scale; the anti-homomorphism is still exercised component-level on a
     # deterministic block of pairs
@@ -98,6 +98,7 @@ def test_criterion_5_crossconnections():
     for p in (2, 3):
         autos = sg.gl(2, p)
         ok = ok and len(autos) == (6 if p == 2 else 48)
+        singular = sg.sing(2, p)
         for theta in autos:
             gamma, delta = cx.gamma_delta_theta(theta)
             ok = ok and cx.is_crossconnection(gamma).ok
@@ -105,8 +106,8 @@ def test_criterion_5_crossconnections():
             linked = cx.linked_pair_semigroup(theta)
             ok = ok and linked.table.order == sg.sing_order(2, p)
             ok = ok and linked.matches_sing
-            iso, _ = sg.are_isomorphic(linked.table, cx.sing_table(2, p), witness=tuple(range(linked.table.order)))
-            ok = ok and iso
+            conjugate = cx.chi(theta)  # the Endo route, independent of chi_indices
+            ok = ok and linked.table.elements == tuple((a, conjugate(a)) for a in singular)
     report("criterion-5 cross-connection suite over GL(2,2) and GL(2,3)", ok)
 
 

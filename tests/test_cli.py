@@ -57,6 +57,33 @@ class TestReports:
             assert code == 0
             assert "PASS variant.crossconnection" in out
 
+    def test_variant_crossconnection_not_applicable_at_n1(self, capsys):
+        # theta = 0 is the only singular theta at n = 1; the subcommand gives
+        # the registry's verdict instead of a bare failure.
+        code, out = run(["variant", "--p", "2", "--n", "1", "--theta", "0", "--json"], capsys)
+        assert code == 0
+        got = {c["name"]: c for c in json.loads(out)["checks"]}["variant.crossconnection"]
+        code, out = run(["verify-all", "--p", "2", "--n", "1", "--json"], capsys)
+        assert code == 0
+        want = {c["name"]: c for c in json.loads(out)["checks"]}["variant.crossconnection"]
+        assert got == want
+        assert want["witness"] == {"not_applicable": "the only singular theta at n = 1 is 0"}
+
+    def test_crossconn_with_theta_at_n1(self, capsys):
+        # One coordinate line cannot pin theta: only the recovery is not applicable.
+        code, out = run(["crossconn", "--p", "2", "--n", "1", "--theta", "1", "--json"], capsys)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [
+            "crossconn.is-crossconnection",
+            "crossconn.chi-naturality",
+            "crossconn.linked-semigroup",
+            "crossconn.recover-roundtrip",
+        ]
+        assert all(c["pass"] for c in checks)
+        assert checks[-1]["witness"] == {"not_applicable": "recovery needs at least two coordinate lines"}
+        assert checks[2]["witness"] == {"order": 1}
+
     def test_lattice_listing(self, capsys):
         code, out = run(["lattice", "--p", "2", "--n", "3"], capsys)
         assert code == 0

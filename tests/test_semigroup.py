@@ -1,13 +1,11 @@
-"""Green's relations, idempotents, regularity and table isomorphism."""
+"""Green's relations, idempotents, regularity and multiplication tables."""
 import pytest
 
 from linsemi.errors import NotADirectSum, NotClosed
 from linsemi.gf import Mat
 from linsemi.semigroup import (
     Endo,
-    SemigroupTable,
     all_endos,
-    are_isomorphic,
     gl,
     gl_order,
     green,
@@ -160,47 +158,6 @@ class TestTables:
         op = transpose_table(t)
         i, j = 3, 7
         assert op.table[i][j] == t.table[j][i]
-
-
-class TestIsomorphism:
-    def test_self_isomorphic_identity(self):
-        t = mult_table(sing(2, 2), lambda a, b: a @ b)
-        ok, phi = are_isomorphic(t, t)
-        assert ok and phi == tuple(range(10))
-
-    def test_left_zero_vs_group(self):
-        left_zero = SemigroupTable(("a", "b"), ((0, 0), (1, 1)))
-        z2 = SemigroupTable(("e", "g"), ((0, 1), (1, 0)))
-        assert left_zero.idempotent_indices() == (0, 1)
-        assert z2.idempotent_indices() == (0,)
-        ok, _ = are_isomorphic(left_zero, z2)
-        assert not ok
-
-    def test_relabelled_tables(self):
-        t = mult_table(sing(2, 2), lambda a, b: a @ b)
-        perm = tuple(reversed(range(10)))
-        relabelled = SemigroupTable(
-            tuple(t.elements[perm.index(i)] for i in range(10)),
-            tuple(
-                tuple(perm[t.table[perm.index(i)][perm.index(j)]] for j in range(10))
-                for i in range(10)
-            ),
-        )
-        ok, phi = are_isomorphic(t, relabelled)
-        assert ok
-        okw, _ = are_isomorphic(t, relabelled, witness=phi)
-        assert okw
-
-    def test_witness_rejected_when_wrong(self):
-        t = mult_table(sing(2, 2), lambda a, b: a @ b)
-        bad = tuple([1, 0] + list(range(2, 10)))
-        ok, _ = are_isomorphic(t, t, witness=bad)
-        assert not ok
-
-    def test_different_orders(self):
-        t1 = SemigroupTable(("x",), ((0,),))
-        t2 = SemigroupTable(("x", "y"), ((0, 0), (0, 0)))
-        assert are_isomorphic(t1, t2) == (False, None)
 
 
 def test_enumeration_bound_guard():
