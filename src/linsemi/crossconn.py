@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
-from .gf import Mat, inv_mod, mat_to_text
+from .gf import Mat, inv_mod, invert, mat_to_text
 from .dual import DualMorphism, dual_morphisms, globalize, row_map
 from .normal_cones import category, hom_between
 from .semigroup import Endo, SemigroupTable, sing
@@ -55,12 +56,21 @@ def functor_from_global(g: Mat, objects: Sequence[Subspace]) -> CrossConn:
     """The functor transporting the full subcategory on objects along a global map.
 
     The map has to be injective on every object; n, p and the side are
-    read off the objects.
+    read off the objects. Each object a is transported once, to its image
+    a.g and the S_a whose rows are the coordinates of a.basis @ g in it;
+    f: a -> b then goes to S_a^-1 f S_b, which is `transport_morphism(f, g)`.
     """
     a0 = objects[0]
-    omap = {a: image_subspace(a, g) for a in objects}
+    omap, frames = {}, {}
+    for a in objects:
+        image = omap[a] = image_subspace(a, g)
+        if image.dim != a.dim:
+            raise NotInvertible("global map is not injective on the domain")
+        s = Mat.make([image.coords_of(v) for v in (a.basis @ g).rows], a.p, ncols=a.dim)
+        frames[a] = (invert(s), s)
     mmap = {
-        f: transport_morphism(f, g) for a in objects for b in objects for f in hom_between(a, b)
+        f: Morphism(omap[a], omap[b], frames[a][0] @ f.mat @ frames[b][1])
+        for a in objects for b in objects for f in hom_between(a, b)
     }
     return CrossConn(a0.n, a0.p, a0.side, omap, mmap)
 
@@ -88,19 +98,25 @@ def is_local_isomorphism(
     Identities and composites are preserved, inclusions go to inclusions,
     every hom-set is mapped bijectively onto the hom-set between the
     images, and each principal ideal is mapped onto the objects of
-    targets that lie below the image of its generator.
+    targets that lie below the image of its generator. Composites are read
+    from per-object-triple tables of positions in the hom-sets.
     """
     homs = {(a, b): hom_between(a, b) for a in objects for b in objects}
     for a in objects:
         if mmap[Morphism.identity(a)] != Morphism.identity(omap[a]):
             return FunctorVerdict(False, "identity not preserved")
+    pos = {}  # pos[a, b][i] is the position of the image of hom(a, b)[i] in hom(F a, F b)
     for (a, b), hom in homs.items():
-        for g in hom:
-            fg = mmap[g]
-            for c in objects:
-                for h in homs[b, c]:
-                    if mmap[g.compose(h)] != fg.compose(mmap[h]):
-                        return FunctorVerdict(False, "composition not preserved")
+        at = _hom_positions(omap[a], omap[b])
+        pos[a, b] = [at.get(mmap[g], -1) for g in hom]
+    if any(-1 in at for at in pos.values()):  # an image outside hom(F a, F b) composes with no F(1)
+        return FunctorVerdict(False, "composition not preserved")
+    for a, b, c in itertools.product(objects, repeat=3):
+        table, image_table = _compose_table(a, b, c), _compose_table(omap[a], omap[b], omap[c])
+        width, pac = len(hom_between(omap[b], omap[c])), pos[a, c]
+        pairs = itertools.product(pos[a, b], pos[b, c])  # in the order of the table's entries
+        if any(pac[t] != image_table[x * width + y] for t, (x, y) in zip(table, pairs)):
+            return FunctorVerdict(False, "composition not preserved")
     for a, b in homs:
         if a != b and b.contains(a):
             fa, fb = omap[a], omap[b]
@@ -109,10 +125,10 @@ def is_local_isomorphism(
             if mmap[inclusion(a, b)] != inclusion(fa, fb):
                 return FunctorVerdict(False, "inclusion morphism not preserved")
     for (a, b), hom in homs.items():
-        images = {mmap[g] for g in hom}
+        images = set(pos[a, b])
         if len(images) != len(hom):
             return FunctorVerdict(False, "not faithful")
-        if images != set(hom_between(omap[a], omap[b])):
+        if len(images) != len(hom_between(omap[a], omap[b])):
             return FunctorVerdict(False, "not full")
     for c in objects:
         ideal_image = {omap[a] for a in objects if c.contains(a)}
@@ -120,6 +136,18 @@ def is_local_isomorphism(
         if ideal_image != target_ideal:
             return FunctorVerdict(False, "principal ideal not mapped onto")
     return FunctorVerdict(True, None)
+
+
+@lru_cache(maxsize=None)
+def _hom_positions(a: Subspace, b: Subspace) -> dict[Morphism, int]:
+    return {f: i for i, f in enumerate(hom_between(a, b))}
+
+
+@lru_cache(maxsize=None)
+def _compose_table(a: Subspace, b: Subspace, c: Subspace) -> tuple[int, ...]:
+    """Entry i |hom(b, c)| + j is the position in hom(a, c) of hom(a, b)[i] . hom(b, c)[j]."""
+    at = _hom_positions(a, c)
+    return tuple(at[g.compose(h)] for g in hom_between(a, b) for h in hom_between(b, c))
 
 
 def is_crossconnection(gamma: CrossConn) -> FunctorVerdict:
@@ -331,11 +359,11 @@ def recover_theta(
     theta = Endo(Mat.make(rows, p, ncols=n))
     if theta.inverse() is None:
         raise NotInduced("recovered map is singular")
-    _, delta_theta = gamma_delta_theta(theta)
-    if delta_theta.object_map != dict(omap):
+    primal = category(n, p, Side.PRIMAL).objects
+    if {a: image_subspace(a, theta.mat) for a in primal} != dict(omap):
         raise NotInduced("recovered map does not reproduce the object map")
     if isinstance(delta, CrossConn) and delta.morphism_map:
-        if delta_theta.morphism_map != delta.morphism_map:
+        if functor_from_global(theta.mat, primal).morphism_map != delta.morphism_map:
             raise NotInduced("recovered map does not reproduce the morphism map")
     return theta
 

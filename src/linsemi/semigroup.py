@@ -19,7 +19,6 @@ from .subspaces import (
     ComplementMode,
     Side,
     Subspace,
-    SubspaceFilter,
     complement,
     enumerate_subspaces,
     gaussian_binomial,
@@ -217,15 +216,18 @@ def idempotent_from(null: Subspace, image: Subspace) -> Endo:
 
 
 @lru_cache(maxsize=None)
+def idempotent_decompositions(n: int, p: int) -> tuple[tuple[Endo, Subspace, Subspace], ...]:
+    """Every idempotent with the (kernel, image) decomposition it is built from, in counting order."""
+    pairs = [(k, w) for k in enumerate_subspaces(n, p) for w in complement(k, ComplementMode.ALL)]
+    return tuple(sorted(((idempotent_from(k, w), k, w) for k, w in pairs), key=lambda t: t[0].mat.flat()))
+
+
+@lru_cache(maxsize=None)
 def idempotents(n: int, p: int, singular_only: bool = False) -> tuple[Endo, ...]:
     """All idempotent transformations, built from direct-sum decompositions."""
     if singular_only:  # drop the identity, the one idempotent with kernel 0
         return tuple(e for e in idempotents(n, p) if not e.kernel.is_zero)
-    out = []
-    for null in enumerate_subspaces(n, p, SubspaceFilter.ALL):
-        for image in complement(null, ComplementMode.ALL):
-            out.append(idempotent_from(null, image))
-    return tuple(sorted(out, key=lambda e: e.mat.flat()))
+    return tuple(e for e, _, _ in idempotent_decompositions(n, p))
 
 
 def regular_elements(elements: Sequence, product: Callable) -> tuple[list, dict]:

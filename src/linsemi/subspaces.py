@@ -51,6 +51,11 @@ class Subspace:
     side: Side
     basis: Mat  # RREF, one row per dimension
 
+    def __hash__(self) -> int:  # the hash the dataclass generates, computed once
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.n, self.p, self.side, self.basis)))
+
     @property
     def dim(self) -> int:
         return self.basis.nrows
@@ -223,6 +228,11 @@ class Morphism:
     def __post_init__(self) -> None:
         if self.mat.nrows != self.dom.dim or self.mat.ncols != self.cod.dim:
             raise ShapeError("morphism matrix does not match dom/cod dimensions")
+
+    def __hash__(self) -> int:  # the hash the dataclass generates, computed once
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.dom, self.cod, self.mat)))
 
     @staticmethod
     def identity(a: Subspace) -> "Morphism":

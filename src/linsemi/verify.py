@@ -110,17 +110,17 @@ def check_green_oracle(p: int, n: int) -> Verdict:
 
 def check_idempotents(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
-    es = sg.idempotents(n, p)
-    if any(not e.is_idempotent for e in es):
+    built = sg.idempotent_decompositions(n, p)
+    if any(not e.is_idempotent for e, _, _ in built):
         return False, "a non-idempotent was produced"
-    at = [u.index(e) for e in es]  # counting order is the sort order of `idempotents`
+    at = [u.index(e) for e, _, _ in built]  # counting order is the sort order of `idempotents`
     if at != u.idempotents.tolist():
-        return False, {"built": len(es), "brute": len(u.idempotents)}
-    for e, i in zip(es, at):
-        kernel, image = u.subspaces[u.kernel[i]], u.subspaces[u.image[i]]
-        if not sub.is_direct_sum(kernel, image) or sg.idempotent_from(kernel, image) != e:
+        return False, {"built": len(built), "brute": len(u.idempotents)}
+    for (e, null, image), i in zip(built, at):  # the table's kernel and image must be e's decomposition
+        kernel, img = u.subspaces[u.kernel[i]], u.subspaces[u.image[i]]
+        if not sub.is_direct_sum(kernel, img) or (kernel, img) != (null, image):
             return False, _endo_text(e)
-    return True, {"count": len(es)}
+    return True, {"count": len(built)}
 
 
 def check_sing_regular(p: int, n: int) -> Verdict:

@@ -25,7 +25,8 @@ from linsemi.crossconn import (
 )
 from linsemi.normal_cones import category
 from linsemi.semigroup import Endo, gl, pgl_order, sing
-from linsemi.subspaces import Morphism, Side, annihilator, canonical, zero_subspace
+from linsemi.normal_cones import hom_between
+from linsemi.subspaces import Morphism, Side, annihilator, canonical, transport_morphism, zero_subspace
 from linsemi.variants import make_variant, variant_categories
 
 
@@ -303,6 +304,15 @@ class TestRestrictedLocalIso:
         verdict = is_local_isomorphism(objects, delta.object_map, broken, images)
         assert verdict == (False, "composition not preserved")
 
+    def test_noncommuting_composites(self):
+        # 2 x 2 endomorphisms of a plane do not commute, so each table entry must sit in its own slot.
+        line, plane = canonical([[1, 0, 0]], 3, 2), canonical([[1, 0, 0], [0, 1, 0]], 3, 2)
+        objects = (zero_subspace(3, 2), line, plane)
+        for g in ([[0, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 1, 1]]):
+            f = functor_from_global(Mat.make(g, 2), objects)
+            images = set(f.object_map.values())
+            assert is_local_isomorphism(objects, f.object_map, f.morphism_map, images).ok
+
     def test_extra_target_in_an_ideal(self):
         # The full subcategory on {0, P} for a plane P of GF(2)^3, carried
         # identically: a line of P among the targets is missed by the ideal of P.
@@ -314,3 +324,55 @@ class TestRestrictedLocalIso:
         targets = images | {canonical([[1, 0, 0]], 3, 2)}
         verdict = is_local_isomorphism(objects, f.object_map, f.morphism_map, targets)
         assert verdict == (False, "principal ideal not mapped onto")
+
+
+class TestTransportOncePerObject:
+    """`functor_from_global` against the per-morphism reference `transport_morphism`."""
+
+    @staticmethod
+    def assert_matches_reference(g, objects):
+        functor = functor_from_global(g, objects)
+        assert list(functor.morphism_map) == [f for a in objects for b in objects for f in hom_between(a, b)]
+        for f, image in functor.morphism_map.items():
+            assert image == transport_morphism(f, g)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_every_automorphism(self, p, side):
+        objects = category(2, p, side).objects
+        for theta in gl(2, p):
+            g = theta.mat if side is Side.PRIMAL else theta.mat.transpose()
+            self.assert_matches_reference(g, objects)
+
+    @pytest.mark.parametrize("n,p,step", [(3, 2, 28), (2, 5, 80)])
+    def test_planes_and_larger_fields(self, n, p, step):
+        # Frames that differ from their inverses: 2 x 2 over GF(2), scalars over GF(5).
+        objects = category(n, p, Side.PRIMAL).objects
+        for theta in gl(n, p)[::step]:
+            self.assert_matches_reference(theta.mat, objects)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_restricted_delta_of_e11(self, p):
+        ctx = make_variant(endo([[1, 0], [0, 0]], p))
+        self.assert_matches_reference(ctx.theta.mat, variant_categories(ctx).r_objects)
+
+    def test_not_injective_raises(self):
+        # E11 kills the second coordinate line.
+        with pytest.raises(NotInvertible, match="not injective"):
+            functor_from_global(endo([[1, 0], [0, 0]]).mat, category(2, 2, Side.PRIMAL).objects)
+
+
+def test_gl_batch_composes_each_pair_at_most_once(monkeypatch):
+    # Composites come from one table per object triple, shared by every functor.
+    calls = []
+    compose = Morphism.compose
+    monkeypatch.setattr(Morphism, "compose", lambda f, g: calls.append(1) or compose(f, g))
+    assert verify.check_gl_crossconnections(3, 2) == (True, {"automorphisms": 48})
+    pairs = 0
+    for side in Side:
+        objects = category(2, 3, side).objects
+        pairs += sum(
+            len(hom_between(a, b)) * len(hom_between(b, c)) for a in objects for b in objects for c in objects
+        )
+    assert pairs == 1402
+    assert 0 < len(calls) <= pairs

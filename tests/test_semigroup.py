@@ -10,6 +10,7 @@ from linsemi.semigroup import (
     gl_order,
     green,
     green_oracle_report,
+    idempotent_decompositions,
     idempotent_from,
     idempotents,
     mult_table,
@@ -90,6 +91,21 @@ class TestIdempotents:
     def test_decomposition(self):
         for e in idempotents(3, 2):
             assert idempotent_from(e.kernel, e.image) == e
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+    def test_decompositions_are_the_built_idempotents(self, p, n):
+        built = idempotent_decompositions(n, p)
+        assert tuple(e for e, _, _ in built) == idempotents(n, p)
+        assert all((e.kernel, e.image) == (null, image) for e, null, image in built)
+
+    def test_check_rejects_swapped_decompositions(self, monkeypatch):
+        from linsemi import semigroup, verify
+
+        assert verify.check_idempotents(2, 2) == (True, {"count": 8})
+        swapped = tuple((e, image, null) for e, null, image in idempotent_decompositions(2, 2))
+        monkeypatch.setattr(semigroup, "idempotent_decompositions", lambda n, p: swapped)
+        passed, witness = verify.check_idempotents(2, 2)
+        assert not passed and witness == "0,0;0,0"  # the zero map, first in counting order
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
     def test_singular_count_closed_form(self, p, n):

@@ -240,6 +240,27 @@ class TestMorphism:
         assert f.kernel() == canonical([[1, 1]], 2, 2)
 
 
+class TestCachedHash:
+    """The cached hashes are the values the dataclass generates, so set and dict orders keep."""
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_subspace_hash_is_the_field_hash(self, side):
+        for s in enumerate_subspaces(2, 3, SubspaceFilter.ALL, side):
+            assert hash(s) == hash((s.n, s.p, s.side, s.basis))
+            assert hash(s) == hash(s)  # the second call reads the cache
+
+    def test_morphism_hash_is_the_field_hash(self):
+        a, b = canonical([[1, 0]], 2, 3), full_subspace(2, 3)
+        for m in (Morphism(a, b, Mat.make([[1, 2]], 3)), Morphism.identity(b), Morphism.zero(b, a)):
+            assert hash(m) == hash((m.dom, m.cod, m.mat))
+            assert hash(m) == hash(m)
+
+    def test_equal_values_hash_equal(self):
+        a, b = canonical([[2, 1]], 2, 3), canonical([[1, 2]], 2, 3)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(Morphism.identity(a)) == hash(Morphism.identity(b))
+
+
 def test_json_roundtrip():
     s = canonical([[1, 2]], 2, 3, Side.DUAL)
     assert Subspace.from_json(s.to_json()) == s
