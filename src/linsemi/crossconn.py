@@ -109,7 +109,7 @@ def is_local_isomorphism(
     for (a, b), hom in homs.items():
         at = _hom_positions(omap[a], omap[b])
         pos[a, b] = [at.get(mmap[g], -1) for g in hom]
-    if any(-1 in at for at in pos.values()):  # an image outside hom(F a, F b) composes with no F(1)
+    if any(-1 in at for at in pos.values()):  # F(f) outside hom(F a, F b) cannot compose with F(1_a)
         return FunctorVerdict(False, "composition not preserved")
     for a, b, c in itertools.product(objects, repeat=3):
         table, image_table = _compose_table(a, b, c), _compose_table(omap[a], omap[b], omap[c])

@@ -286,6 +286,17 @@ def test_functor_check_catches_broken_composition():
     assert not is_local_isomorphism(cat.objects, delta.object_map, broken, cat.objects).ok
 
 
+def test_functor_check_catches_image_outside_the_hom_set():
+    # The swap sends <e1> to <e2>; the morphism 0 -> <e1> is sent into hom(0, <e1 + e2>) instead.
+    _, delta = gamma_delta_theta(SWAP)
+    cat = category(2, 2, Side.PRIMAL)
+    zero, line = zero_subspace(2, 2), canonical([[1, 0]], 2, 2)
+    broken = dict(delta.morphism_map)
+    broken[Morphism.zero(zero, line)] = Morphism.zero(zero, canonical([[1, 1]], 2, 2))
+    verdict = is_local_isomorphism(cat.objects, delta.object_map, broken, cat.objects)
+    assert verdict == (False, "composition not preserved")
+
+
 class TestRestrictedLocalIso:
     """The merged checker on the restricted functors of sandwich variants."""
 
