@@ -20,9 +20,9 @@ The tables are built once per size, on first use:
   compare every table entry with `row_basis`, `kernel_basis` and
   `Mat.transpose`.
 - `kernel[i]` uses the identity ker(M) = ann(image(M^T)): v @ M = 0
-  says exactly that v is orthogonal to every row of M^T. One annihilator
-  per subspace and the transpose table give every kernel without a row
-  reduction per element.
+  says exactly that v is orthogonal to every row of M^T. The annihilator
+  table `ann` (one row reduction per subspace, kept) and the transpose
+  table give every kernel without a row reduction per element.
 - `transpose[i]` is the index of the transposed matrix.
 - `below[s]` is a bitmask over subspaces: bit t is set when subspace s
   contains subspace t.
@@ -32,10 +32,15 @@ The tables are built once per size, on first use:
 - `idempotents`, built on its own first use, lists every M with M @ M = M:
   row r of M @ M combines the rows of M with the entries of row r as
   coefficients, and the test of M stops at the first row that moves.
+- `decompositions` builds the idempotent of each complementary pair (K, W)
+  without a matrix inverse: it sends k + w to w, so `add` fills a p^n-entry
+  target over the member vectors, and the unit vectors' targets are its rows.
 
 Products with a fixed right factor t are lookups: the rows of a @ t are
 the rows of a acted on by t's row digits, so one p^n-entry action table
-maps each row digit.
+maps each row digit. `product_images(t)` folds the join table over the
+vectors t reaches, deduplicating after each round: the images of all
+p^(n^2) products a @ t from at most n * |lattice| * p^n lookups.
 
 The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
@@ -55,8 +60,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import semigroup
 from .errors import NotClosed, ShapeError, TooLarge
-from .gf import enum_guard
-from .subspaces import Side, Subspace, annihilator, canonical, enumerate_subspaces
+from .gf import Mat, enum_guard
+from .subspaces import ComplementMode, Side, Subspace, annihilator, canonical, complement, enumerate_subspaces
 
 MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 23 MB
 INDEX = "I"  # the typecode of every table
@@ -99,6 +104,7 @@ class Universe:
     transpose: array
     below: tuple[int, ...]
     join: tuple[array, ...]
+    ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
 
     @cached_property
     def elements(self) -> tuple[semigroup.Endo, ...]:
@@ -114,8 +120,11 @@ class Universe:
         whole = len(self.subspaces) - 1  # subspaces come dimension-major, so V is last
         return array(INDEX, itertools.compress(itertools.count(), map(whole.__ne__, self.image)))
 
-    def index(self, e: semigroup.Endo) -> int:
-        return _value(e.mat.flat(), self.p)
+    def index(self, e: semigroup.Endo | Mat) -> int:
+        return _value((e if isinstance(e, Mat) else e.mat).flat(), self.p)
+
+    def matrix(self, x: int) -> Mat:
+        return Mat(tuple(self.vectors[r] for r in self.rows(x)), self.n, self.p)
 
     def contains(self, s: int, t: int) -> bool:
         """Whether subspace s contains subspace t."""
@@ -170,6 +179,22 @@ class Universe:
         return out
 
     @cached_property
+    def decompositions(self) -> tuple[tuple[int, int, int], ...]:
+        """(x, k, w) for every complementary pair of subspaces k, w, sorted by x: the
+        idempotent x has kernel k and image w."""
+        q, add, out = len(self.vectors), self.add, []
+        members = [[v for v, s in enumerate(row) if s == i] for i, row in enumerate(self.join)]
+        units = [q // self.p ** (j + 1) for j in range(self.n)]
+        for k, null in enumerate(self.subspaces):
+            for w in map(self.subspace_at.__getitem__, complement(null, ComplementMode.ALL)):
+                target = [0] * q
+                for b in members[w]:
+                    for a in members[k]:
+                        target[add[a][b]] = b
+                out.append((_value([target[e] for e in units], q), k, w))
+        return tuple(sorted(out))
+
+    @cached_property
     def products(self) -> array:
         """Entry a * q + b is the index of a @ b, for q = p^(n^2)."""
         q = len(self.transpose)
@@ -194,6 +219,14 @@ class Universe:
         n, q, rows = self.n, len(self.vectors), self.rows(t)
         action = [self.combine(v, rows) for v in range(q)]
         return _digit_sums([[w * q ** (n - 1 - i) for w in action] for i in range(n)])
+
+    def product_images(self, t: int) -> set[int]:
+        """The images of a @ t over every element a, as subspace indices."""
+        rows = self.rows(t)
+        reached, out = {self.combine(v, rows) for v in range(len(self.vectors))}, {0}
+        for _ in range(self.n):  # row k of a @ t is any reached vector
+            out = {self.join[s][w] for s in out for w in reached}
+        return out
 
 
 def _transpose_table(n: int, p: int) -> array:
@@ -229,12 +262,12 @@ def universe(n: int, p: int) -> Universe:
     join = _join_table(subspaces, at)
     image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
     transpose = _transpose_table(n, p)
-    ann = [at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces]
+    ann = array(INDEX, (at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces))
     kernel = array(INDEX, (ann[image[t]] for t in transpose))
     below = tuple(
         sum(1 << j for j, b in enumerate(subspaces) if a.contains(b)) for a in subspaces
     )
-    return Universe(n, p, subspaces, at, image, kernel, transpose, below, join)
+    return Universe(n, p, subspaces, at, image, kernel, transpose, below, join, ann)
 
 
 def globalize(x: int, rows: Sequence[int]) -> int:

@@ -15,15 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import indexed
 from .errors import NotADirectSum, NotClosed, ShapeError
 from .gf import Mat, all_matrices, invert, kernel_basis, row_basis
-from .subspaces import (
-    ComplementMode,
-    Side,
-    Subspace,
-    complement,
-    enumerate_subspaces,
-    gaussian_binomial,
-    is_direct_sum,
-)
+from .subspaces import Side, Subspace, gaussian_binomial, is_direct_sum
 
 
 @dataclass(frozen=True)
@@ -218,8 +210,8 @@ def idempotent_from(null: Subspace, image: Subspace) -> Endo:
 @lru_cache(maxsize=None)
 def idempotent_decompositions(n: int, p: int) -> tuple[tuple[Endo, Subspace, Subspace], ...]:
     """Every idempotent with the (kernel, image) decomposition it is built from, in counting order."""
-    pairs = [(k, w) for k in enumerate_subspaces(n, p) for w in complement(k, ComplementMode.ALL)]
-    return tuple(sorted(((idempotent_from(k, w), k, w) for k, w in pairs), key=lambda t: t[0].mat.flat()))
+    u = indexed.universe(n, p)
+    return tuple((Endo(u.matrix(x)), u.subspaces[k], u.subspaces[w]) for x, k, w in u.decompositions)
 
 
 @lru_cache(maxsize=None)

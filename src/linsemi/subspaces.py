@@ -182,18 +182,16 @@ def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):
 
     CANONICAL returns the span of the standard basis vectors at the
     non-pivot coordinates of a; ALL returns every complement, in
-    enumeration order.
+    enumeration order: the W of dimension n - dim a whose member bitmask
+    meets a's in the zero vector alone.
     """
-    pivots = set(rref(a.basis).pivots)
     if mode is ComplementMode.CANONICAL:
+        pivots = set(rref(a.basis).pivots)
         rows = [[1 if j == c else 0 for j in range(a.n)] for c in range(a.n) if c not in pivots]
         return Subspace(a.n, a.p, a.side, Mat.make(rows, a.p, ncols=a.n))
     want = a.n - a.dim
-    found = []
-    for w in enumerate_subspaces(a.n, a.p, SubspaceFilter.ALL, a.side):
-        if w.dim == want and rank(a.basis.vstack(w.basis)) == a.n:
-            found.append(w)
-    return tuple(found)
+    spaces = enumerate_subspaces(a.n, a.p, SubspaceFilter.ALL, a.side)
+    return tuple(w for w in spaces if w.dim == want and a.members & w.members == 1)
 
 
 def annihilator(a: Subspace) -> Subspace:

@@ -110,16 +110,13 @@ def check_green_oracle(p: int, n: int) -> Verdict:
 
 def check_idempotents(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
-    built = sg.idempotent_decompositions(n, p)
-    if any(not e.is_idempotent for e, _, _ in built):
-        return False, "a non-idempotent was produced"
-    at = [u.index(e) for e, _, _ in built]  # counting order is the sort order of `idempotents`
-    if at != u.idempotents.tolist():
+    built = u.decompositions
+    if [x for x, _, _ in built] != u.idempotents.tolist():  # both in counting order
         return False, {"built": len(built), "brute": len(u.idempotents)}
-    for (e, null, image), i in zip(built, at):  # the table's kernel and image must be e's decomposition
-        kernel, img = u.subspaces[u.kernel[i]], u.subspaces[u.image[i]]
-        if not sub.is_direct_sum(kernel, img) or (kernel, img) != (null, image):
-            return False, _endo_text(e)
+    for x, null, image in built:  # the table's kernel and image must be x's decomposition
+        kernel, img = u.kernel[x], u.image[x]
+        if not sub.is_direct_sum(u.subspaces[kernel], u.subspaces[img]) or (kernel, img) != (null, image):
+            return False, mat_to_text(u.matrix(x))
     return True, {"count": len(built)}
 
 
@@ -270,7 +267,7 @@ def check_nat_trans(p: int, n: int) -> Verdict:
         raise TooLarge("h-set enumeration bounded to order 600")
     u = ix.universe(n, p)
     prod, q = u.products, len(u.transpose)
-    idems = [u.index(e) for e in sg.idempotents(n, p, singular_only=True)]
+    idems = [x for x, null, _ in u.decompositions if null]  # kernel 0 is the identity
     morphisms = [(g, u.subspace_at[g.dom], du.row_map(g)) for g in nc.category(n, p).all_morphisms()]
     checked = 0
     cap = 50000
@@ -366,8 +363,13 @@ def check_classification(p: int, n: int) -> Verdict:
 
 
 def _variant_thetas(p: int, n: int) -> tuple[sg.Endo, ...]:
+    return sg.all_endos(n, p) if p ** (n * n) <= 100 else tuple(map(sg.Endo, _variant_mats(p, n)))
+
+
+def _variant_mats(p: int, n: int) -> tuple[Mat, ...]:
+    """Every matrix when there are at most 100, else 0, 1, E11 and a nilpotent."""
     if p ** (n * n) <= 100:
-        return sg.all_endos(n, p)
+        return tuple(e.mat for e in sg.all_endos(n, p))
     mats = [Mat.zeros(n, n, p), Mat.identity(n, p)]
     e11 = [[0] * n for _ in range(n)]
     e11[0][0] = 1
@@ -375,7 +377,7 @@ def _variant_thetas(p: int, n: int) -> tuple[sg.Endo, ...]:
     nilp = [[0] * n for _ in range(n)]
     nilp[1][0] = 1
     mats.append(Mat.make(nilp, p))
-    return tuple(sg.Endo(m) for m in mats)
+    return tuple(mats)
 
 
 def check_variant_regularity(p: int, n: int) -> Verdict:
@@ -421,15 +423,14 @@ def check_variant_phi(p: int, n: int) -> Verdict:
 def check_variant_membership(p: int, n: int) -> Verdict:
     """For every a: image(a @ theta) lies in image(theta), ker(theta @ a) contains ker(theta)."""
     u = ix.universe(n, p)
-    for theta in _variant_thetas(p, n):
+    for theta in _variant_mats(p, n):
         t = u.index(theta)
         image, null = u.image[t], u.kernel[t]
-        if not all(u.contains(image, s) for s in {u.image[x] for x in u.right_products(t)}):
-            return False, _endo_text(theta)
-        # theta a = (a^T theta^T)^T, and a^T runs over every element.
-        tr = u.transpose
-        if not all(u.contains(s, null) for s in {u.kernel[tr[y]] for y in u.right_products(tr[t])}):
-            return False, _endo_text(theta)
+        if not all(u.contains(image, s) for s in u.product_images(t)):
+            return False, mat_to_text(theta)
+        # ker(theta a) = ann(image(a^T theta^T)), and a^T runs over every element.
+        if not all(u.contains(u.ann[s], null) for s in u.product_images(u.transpose[t])):
+            return False, mat_to_text(theta)
     return True, None
 
 

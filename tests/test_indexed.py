@@ -1,6 +1,7 @@
 """The index-coded element core against the row-reduction route in `gf`."""
 import dataclasses
 import random
+from array import array
 
 import pytest
 
@@ -9,7 +10,8 @@ from linsemi.errors import ShapeError, TooLarge
 from linsemi.gf import kernel_basis, row_basis
 from linsemi.normal_cones import category
 from linsemi.semigroup import Endo, all_endos, gl, sing
-from linsemi.verify import REGISTRY, _variant_thetas, check_variant_membership
+from linsemi.subspaces import ComplementMode, complement
+from linsemi.verify import REGISTRY, _variant_thetas, check_idempotents, check_variant_membership
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
@@ -37,6 +39,16 @@ def test_too_large_universe_says_what_all_endos_says(p, n):
 def test_idempotents_match_gf(p, n):
     u = indexed.universe(n, p)
     assert u.idempotents.tolist() == [i for i, e in enumerate(u.elements) if e.mat @ e.mat == e.mat]
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_decompositions_match_idempotent_from(p, n):
+    u = indexed.universe(n, p)
+    pairs = [(a, w) for a in u.subspaces for w in complement(a, ComplementMode.ALL)]
+    by_index = sorted((u.subspace_at[a], u.subspace_at[w]) for a, w in pairs)
+    assert by_index == sorted((k, w) for _, k, w in u.decompositions)
+    for x, k, w in u.decompositions:
+        assert u.matrix(x) == semigroup.idempotent_from(u.subspaces[k], u.subspaces[w]).mat
 
 
 def test_idempotents_match_construction():
@@ -120,6 +132,36 @@ def test_membership_check_reads_the_containment_table(monkeypatch, law):
     passed, witness = check_variant_membership(2, 2)
     assert not passed
     assert witness == "0,0;0,0"
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+def test_product_images_match_right_products(p, n):
+    u = indexed.universe(n, p)
+    tr = u.transpose
+    for t in range(len(tr)):
+        assert u.product_images(t) == {u.image[x] for x in u.right_products(t)}
+        # The kernels of t @ a over every a, read through ann from the images of a^T @ t^T.
+        kernels = {u.kernel[tr[y]] for y in u.right_products(tr[t])}
+        assert {u.ann[s] for s in u.product_images(tr[t])} == kernels
+
+
+def test_membership_check_reads_the_annihilator_table(monkeypatch):
+    # theta = 0 comes first at (2, 2): its kernel law needs ann(0) = V to contain
+    # ker(0) = V. Making every subspace its own annihilator must fail it.
+    real = indexed.universe(2, 2)
+    tampered = dataclasses.replace(real, ann=array("I", range(len(real.subspaces))))
+    monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
+    assert check_variant_membership(2, 2) == (False, "0,0;0,0")
+
+
+def test_idempotent_and_membership_checks_build_no_endo_at_2_4(monkeypatch):
+    endos, sweeps = [], []
+    post_init, right_products = Endo.__post_init__, indexed.Universe.right_products
+    monkeypatch.setattr(Endo, "__post_init__", lambda e: endos.append(1) or post_init(e))
+    monkeypatch.setattr(indexed.Universe, "right_products", lambda u, t: sweeps.append(t) or right_products(u, t))
+    assert check_idempotents(2, 4) == (True, {"count": 802})
+    assert check_variant_membership(2, 4) == (True, None)
+    assert endos == [] and sweeps == []
 
 
 @pytest.mark.parametrize("name", ["crossconn.linked-semigroup", "crossconn.classification", "dual.table-op"])

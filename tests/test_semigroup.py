@@ -99,11 +99,13 @@ class TestIdempotents:
         assert all((e.kernel, e.image) == (null, image) for e, null, image in built)
 
     def test_check_rejects_swapped_decompositions(self, monkeypatch):
-        from linsemi import semigroup, verify
+        from linsemi import indexed, verify
 
         assert verify.check_idempotents(2, 2) == (True, {"count": 8})
-        swapped = tuple((e, image, null) for e, null, image in idempotent_decompositions(2, 2))
-        monkeypatch.setattr(semigroup, "idempotent_decompositions", lambda n, p: swapped)
+        # The check reads the index-built decompositions; a data descriptor on the
+        # class outranks the value the cached property stored on the instance.
+        swapped = tuple((x, image, null) for x, null, image in indexed.universe(2, 2).decompositions)
+        monkeypatch.setattr(indexed.Universe, "decompositions", property(lambda u: swapped))
         passed, witness = verify.check_idempotents(2, 2)
         assert not passed and witness == "0,0;0,0"  # the zero map, first in counting order
 

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from linsemi.errors import NotIncluded, ShapeError
-from linsemi.gf import Mat, rref
+from linsemi.gf import Mat, rank, rref
 from linsemi.subspaces import (
     ComplementMode,
     Morphism,
@@ -149,6 +149,13 @@ class TestComplement:
                 assert is_direct_sum(a, w)
                 assert intersect(a, w) == zero_subspace(n, p)
                 assert subspace_sum(a, w) == full_subspace(n, p)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3), (2, 4)])
+    def test_bitmask_complements_match_rank_filter(self, p, n):
+        spaces = enumerate_subspaces(n, p)
+        for a in spaces:
+            by_rank = tuple(w for w in spaces if w.dim == n - a.dim and rank(a.basis.vstack(w.basis)) == n)
+            assert complement(a, ComplementMode.ALL) == by_rank
 
     def test_canonical_is_a_complement(self):
         for a in enumerate_subspaces(3, 3):
