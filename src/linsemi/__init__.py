@@ -38,11 +38,9 @@ from .subspaces import (
 )
 from .semigroup import (
     Endo,
-    GreenRelations,
     SemigroupTable,
     all_endos,
     gl,
-    green,
     green_oracle_report,
     idempotent_from,
     idempotents,
@@ -71,7 +69,6 @@ from .dual import (
     dual_cone_table,
     h_map,
     h_set,
-    hfunctor_for_kernel,
     m_set,
     nat_trans,
 )

@@ -1,10 +1,11 @@
 """H-functors, M-sets and the annihilator category.
 
-An H-functor is determined by the null space of its witness idempotent;
-its value at a subspace A is the set of singular maps with kernel above
-that null space and image inside A. Annihilators identify the dual of
-the subspace category with the category of proper subspaces of V*, and
-cones over that category multiply opposite to the singular semigroup.
+An H-functor is its null space: for every idempotent e with that kernel,
+its value at a subspace A is the set of singular maps x with e x = x
+(kernel above the null space) and image inside A. Annihilators identify
+the dual of the subspace category with the category of proper subspaces
+of V*, and cones over that category multiply opposite to the singular
+semigroup.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, invert
-from .indexed import universe
+from .indexed import Universe, universe
 from .normal_cones import IndexCone, NormalCone, category, cone_table
 from .semigroup import Endo, SemigroupTable, idempotent_from, sing
 from .subspaces import (
@@ -35,22 +36,15 @@ class HFunctor:
     """The set-valued functor attached to an idempotent, keyed by its null space."""
 
     key: Subspace  # the null space; nonzero for idempotents of the singular part
-    witness: Endo = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.key.is_zero:
             raise NotSingular("H-functors of the singular part have nonzero null spaces")
 
 
-def hfunctor_for_kernel(null: Subspace) -> HFunctor:
-    """Canonical witness: project along null onto its canonical complement."""
-    witness = idempotent_from(null, complement(null, ComplementMode.CANONICAL))
-    return HFunctor(null, witness)
-
-
 def hfunctor_of(e: Endo) -> HFunctor:
     _check_idempotent(e)
-    return HFunctor(e.kernel, e)
+    return HFunctor(e.kernel)
 
 
 def _check_idempotent(e: Endo) -> None:
@@ -67,6 +61,15 @@ def h_set(e: Endo, a: Subspace) -> frozenset[Endo]:
     return frozenset(
         x for x in sing(e.n, e.p) if x.kernel.contains(e.kernel) and a.contains(x.image)
     )
+
+
+def index_h_sets(u: Universe, e: int) -> tuple[frozenset[int], ...]:
+    """Entry a is H(e; A) at the object A of subspace index a, as element indices: the singular x
+    with e x = x, read from the Cayley table, and image inside A."""
+    prod, q = u.products, len(u.transpose)
+    fixed = [x for x in u.singular if prod[e * q + x] == x]
+    objects = range(len(u.subspaces) - 1)  # every subspace but V
+    return tuple(frozenset(x for x in fixed if u.contains(a, u.image[x])) for a in objects)
 
 
 def globalize(alpha: Endo, f: Morphism) -> Endo:
@@ -211,7 +214,7 @@ class NormalDual(NamedTuple):
 def build_normal_dual(n: int, p: int) -> NormalDual:
     """Materialize the dual: H-functors keyed by nonzero null spaces, mapped by annihilator."""
     keys = enumerate_subspaces(n, p, SubspaceFilter.NONZERO)
-    hfs = tuple(hfunctor_for_kernel(k) for k in keys)
+    hfs = tuple(map(HFunctor, keys))
     images = [functor_p_object(h) for h in hfs]
     injective = len(set(images)) == len(images)
     dual_objects = set(enumerate_subspaces(n, p, SubspaceFilter.PROPER, Side.DUAL))

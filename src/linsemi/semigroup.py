@@ -117,36 +117,22 @@ def pgl_order(n: int, p: int) -> int:
     return gl_order(n, p) // (p - 1)
 
 
-class GreenRelations(NamedTuple):
-    l: bool
-    r: bool
-    h: bool
-    d: bool
-
-
-def green(a: Endo, b: Endo) -> GreenRelations:
-    """Green's relations via the image/kernel characterisation.
-
-    L compares images, R compares kernels, H is both, and D is rank
-    equality (valid in the full monoid and in its ideals, including the
-    singular part; arbitrary subsemigroups need the ideal oracle).
-    """
-    if (a.n, a.p) != (b.n, b.p):
-        raise ShapeError("mixed ambient spaces")
-    l = a.image == b.image
-    r = a.kernel == b.kernel
-    return GreenRelations(l, r, l and r, a.rank == b.rank)
-
-
-def principal_ideals(elements: Sequence[Endo]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Left ideals S^1 a and right ideals a S^1 as index sets, per element, read from the Cayley table."""
+def _indices(elements: Sequence[Endo]) -> tuple[indexed.Universe, list[int]]:
     u = indexed.universe(elements[0].n, elements[0].p)
+    return u, [u.index(e) for e in elements]
+
+
+def _ideals(u: indexed.Universe, xs: Sequence[int]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     prod, q = u.products, len(u.transpose)
-    xs = [u.index(e) for e in elements]
     at = {x: i for i, x in enumerate(xs)}
     left = [frozenset([i, *(at[prod[s * q + a]] for s in xs)]) for i, a in enumerate(xs)]
     right = [frozenset([i, *(at[prod[a * q + s]] for s in xs)]) for i, a in enumerate(xs)]
     return left, right
+
+
+def principal_ideals(elements: Sequence[Endo]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """Left ideals S^1 a and right ideals a S^1 as index sets, per element, read from the Cayley table."""
+    return _ideals(*_indices(elements))
 
 
 class GreenOracleReport(NamedTuple):
@@ -155,14 +141,21 @@ class GreenOracleReport(NamedTuple):
 
 
 def green_oracle_report(elements: Sequence[Endo]) -> GreenOracleReport:
-    """Compare image/kernel flags with the principal-ideal oracle on every pair.
+    """`index_green_report` on the indices of the given elements."""
+    return index_green_report(*_indices(elements))
 
-    Checks the divisibility preorders (membership in S^1 a versus
-    image/kernel containment), the L/R/H equivalences, and D both as the
-    join of L and R and as rank equality.
+
+def index_green_report(u: indexed.Universe, xs: Sequence[int]) -> GreenOracleReport:
+    """Compare image/kernel flags with the principal-ideal oracle on every pair of elements xs.
+
+    The flags read the universe's image, kernel and containment tables,
+    not the Cayley table of the oracle. Checks the divisibility preorders
+    (membership in S^1 a versus image/kernel containment), the L/R/H
+    equivalences, and D both as the join of L and R and as rank equality
+    (valid in the full monoid and in its ideals, the singular part included).
     """
-    left, right = principal_ideals(elements)
-    n = len(elements)
+    left, right = _ideals(u, xs)
+    n = len(xs)
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -178,20 +171,21 @@ def green_oracle_report(elements: Sequence[Endo]) -> GreenOracleReport:
         for j in range(i + 1, n):
             if left[i] == left[j] or right[i] == right[j]:
                 union(i, j)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            flags = green(a, b)
-            if (j in left[i]) != a.image.contains(b.image):
+    spans = [(u.image[x], u.kernel[x], u.subspaces[u.image[x]].dim) for x in xs]
+    for i, (im_a, ker_a, rank_a) in enumerate(spans):
+        for j, (im_b, ker_b, rank_b) in enumerate(spans):
+            l, r = im_a == im_b, ker_a == ker_b
+            if (j in left[i]) != u.contains(im_a, im_b):
                 return GreenOracleReport(False, (i, j, "left divisibility"))
-            if (j in right[i]) != b.kernel.contains(a.kernel):
+            if (j in right[i]) != u.contains(ker_b, ker_a):
                 return GreenOracleReport(False, (i, j, "right divisibility"))
-            if flags.l != (left[i] == left[j]):
+            if l != (left[i] == left[j]):
                 return GreenOracleReport(False, (i, j, "L"))
-            if flags.r != (right[i] == right[j]):
+            if r != (right[i] == right[j]):
                 return GreenOracleReport(False, (i, j, "R"))
-            if flags.h != (left[i] == left[j] and right[i] == right[j]):
+            if (l and r) != (left[i] == left[j] and right[i] == right[j]):
                 return GreenOracleReport(False, (i, j, "H"))
-            if flags.d != (find(i) == find(j)):
+            if (rank_a == rank_b) != (find(i) == find(j)):
                 return GreenOracleReport(False, (i, j, "D"))
     return GreenOracleReport(True, None)
 

@@ -159,22 +159,28 @@ def _rref_bases(n: int, k: int, p: int) -> list[Mat]:
     return out
 
 
-@lru_cache(maxsize=None)
 def enumerate_subspaces(
     n: int, p: int, which: SubspaceFilter = SubspaceFilter.ALL, side: Side = Side.PRIMAL
 ) -> tuple[Subspace, ...]:
-    """All subspaces in deterministic order: dimension-major, then lexicographic."""
+    """All subspaces in deterministic order: dimension-major, then lexicographic.
+
+    Every filter is a slice of one cached tuple per (n, p, side), zero first
+    and V last, so all callers share the same `Subspace` objects.
+    """
+    spaces = _all_subspaces(n, p, side)
+    if which is SubspaceFilter.PROPER:
+        return spaces[:-1]
+    return spaces[1:] if which is SubspaceFilter.NONZERO else spaces
+
+
+@lru_cache(maxsize=None)
+def _all_subspaces(n: int, p: int, side: Side) -> tuple[Subspace, ...]:
     check_modulus(p)
     total = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
     if total > 2_000_000:
         raise TooLarge(f"{total} subspaces of GF({p})^{n}")
-    lo = 1 if which is SubspaceFilter.NONZERO else 0
-    hi = n - 1 if which is SubspaceFilter.PROPER else n
-    out: list[Subspace] = []
-    for k in range(lo, hi + 1):
-        layer = sorted(_rref_bases(n, k, p), key=lambda m: m.flat())
-        out.extend(Subspace(n, p, side, b) for b in layer)
-    return tuple(out)
+    layers = (sorted(_rref_bases(n, k, p), key=lambda m: m.flat()) for k in range(n + 1))
+    return tuple(Subspace(n, p, side, b) for layer in layers for b in layer)
 
 
 def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):

@@ -22,8 +22,8 @@ from . import semigroup as sg
 from . import subspaces as sub
 from . import variants as va
 from .errors import AlgebraError, TooLarge
-from .gf import Mat, mat_to_text
-from .subspaces import ComplementMode, Side, SubspaceFilter
+from .gf import Mat, all_matrices, mat_to_text
+from .subspaces import ComplementMode
 
 Verdict = tuple[bool, object]  # (passed, witness)
 
@@ -101,10 +101,10 @@ def check_sing_order(p: int, n: int) -> Verdict:
 
 
 def check_green_oracle(p: int, n: int) -> Verdict:
-    ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
+    u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
     if sg.sing_order(n, p) > 600:
         raise TooLarge("ideal oracle bounded to order 600")
-    report = sg.green_oracle_report(sg.sing(n, p))
+    report = sg.index_green_report(u, u.singular)
     return report.agrees, report.counterexample
 
 
@@ -121,12 +121,12 @@ def check_idempotents(p: int, n: int) -> Verdict:
 
 
 def check_sing_regular(p: int, n: int) -> Verdict:
-    ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
+    u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
     if sg.sing_order(n, p) > 600:
         raise TooLarge("witness search bounded to order 600")
-    elements = sg.sing(n, p)
-    reg, _ = sg.regular_elements(elements, lambda a, b: a @ b)
-    return len(reg) == len(elements), {"regular": len(reg)}
+    prod, q = u.products, len(u.transpose)
+    reg, _ = sg.regular_elements(u.singular, lambda a, b: prod[a * q + b])
+    return len(reg) == len(u.singular), {"regular": len(reg)}
 
 
 def check_factorization(p: int, n: int) -> Verdict:
@@ -207,15 +207,14 @@ def check_cone_table(p: int, n: int) -> Verdict:
 def check_hfunctor_keys(p: int, n: int) -> Verdict:
     if sg.sing_order(n, p) > 1000:
         raise TooLarge("h-set enumeration bounded to order 1000")
-    groups: dict[sub.Subspace, list[sg.Endo]] = {}
-    for e in sg.idempotents(n, p, singular_only=True):
-        groups.setdefault(e.kernel, []).append(e)
-    objects = nc.category(n, p).objects
-    for key, es in groups.items():
-        for a in objects:
-            sets = {du.h_set(e, a) for e in es}
-            if len(sets) != 1:
-                return False, str(key.basis)
+    u = ix.universe(n, p)
+    groups: dict[int, set[tuple[frozenset[int], ...]]] = {}  # kernel -> the H-sets of its idempotents
+    for e, null, _ in u.decompositions:
+        if null:  # kernel 0 is the identity
+            groups.setdefault(null, set()).add(du.index_h_sets(u, e))
+    for null, h_sets in groups.items():
+        if len(h_sets) != 1:
+            return False, str(u.subspaces[null].basis)
     return True, {"kernels_checked": len(groups)}
 
 
@@ -238,13 +237,9 @@ def check_msets(p: int, n: int) -> Verdict:
 
 
 def check_dual_objects(p: int, n: int) -> Verdict:
-    images = {
-        sub.annihilator(a) for a in sub.enumerate_subspaces(n, p, SubspaceFilter.NONZERO)
-    }
-    proper_dual = set(sub.enumerate_subspaces(n, p, SubspaceFilter.PROPER, Side.DUAL))
-    dual_data = du.build_normal_dual(n, p)
-    ok = images == proper_dual and dual_data.injective and dual_data.object_count_matches and dual_data.inclusions_match
-    return ok, {"objects": len(images)}
+    d = du.build_normal_dual(n, p)
+    ok = d.injective and d.object_count_matches and d.inclusions_match
+    return ok, {"objects": len({image for _, image in d.object_map})}
 
 
 def check_dual_tables(p: int, n: int) -> Verdict:
@@ -363,13 +358,13 @@ def check_classification(p: int, n: int) -> Verdict:
 
 
 def _variant_thetas(p: int, n: int) -> tuple[sg.Endo, ...]:
-    return sg.all_endos(n, p) if p ** (n * n) <= 100 else tuple(map(sg.Endo, _variant_mats(p, n)))
+    return tuple(map(sg.Endo, _variant_mats(p, n)))
 
 
 def _variant_mats(p: int, n: int) -> tuple[Mat, ...]:
     """Every matrix when there are at most 100, else 0, 1, E11 and a nilpotent."""
     if p ** (n * n) <= 100:
-        return tuple(e.mat for e in sg.all_endos(n, p))
+        return tuple(all_matrices(n, n, p))
     mats = [Mat.zeros(n, n, p), Mat.identity(n, p)]
     e11 = [[0] * n for _ in range(n)]
     e11[0][0] = 1
@@ -454,7 +449,7 @@ def check_variant_nonprincipal(p: int, n: int) -> Verdict:
         census = va.nonprincipal_cones(va.make_variant(theta))
         ok = len(census.excess) >= 1
         return ok, {"excess": len(census.excess)}
-    for theta in sg.all_endos(n, p):
+    for theta in _variant_thetas(p, n):
         ctx = va.make_variant(theta)
         census = va.nonprincipal_cones(ctx)
         if theta.inverse() is not None or all(x == 0 for x in theta.mat.flat()):

@@ -17,21 +17,24 @@ from linsemi.dual import (
     globalize,
     h_map,
     h_set,
-    hfunctor_for_kernel,
     hfunctor_of,
+    index_h_sets,
     m_set,
     m_set_complements,
     m_set_components,
     nat_trans,
 )
+from linsemi.indexed import Universe, universe
 from linsemi.normal_cones import category, principal_cone
-from linsemi.semigroup import Endo, idempotents, mult_table, sing, transpose_table
+from linsemi.semigroup import Endo, idempotent_from, idempotents, mult_table, sing, transpose_table
 from linsemi.subspaces import (
+    ComplementMode,
     Morphism,
     Side,
     SubspaceFilter,
     annihilator,
     canonical,
+    complement,
     enumerate_subspaces,
     inclusion,
     zero_subspace,
@@ -63,6 +66,27 @@ class TestHSet:
                 if x.kernel.contains(E11.kernel) and a.contains(x.image)
             }
             assert got == brute
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3)])
+    def test_index_h_sets_match_h_set(self, n, p):
+        u = universe(n, p)
+        objects = category(n, p).objects
+        for e in idempotents(n, p, singular_only=True):
+            got = index_h_sets(u, u.index(e))
+            assert len(got) == len(objects)
+            for a, h in zip(objects, got):
+                assert {u.elements[x] for x in h} == h_set(e, a)
+
+    def test_check_rejects_doctored_decompositions(self, monkeypatch):
+        assert verify.check_hfunctor_keys(2, 2) == (True, {"kernels_checked": 4})
+        # File the zero map, first in counting order, under the kernel of the next
+        # idempotent: that kernel's idempotents no longer share their H-sets.
+        u = universe(2, 2)
+        real = u.decompositions
+        (x, _, w), null = real[0], real[1][1]
+        doctored = ((x, null, w), *real[1:])
+        monkeypatch.setattr(Universe, "decompositions", property(lambda u: doctored))
+        assert verify.check_hfunctor_keys(2, 2) == (False, str(u.subspaces[null].basis))
 
     def test_requires_idempotent(self):
         with pytest.raises(NotIdempotent):
@@ -192,26 +216,24 @@ class TestDualMorphisms:
     def test_compose_carriers_reverse(self):
         dual_objs = [s for s in enumerate_subspaces(2, 2, SubspaceFilter.PROPER, Side.DUAL) if s.dim == 1]
         y, z = dual_objs[0], dual_objs[1]
+        null = annihilator(y)
+        e = idempotent_from(null, complement(null, ComplementMode.CANONICAL))
         for d1 in dual_morphisms(y, z):
             for d2 in dual_morphisms(z, y):
                 comp = d1.compose(d2)
                 assert comp.fmat == d1.fmat @ d2.fmat
-                got = nat_trans(
-                    comp.carrier,
-                    hfunctor_for_kernel(annihilator(y)).witness,
-                    hfunctor_for_kernel(annihilator(y)).witness,
-                )
+                got = nat_trans(comp.carrier, e, e)
                 assert got.fmat == comp.fmat
 
 
 class TestFunctorP:
     def test_object_example(self):
-        h = hfunctor_for_kernel(canonical([[0, 1]], 2, 2))
+        h = HFunctor(canonical([[0, 1]], 2, 2))
         assert functor_p_object(h) == canonical([[1, 0]], 2, 2, Side.DUAL)
 
     def test_injective_on_objects(self):
         keys = enumerate_subspaces(2, 3, SubspaceFilter.NONZERO)
-        images = {functor_p_object(hfunctor_for_kernel(k)) for k in keys}
+        images = {functor_p_object(HFunctor(k)) for k in keys}
         assert len(images) == len(keys)
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3)])
@@ -228,7 +250,7 @@ class TestFunctorP:
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(NotSingular):
-            HFunctor(zero_subspace(2, 2), Endo.identity(2, 2))
+            HFunctor(zero_subspace(2, 2))
 
 
 class TestDualTables:

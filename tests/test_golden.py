@@ -30,6 +30,10 @@ DIGESTS = {
     # Taken when variant.crossconnection became not applicable at n = 1,
     # where the only singular theta is 0.
     (2, 1): "919017a337e3622d683c5f3c7b7b88cb32c8494560382e7bfb0b8da55e390b7b",
+    # Taken at commit f052eec, before green-oracle, sing-regular and
+    # hfunctor-determined moved onto the index tables; all three run at
+    # (5, 2), which no other digest here covers: about 2.5 s.
+    (5, 2): "97491501c0339155c2ce791a730fa6a6708dbacbc5360ee5ab14ffb2b546b41d",
 }
 
 # argv -> sha256 of the report; every subcommand in JSON, and the lattice

@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from linsemi import dual, indexed, semigroup
+from linsemi import dual, indexed, semigroup, verify
 from linsemi.errors import ShapeError, TooLarge
 from linsemi.gf import kernel_basis, row_basis
 from linsemi.normal_cones import category
@@ -172,3 +172,11 @@ def test_sing_tables_make_no_endo_product(monkeypatch, name):
     monkeypatch.setattr(Endo, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
     passed, _ = dict(REGISTRY)[name](3, 2)
     assert passed and not calls
+
+
+def test_run_all_builds_no_endo_at_2_4(monkeypatch):
+    # Every check that runs at (2, 4) reads the index tables.
+    built = []
+    monkeypatch.setattr(Endo, "__post_init__", lambda self: built.append(self))
+    verify.run_all(2, 4)
+    assert built == []

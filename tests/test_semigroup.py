@@ -1,6 +1,10 @@
 """Green's relations, idempotents, regularity and multiplication tables."""
+import dataclasses
+from array import array
+
 import pytest
 
+from linsemi import indexed
 from linsemi.errors import NotADirectSum, NotClosed
 from linsemi.gf import Mat
 from linsemi.semigroup import (
@@ -8,7 +12,6 @@ from linsemi.semigroup import (
     all_endos,
     gl,
     gl_order,
-    green,
     green_oracle_report,
     idempotent_decompositions,
     idempotent_from,
@@ -32,25 +35,21 @@ E11 = endo([[1, 0], [0, 0]])
 
 
 class TestGreen:
-    def test_shared_image_distinct_kernel(self):
-        f = endo([[1, 0], [1, 0]])
-        flags = green(E11, f)
-        assert flags.l and not flags.r and not flags.h and flags.d
-        assert E11.image == f.image == canonical([[1, 0]], 2, 2)
-        assert E11.kernel == canonical([[0, 1]], 2, 2)
-        assert f.kernel == canonical([[1, 1]], 2, 2)
-
-    def test_reflexive(self):
-        flags = green(E11, E11)
-        assert flags == (True, True, True, True)
-
-    def test_rank_separates(self):
-        flags = green(Endo.zero(2, 2), E11)
-        assert flags == (False, False, False, False)
-
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
     def test_oracle_agreement(self, n, p):
         assert green_oracle_report(sing(n, p)).agrees
+
+    def test_oracle_flags_read_the_kernel_table(self, monkeypatch):
+        # R and the right divisibility flags come from `Universe.kernel`: swapping
+        # the kernels of two singular elements must make the oracle disagree.
+        real = indexed.universe(2, 2)
+        a = real.singular[1]
+        b = next(x for x in real.singular if real.kernel[x] != real.kernel[a])
+        kernel = array("I", real.kernel)
+        kernel[a], kernel[b] = kernel[b], kernel[a]
+        tampered = dataclasses.replace(real, kernel=kernel)
+        monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
+        assert not green_oracle_report(sing(2, 2)).agrees
 
     def test_principal_ideals_read_the_cayley_table(self, monkeypatch):
         elements = sing(2, 3)

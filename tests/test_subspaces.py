@@ -1,10 +1,13 @@
 """Subspace lattice: enumeration counts, complements, annihilators, inclusions."""
 import itertools
+import operator
 
 import pytest
 
+from linsemi import indexed
 from linsemi.errors import NotIncluded, ShapeError
 from linsemi.gf import Mat, rank, rref
+from linsemi.normal_cones import category
 from linsemi.subspaces import (
     ComplementMode,
     Morphism,
@@ -299,3 +302,19 @@ class TestRrefKernelImage:
         assert f.rank == 3
         assert f.kernel() == zero_subspace(3, 3)
         assert f.image() == full_subspace(3, 3)
+
+
+def test_one_subspace_tuple_per_size():
+    # Every filter, the universe, the category and the complements share one set of objects.
+    spaces = enumerate_subspaces(3, 2)
+    u = indexed.universe(3, 2)
+
+    def same(xs, ys):
+        return len(xs) == len(ys) and all(map(operator.is_, xs, ys))
+
+    assert enumerate_subspaces(3, 2, SubspaceFilter.ALL, Side.PRIMAL) is spaces
+    assert same(u.subspaces, spaces)
+    assert same(category(3, 2).objects, spaces[:-1])
+    assert same(enumerate_subspaces(3, 2, SubspaceFilter.NONZERO), spaces[1:])
+    for a in spaces:
+        assert all(w is spaces[u.subspace_at[w]] for w in complement(a, ComplementMode.ALL))
