@@ -27,7 +27,6 @@ from .subspaces import (
     annihilator,
     complement,
     enumerate_subspaces,
-    is_direct_sum,
 )
 
 
@@ -108,12 +107,8 @@ def m_set_components(cone: NormalCone) -> frozenset[Subspace]:
 
 @lru_cache(maxsize=None)
 def m_set_complements(key: Subspace) -> frozenset[Subspace]:
-    """Proper subspaces A with A (+) key = V."""
-    return frozenset(
-        a
-        for a in enumerate_subspaces(key.n, key.p, SubspaceFilter.PROPER, key.side)
-        if is_direct_sum(a, key)
-    )
+    """Proper subspaces A with A (+) key = V: every complement of a nonzero key (the zero key's is V)."""
+    return frozenset() if key.is_zero else frozenset(complement(key, ComplementMode.ALL))
 
 
 def m_set(x) -> frozenset[Subspace]:

@@ -12,7 +12,9 @@ at (2, 4); every table is an `array` of typecode "I", 4 bytes an entry.
 The tables are built once per size, on first use:
 
 - `join[s][v]` is the index of s + <v>, for every subspace s and every
-  vector v; it costs one row reduction per pair with v outside s.
+  vector v: the members of s + <v> are a + c v over the members a of s
+  and every scalar c, read from `add` and `scale`, and their bitmask is
+  looked up among the subspaces' `members`, so no pair row-reduces.
 - `image[i]` comes from the join table by a recurrence on the row
   digits: the span of the first k rows joined with row k is the span of
   the first k + 1, so n rounds of lookups, row 0 first, give the image
@@ -26,12 +28,18 @@ The tables are built once per size, on first use:
 - `transpose[i]` is the index of the transposed matrix.
 - `below[s]` is a bitmask over subspaces: bit t is set when subspace s
   contains subspace t.
-- `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v,
-  built on first use; `combine(v, rows)` sums the given row vectors with
-  the entries of vector v as coefficients.
+- `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v;
+  `combine(v, rows)` sums the given row vectors with the entries of
+  vector v as coefficients.
+- `dims[s]` is the dimension of subspace s.
 - `idempotents`, built on its own first use, lists every M with M @ M = M:
   row r of M @ M combines the rows of M with the entries of row r as
-  coefficients, and the test of M stops at the first row that moves.
+  coefficients, and the test of M stops at the first row that moves. The
+  scan runs over the p^(n(n-1)) prefixes of the first n - 1 rows: a
+  prefix row r whose last entry c is nonzero forces the last row to be
+  c^-1 (r - the combination of the prefix rows by r's other entries), so
+  only that candidate is tested; a prefix with no such row tests all p^n,
+  unless one of its rows already moves without reading the last row.
 - `decompositions` builds the idempotent of each complementary pair (K, W)
   without a matrix inverse: it sends k + w to w, so `add` fills a p^n-entry
   target over the member vectors, and the unit vectors' targets are its rows.
@@ -61,7 +69,7 @@ from typing import Callable, Iterable, Sequence
 from . import semigroup
 from .errors import NotClosed, ShapeError, TooLarge
 from .gf import Mat, enum_guard
-from .subspaces import ComplementMode, Side, Subspace, annihilator, canonical, complement, enumerate_subspaces
+from .subspaces import ComplementMode, Side, Subspace, annihilator, complement, enumerate_subspaces
 
 MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 23 MB
 INDEX = "I"  # the typecode of every table
@@ -105,6 +113,8 @@ class Universe:
     below: tuple[int, ...]
     join: tuple[array, ...]
     ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
+    add: tuple[array, ...]
+    scale: tuple[array, ...]
 
     @cached_property
     def elements(self) -> tuple[semigroup.Endo, ...]:
@@ -113,6 +123,10 @@ class Universe:
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:  # the p^n rows, in counting order
         return tuple(itertools.product(range(self.p), repeat=self.n))
+
+    @cached_property
+    def dims(self) -> array:
+        return array(INDEX, (s.dim for s in self.subspaces))
 
     @cached_property
     def singular(self) -> array:
@@ -133,21 +147,12 @@ class Universe:
     @lru_cache(maxsize=None)
     def confined(self, top: int, bottom: int) -> tuple[int, ...]:
         """The singular elements with image inside subspace top and kernel above subspace bottom."""
+        dims = self.dims
         return tuple(
             x
             for x, (im, ker) in enumerate(zip(self.image, self.kernel))
-            if self.subspaces[im].dim < self.n and self.contains(top, im) and self.contains(ker, bottom)
+            if dims[im] < self.n and self.contains(top, im) and self.contains(ker, bottom)
         )
-
-    @cached_property
-    def add(self) -> tuple[array, ...]:
-        p, vs = self.p, self.vectors
-        return tuple(array(INDEX, (_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
-
-    @cached_property
-    def scale(self) -> tuple[array, ...]:
-        p, vs = self.p, self.vectors
-        return tuple(array(INDEX, (_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, array], ...], ...]:
@@ -168,14 +173,25 @@ class Universe:
 
     @cached_property
     def idempotents(self) -> array:
-        """The indices x with x @ x = x, in counting order."""
-        combine, out = self.combine, array(INDEX)
-        for x, rows in enumerate(itertools.product(range(len(self.vectors)), repeat=self.n)):
-            for r in rows:
-                if combine(r, rows) != r:
+        """The indices x with x @ x = x, in counting order; candidates come by row prefix."""
+        q, p, combine, add, scale = len(self.vectors), self.p, self.combine, self.add, self.scale
+        inverse, out = [0, *(pow(c, p - 2, p) for c in range(1, p))], array(INDEX)
+        for head, prefix in enumerate(itertools.product(range(q), repeat=self.n - 1)):
+            lasts: Iterable[int] = range(q)
+            for r in prefix:
+                if c := r % p:  # the last entry of row r; r - c is r with it cleared
+                    lasts = (scale[inverse[c]][add[r][scale[p - 1][combine(r - c, prefix)]]],)
                     break
-            else:
-                out.append(x)
+                if combine(r, prefix) != r:  # row r of x @ x does not read the last row
+                    lasts = ()
+                    break
+            for last in lasts:
+                rows = (*prefix, last)
+                for r in rows:
+                    if combine(r, rows) != r:
+                        break
+                else:
+                    out.append(head * q + last)
         return out
 
     @cached_property
@@ -241,15 +257,15 @@ def _transpose_table(n: int, p: int) -> array:
     return _digit_sums(places)
 
 
-def _join_table(subspaces: Sequence[Subspace], at: dict[Subspace, int]) -> tuple[array, ...]:
-    """Entry [s][v] is the index of subspace s + <v>, vectors in counting order."""
+def _join_table(subspaces: Sequence[Subspace], add: Sequence[array], scale: Sequence[array]) -> tuple[array, ...]:
+    """Entry [s][v] is the index of subspace s + <v>, vectors in counting order: the bitmask
+    of its members a + c v, over a in s and every c, names it among the subspaces."""
+    at = {s.members: i for i, s in enumerate(subspaces)}
     out = []
-    for i, s in enumerate(subspaces):
-        inside = set(s.vectors())
-        out.append(array(INDEX, (
-            i if v in inside else at[canonical((*s.basis.rows, v), s.n, s.p)]
-            for v in itertools.product(range(s.p), repeat=s.n)
-        )))
+    for s in subspaces:
+        inside = [a for a in range(len(add)) if s.members >> a & 1]
+        members = ({1 << add[a][c[v]] for c in scale for a in inside} for v in range(len(add)))
+        out.append(array(INDEX, (at[sum(bits)] for bits in members)))
     return tuple(out)
 
 
@@ -259,7 +275,10 @@ def universe(n: int, p: int) -> Universe:
     enum_guard(n, n, p)
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
-    join = _join_table(subspaces, at)
+    vs = list(itertools.product(range(p), repeat=n))
+    add = tuple(array(INDEX, (_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
+    scale = tuple(array(INDEX, (_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
+    join = _join_table(subspaces, add, scale)
     image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
     transpose = _transpose_table(n, p)
     ann = array(INDEX, (at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces))
@@ -267,7 +286,7 @@ def universe(n: int, p: int) -> Universe:
     below = tuple(
         sum(1 << j for j, b in enumerate(subspaces) if a.contains(b)) for a in subspaces
     )
-    return Universe(n, p, subspaces, at, image, kernel, transpose, below, join, ann)
+    return Universe(n, p, subspaces, at, image, kernel, transpose, below, join, ann, add, scale)
 
 
 def globalize(x: int, rows: Sequence[int]) -> int:

@@ -32,6 +32,7 @@ the round trip, the idempotent law and the census.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -332,11 +333,15 @@ def index_cone(u: Universe, x: int) -> IndexCone:
 
 def index_m_set(u: Universe, cone: IndexCone) -> frozenset[int]:
     """The objects, as subspace indices, where dim A = dim vertex and A's row images span the vertex."""
-    dim = u.subspaces[cone.vertex].dim
-    return frozenset(
-        a for a, at in enumerate(_rows(u)[1])
-        if len(at) == dim and _span(u, [cone.images[k] for k in at]) == cone.vertex
-    )
+    dims, per_object, out = u.dims, _rows(u)[1], []
+    dim = dims[cone.vertex]
+    for a in range(bisect_left(dims, dim), bisect_right(dims, dim)):  # subspaces come dimension-major
+        s = 0
+        for k in per_object[a]:
+            s = u.join[s][cone.images[k]]
+        if s == cone.vertex:
+            out.append(a)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)

@@ -94,7 +94,8 @@ def sing(n: int, p: int) -> tuple[Endo, ...]:
 @lru_cache(maxsize=None)
 def gl(n: int, p: int) -> tuple[Endo, ...]:
     u = indexed.universe(n, p)
-    return tuple(e for e, s in zip(u.elements, u.image) if u.subspaces[s].dim == n)
+    dims = u.dims
+    return tuple(e for e, s in zip(u.elements, u.image) if dims[s] == n)
 
 
 def gl_order(n: int, p: int) -> int:
@@ -167,25 +168,32 @@ def index_green_report(u: indexed.Universe, xs: Sequence[int]) -> GreenOracleRep
     def union(x: int, y: int) -> None:
         parent[find(x)] = find(y)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if left[i] == left[j] or right[i] == right[j]:
-                union(i, j)
-    spans = [(u.image[x], u.kernel[x], u.subspaces[u.image[x]].dim) for x in xs]
+    def label(ideals: list[frozenset[int]]) -> list[int]:  # the first position with the same ideal
+        first: dict[frozenset[int], int] = {}
+        return [first.setdefault(s, i) for i, s in enumerate(ideals)]
+
+    lclass, rclass = label(left), label(right)
+    for i in range(n):  # D is the join of L and R
+        union(i, lclass[i])
+        union(i, rclass[i])
+    dclass = [find(i) for i in range(n)]
+    spans = [(u.image[x], u.kernel[x], u.dims[u.image[x]]) for x in xs]
     for i, (im_a, ker_a, rank_a) in enumerate(spans):
+        left_i, right_i, li, ri, di = left[i], right[i], lclass[i], rclass[i], dclass[i]
         for j, (im_b, ker_b, rank_b) in enumerate(spans):
             l, r = im_a == im_b, ker_a == ker_b
-            if (j in left[i]) != u.contains(im_a, im_b):
+            same_l, same_r = li == lclass[j], ri == rclass[j]
+            if (j in left_i) != u.contains(im_a, im_b):
                 return GreenOracleReport(False, (i, j, "left divisibility"))
-            if (j in right[i]) != u.contains(ker_b, ker_a):
+            if (j in right_i) != u.contains(ker_b, ker_a):
                 return GreenOracleReport(False, (i, j, "right divisibility"))
-            if l != (left[i] == left[j]):
+            if l != same_l:
                 return GreenOracleReport(False, (i, j, "L"))
-            if r != (right[i] == right[j]):
+            if r != same_r:
                 return GreenOracleReport(False, (i, j, "R"))
-            if (l and r) != (left[i] == left[j] and right[i] == right[j]):
+            if (l and r) != (same_l and same_r):
                 return GreenOracleReport(False, (i, j, "H"))
-            if (rank_a == rank_b) != (find(i) == find(j)):
+            if (rank_a == rank_b) != (di == dclass[j]):
                 return GreenOracleReport(False, (i, j, "D"))
     return GreenOracleReport(True, None)
 

@@ -56,8 +56,8 @@ class Subspace:
 
     _hash = cached_property(lambda self: hash((self.n, self.p, self.side, self.basis)))
 
-    @property
-    def dim(self) -> int:
+    @cached_property
+    def dim(self) -> int:  # read often enough to compute once, like the hash
         return self.basis.nrows
 
     @property

@@ -95,7 +95,7 @@ def check_inclusion_splitting(p: int, n: int) -> Verdict:
 
 def check_sing_order(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)
-    got = sum(1 for s in u.image if u.subspaces[s].dim < n)
+    got = len(u.image) - u.image.count(len(u.subspaces) - 1)  # V is the last subspace
     want = sg.sing_order(n, p)
     return got == want, {"order": got}
 
@@ -113,9 +113,13 @@ def check_idempotents(p: int, n: int) -> Verdict:
     built = u.decompositions
     if [x for x, _, _ in built] != u.idempotents.tolist():  # both in counting order
         return False, {"built": len(built), "brute": len(u.idempotents)}
+    at, whole = {v: i for i, v in enumerate(u.vectors)}, len(u.subspaces) - 1
     for x, null, image in built:  # the table's kernel and image must be x's decomposition
         kernel, img = u.kernel[x], u.image[x]
-        if not sub.is_direct_sum(u.subspaces[kernel], u.subspaces[img]) or (kernel, img) != (null, image):
+        span = kernel  # kernel + image by joining the image's basis rows onto the kernel
+        for v in u.subspaces[img].basis.rows:
+            span = u.join[span][at[v]]
+        if u.dims[kernel] + u.dims[img] != n or span != whole or (kernel, img) != (null, image):
             return False, mat_to_text(u.matrix(x))
     return True, {"count": len(built)}
 
@@ -225,7 +229,7 @@ def check_msets(p: int, n: int) -> Verdict:
     by_comp: dict[int, set[int]] = {}  # kernel -> M-set by complements, as subspace indices
     for x in u.idempotents:
         null = u.kernel[x]
-        k = u.subspaces[null].dim
+        k = u.dims[null]
         if k == 0:  # the identity, the one invertible idempotent
             continue
         if null not in by_comp:

@@ -37,6 +37,7 @@ from linsemi.subspaces import (
     complement,
     enumerate_subspaces,
     inclusion,
+    is_direct_sum,
     zero_subspace,
 )
 
@@ -144,6 +145,13 @@ class TestMSet:
             got = m_set_components(principal_cone(e))
             assert got == m_set_complements(e.kernel)
             assert len(got) == 2 ** (k * (n - k))
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
+    def test_complements_match_rank_definition(self, p, n):
+        # Every key, the zero key (no proper complement) and V (complement 0) included.
+        proper = enumerate_subspaces(n, p, SubspaceFilter.PROPER)
+        for key in enumerate_subspaces(n, p):
+            assert m_set_complements(key) == {a for a in proper if is_direct_sum(a, key)}
 
     def test_sweep_bound_decided_before_building(self):
         # 20 833 singular idempotents at (2, 5); the closed form says so without building them.

@@ -5,13 +5,20 @@ from array import array
 
 import pytest
 
-from linsemi import dual, indexed, semigroup, verify
+from linsemi import dual, gf, indexed, normal_cones, semigroup, subspaces, verify
 from linsemi.errors import ShapeError, TooLarge
 from linsemi.gf import kernel_basis, row_basis
 from linsemi.normal_cones import category
 from linsemi.semigroup import Endo, all_endos, gl, sing
-from linsemi.subspaces import ComplementMode, complement
-from linsemi.verify import REGISTRY, _variant_thetas, check_idempotents, check_variant_membership
+from linsemi.subspaces import ComplementMode, canonical, complement
+from linsemi.verify import (
+    REGISTRY,
+    _variant_thetas,
+    check_idempotents,
+    check_msets,
+    check_sing_order,
+    check_variant_membership,
+)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
@@ -35,7 +42,15 @@ def test_too_large_universe_says_what_all_endos_says(p, n):
     assert str(from_universe.value) == str(from_endos.value)
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2)])
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_join_table_matches_canonical(p, n):
+    u = indexed.universe(n, p)
+    for s, row in zip(u.subspaces, u.join):
+        assert [u.subspaces[t] for t in row] == [canonical((*s.basis.rows, v), n, p) for v in u.vectors]
+
+
+# n = 1 scans the empty prefix; (3, 2), (5, 2) and (7, 2) force last rows with c^-1 other than 1.
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2)])
 def test_idempotents_match_gf(p, n):
     u = indexed.universe(n, p)
     assert u.idempotents.tolist() == [i for i, e in enumerate(u.elements) if e.mat @ e.mat == e.mat]
@@ -162,6 +177,20 @@ def test_idempotent_and_membership_checks_build_no_endo_at_2_4(monkeypatch):
     assert check_idempotents(2, 4) == (True, {"count": 802})
     assert check_variant_membership(2, 4) == (True, None)
     assert endos == [] and sweeps == []
+
+
+def test_lattice_checks_row_reduce_nothing_at_2_4(monkeypatch):
+    # Once the universe is built, the order, idempotent and M-set checks read its
+    # tables: no rank test, no row reduction.
+    indexed.universe(4, 2)
+    calls = []
+    rref = gf.rref
+    for module in (gf, subspaces, normal_cones):
+        monkeypatch.setattr(module, "rref", lambda m: calls.append(m) or rref(m))
+    assert check_sing_order(2, 4) == (True, {"order": 45_376})
+    assert check_idempotents(2, 4) == (True, {"count": 802})
+    assert check_msets(2, 4) == (True, None)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["crossconn.linked-semigroup", "crossconn.classification", "dual.table-op"])
