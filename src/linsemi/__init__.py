@@ -41,7 +41,6 @@ from .semigroup import (
     SemigroupTable,
     all_endos,
     gl,
-    green_oracle_report,
     idempotent_from,
     idempotents,
     mult_table,

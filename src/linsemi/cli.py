@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import crossconn as cx
+from . import indexed as ix
 from . import semigroup as sg
 from . import subspaces as sub
 from . import variants as va
@@ -116,6 +117,8 @@ def cmd_crossconn(args) -> Report:
     report = Report("crossconn", params)
     if args.theta:
         theta = _parse_theta(args.theta, args.p, args.n)
+        if theta.inverse() is not None:  # chi-naturality reads the Cayley table: test its bound first
+            ix.universe(args.n, args.p).products
         gamma, delta = cx.gamma_delta_theta(theta)
         verdict = cx.is_crossconnection(gamma)
         report.checks.append(Check("crossconn.is-crossconnection", verdict.ok, verdict.failure))

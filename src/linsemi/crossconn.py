@@ -254,7 +254,7 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
             return ChiReport(False, 0, (str(a.basis), str(y.basis), "duality is not a bijection"))
     # The row maps of each f: a -> b and of its image under delta.
     homs = {
-        (a, b): [(f, row_map(f), row_map(delta.mor(f))) for f in primal.hom(a, b)]
+        (a, b): [(f, row_map(f), row_map(delta.mor(f))) for f in hom_between(a, b)]
         for a in primal.objects
         for b in primal.objects
     }

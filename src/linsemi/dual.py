@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, invert
 from .indexed import Universe, universe
-from .normal_cones import IndexCone, NormalCone, category, cone_table
+from .normal_cones import NormalCone, category, cone_table
 from .semigroup import Endo, SemigroupTable, idempotent_from, sing
 from .subspaces import (
     ComplementMode,
@@ -105,7 +105,6 @@ def m_set_components(cone: NormalCone) -> frozenset[Subspace]:
     return frozenset(a for a, c in zip(objects, cone.components) if c.is_iso)
 
 
-@lru_cache(maxsize=None)
 def m_set_complements(key: Subspace) -> frozenset[Subspace]:
     """Proper subspaces A with A (+) key = V: every complement of a nonzero key (the zero key's is V)."""
     return frozenset() if key.is_zero else frozenset(complement(key, ComplementMode.ALL))
@@ -138,10 +137,6 @@ class DualMorphism:
         if self.cod != other.dom:
             raise ShapeError("codomain/domain mismatch in composition")
         return DualMorphism(self.dom, other.cod, self.fmat @ other.fmat, other.carrier @ self.carrier)
-
-    @staticmethod
-    def identity_at(e: Endo) -> "DualMorphism":
-        return nat_trans(e, e, e)
 
 
 def _functional_matrix(u: Endo, dom: Subspace, cod: Subspace) -> Mat:
@@ -227,7 +222,7 @@ def dual_endo(alpha: Endo) -> Endo:
     return alpha.transpose()
 
 
-def dual_cone_table(n: int, p: int) -> tuple[SemigroupTable, tuple[IndexCone, ...]]:
+def dual_cone_table(n: int, p: int) -> SemigroupTable:
     """Component-level cones over the dual category, one per singular map, composed by lookup.
 
     The cone attached to alpha is the principal cone of its transpose
@@ -236,8 +231,7 @@ def dual_cone_table(n: int, p: int) -> tuple[SemigroupTable, tuple[IndexCone, ..
     the order of the matrix product.
     """
     u = universe(n, p)
-    table = cone_table(u, [u.transpose[x] for x in u.singular])
-    return table, table.elements
+    return cone_table(u, [u.transpose[x] for x in u.singular])
 
 
 def dual_op_table(n: int, p: int) -> SemigroupTable:

@@ -83,12 +83,6 @@ class Mat:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.p != other.p:
             raise ModulusMismatch(f"GF({self.p}) vs GF({other.p})")
@@ -118,9 +112,6 @@ class Mat:
             self.ncols,
             p,
         )
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(-1)
 
     def scale(self, c: int) -> "Mat":
         p = self.p

@@ -66,9 +66,6 @@ class SubspaceCategory:
     def index(self, a: Subspace) -> int:
         return _object_index(self.n, self.p, self.side)[a]
 
-    def hom(self, a: Subspace, b: Subspace) -> tuple[Morphism, ...]:
-        return hom_between(a, b)
-
     def inclusion_pairs(self) -> tuple[tuple[Subspace, Subspace], ...]:
         return _inclusion_pairs(self.n, self.p, self.side)
 
@@ -388,17 +385,15 @@ def cone_table(u: Universe, members: Sequence[int]) -> SemigroupTable:
     return SemigroupTable(cones, tuple(table))
 
 
-def build_cone_semigroup(n: int, p: int) -> tuple[SemigroupTable, tuple[IndexCone, ...]]:
-    """Multiplication table of all principal cones under cone composition."""
+def build_cone_semigroup(n: int, p: int) -> SemigroupTable:
+    """Multiplication table of all principal cones under cone composition; its elements are the cones."""
     u = universe(n, p)
-    table = cone_table(u, u.singular)
-    return table, table.elements
+    return cone_table(u, u.singular)
 
 
 class ConeCensus(NamedTuple):
     valid_count: int
     inclusion_iso_only_count: int  # families passing just the two written laws
-    by_vertex: tuple[tuple[Subspace, int], ...]
     valid_cones: tuple[NormalCone, ...]
 
 
@@ -421,10 +416,8 @@ def cone_census(n: int, p: int) -> ConeCensus:
             raise TooLarge(f"cone census would enumerate more than {CENSUS_BUDGET} families")
     valid: list[NormalCone] = []
     near = 0
-    per_vertex = []
     for vertex in cat.objects:
-        vcount = 0
-        hom_lists = [cat.hom(a, vertex) for a in cat.objects]
+        hom_lists = [hom_between(a, vertex) for a in cat.objects]
         for assignment in itertools.product(*hom_lists):
             cone = NormalCone(n, p, Side.PRIMAL, vertex, tuple(assignment))
             check = validate_cone(cone)
@@ -432,6 +425,4 @@ def cone_census(n: int, p: int) -> ConeCensus:
                 near += 1
             if check.valid:
                 valid.append(cone)
-                vcount += 1
-        per_vertex.append((vertex, vcount))
-    return ConeCensus(len(valid), near, tuple(per_vertex), tuple(valid))
+    return ConeCensus(len(valid), near, tuple(valid))

@@ -118,12 +118,8 @@ def pgl_order(n: int, p: int) -> int:
     return gl_order(n, p) // (p - 1)
 
 
-def _indices(elements: Sequence[Endo]) -> tuple[indexed.Universe, list[int]]:
-    u = indexed.universe(elements[0].n, elements[0].p)
-    return u, [u.index(e) for e in elements]
-
-
-def _ideals(u: indexed.Universe, xs: Sequence[int]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+def principal_ideals(u: indexed.Universe, xs: Sequence[int]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """Per element of xs, its left ideal S^1 a and right ideal a S^1 as positions in xs, from the Cayley table."""
     prod, q = u.products, len(u.transpose)
     at = {x: i for i, x in enumerate(xs)}
     left = [frozenset([i, *(at[prod[s * q + a]] for s in xs)]) for i, a in enumerate(xs)]
@@ -131,19 +127,9 @@ def _ideals(u: indexed.Universe, xs: Sequence[int]) -> tuple[list[frozenset[int]
     return left, right
 
 
-def principal_ideals(elements: Sequence[Endo]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Left ideals S^1 a and right ideals a S^1 as index sets, per element, read from the Cayley table."""
-    return _ideals(*_indices(elements))
-
-
 class GreenOracleReport(NamedTuple):
     agrees: bool
     counterexample: tuple[int, int, str] | None
-
-
-def green_oracle_report(elements: Sequence[Endo]) -> GreenOracleReport:
-    """`index_green_report` on the indices of the given elements."""
-    return index_green_report(*_indices(elements))
 
 
 def index_green_report(u: indexed.Universe, xs: Sequence[int]) -> GreenOracleReport:
@@ -155,7 +141,7 @@ def index_green_report(u: indexed.Universe, xs: Sequence[int]) -> GreenOracleRep
     equivalences, and D both as the join of L and R and as rank equality
     (valid in the full monoid and in its ideals, the singular part included).
     """
-    left, right = _ideals(u, xs)
+    left, right = principal_ideals(u, xs)
     n = len(xs)
     parent = list(range(n))
 
@@ -210,18 +196,10 @@ def idempotent_from(null: Subspace, image: Subspace) -> Endo:
 
 
 @lru_cache(maxsize=None)
-def idempotent_decompositions(n: int, p: int) -> tuple[tuple[Endo, Subspace, Subspace], ...]:
-    """Every idempotent with the (kernel, image) decomposition it is built from, in counting order."""
+def idempotents(n: int, p: int) -> tuple[Endo, ...]:
+    """All idempotent transformations, built from direct-sum decompositions, in counting order."""
     u = indexed.universe(n, p)
-    return tuple((Endo(u.matrix(x)), u.subspaces[k], u.subspaces[w]) for x, k, w in u.decompositions)
-
-
-@lru_cache(maxsize=None)
-def idempotents(n: int, p: int, singular_only: bool = False) -> tuple[Endo, ...]:
-    """All idempotent transformations, built from direct-sum decompositions."""
-    if singular_only:  # drop the identity, the one idempotent with kernel 0
-        return tuple(e for e in idempotents(n, p) if not e.kernel.is_zero)
-    return tuple(e for e, _, _ in idempotent_decompositions(n, p))
+    return tuple(Endo(u.matrix(x)) for x, _, _ in u.decompositions)
 
 
 def regular_elements(elements: Sequence, product: Callable) -> tuple[list, dict]:

@@ -86,7 +86,6 @@ def reg_indices(ctx: VariantContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(reg), tuple(witness.values())
 
 
-@lru_cache(maxsize=None)
 def reg_variant(ctx: VariantContext) -> tuple[tuple[Endo, ...], tuple[tuple[Endo, Endo], ...]]:
     """Regular elements of the variant, with their first witnesses."""
     elements = universe(ctx.n, ctx.p).elements
@@ -94,7 +93,6 @@ def reg_variant(ctx: VariantContext) -> tuple[tuple[Endo, ...], tuple[tuple[Endo
     return tuple(elements[a] for a in reg), tuple((elements[a], elements[b]) for a, b in zip(reg, witnesses))
 
 
-@lru_cache(maxsize=None)
 def tr_elements(ctx: VariantContext) -> tuple[Endo, ...]:
     """Image-side carrier: transformations with image inside the complement."""
     u = universe(ctx.n, ctx.p)
@@ -102,7 +100,6 @@ def tr_elements(ctx: VariantContext) -> tuple[Endo, ...]:
     return tuple(f for f, s in zip(u.elements, u.image) if u.contains(w, s))
 
 
-@lru_cache(maxsize=None)
 def tb_elements(ctx: VariantContext) -> tuple[Endo, ...]:
     """Kernel-side carrier: transformations with kernel above the null space."""
     u = universe(ctx.n, ctx.p)
@@ -115,13 +112,21 @@ def phi(a: Endo, ctx: VariantContext) -> tuple[Endo, Endo]:
     return ctx.theta @ a, a @ ctx.theta
 
 
+def restricted_objects(ctx: VariantContext) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
+    """Objects of the restricted categories: subspaces inside w, annihilators of those above the null space."""
+    spaces = enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.ALL)
+    return (
+        tuple(a for a in spaces if ctx.w.contains(a)),
+        tuple(annihilator(a) for a in spaces if a.contains(ctx.null)),
+    )
+
+
 class VariantCategories(NamedTuple):
     r_objects: tuple[Subspace, ...]
     b_objects: tuple[Subspace, ...]
     tr_table: SemigroupTable
     tb_table: SemigroupTable
     tr_regular: bool
-    tb_regular: bool
 
 
 def variant_categories(ctx: VariantContext) -> VariantCategories:
@@ -130,23 +135,11 @@ def variant_categories(ctx: VariantContext) -> VariantCategories:
     The kernel-side carrier is a subsemigroup of the opposite monoid, so
     its table composes in reversed order.
     """
-    r_objects = tuple(
-        a for a in enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.ALL) if ctx.w.contains(a)
-    )
-    b_objects = tuple(
-        annihilator(a)
-        for a in enumerate_subspaces(ctx.n, ctx.p, SubspaceFilter.ALL)
-        if a.contains(ctx.null)
-    )
     tr = tr_elements(ctx)
-    tb = tb_elements(ctx)
     tr_table = mult_table(tr, lambda a, b: a @ b)
-    tb_table = mult_table(tb, lambda a, b: b @ a)
+    tb_table = mult_table(tb_elements(ctx), lambda a, b: b @ a)
     tr_reg, _ = regular_elements(tr, lambda a, b: a @ b)
-    tb_reg, _ = regular_elements(tb, lambda a, b: b @ a)
-    return VariantCategories(
-        r_objects, b_objects, tr_table, tb_table, len(tr_reg) == len(tr), len(tb_reg) == len(tb)
-    )
+    return VariantCategories(*restricted_objects(ctx), tr_table, tb_table, len(tr_reg) == len(tr))
 
 
 class VariantCxnReport(NamedTuple):
@@ -194,11 +187,11 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
         matches = reg_table.table == pair_table.table
     if theta.inverse() is not None:
         return VariantCxnReport(True, None, None, None, len(reg), injective, matches)
-    cats = variant_categories(ctx)
-    delta = functor_from_global(theta.mat, cats.r_objects)
+    r_objects, b_objects = restricted_objects(ctx)
+    delta = functor_from_global(theta.mat, r_objects)
     delta_verdict, delta_onto = _restricted_verdict(delta)
     try:
-        gamma = functor_from_global(theta.mat.transpose(), cats.b_objects)
+        gamma = functor_from_global(theta.mat.transpose(), b_objects)
     except NotInvertible:
         gamma_verdict = FunctorVerdict(False, "transpose collapses a dual object")
         gamma_onto = False

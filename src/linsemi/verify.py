@@ -83,12 +83,13 @@ def check_annihilator_antitone(p: int, n: int) -> Verdict:
 def check_inclusion_splitting(p: int, n: int) -> Verdict:
     spaces = sub.enumerate_subspaces(n, p)
     for a in spaces:
+        identity = sub.Morphism.identity(a)
         for b in spaces:
             if not b.contains(a):
                 continue
             j = sub.inclusion(a, b)
             q = sub.retraction(a, b)
-            if j.compose(q) != sub.Morphism.identity(a):
+            if j.compose(q) != identity:
                 return False, {"a": str(a.basis), "b": str(b.basis)}
     return True, None
 
@@ -204,7 +205,7 @@ def check_cone_census(p: int, n: int) -> Verdict:
 def check_cone_table(p: int, n: int) -> Verdict:
     if sg.sing_order(n, p) > 600:
         raise TooLarge("table build bounded to order 600")
-    table, _ = nc.build_cone_semigroup(n, p)
+    table = nc.build_cone_semigroup(n, p)
     return table.table == cx.sing_table(n, p).table, {"order": table.order}
 
 
@@ -252,7 +253,7 @@ def check_dual_tables(p: int, n: int) -> Verdict:
     sing_tab = cx.sing_table(n, p)
     op_expected = sg.transpose_table(sing_tab).table
     if n <= 2:
-        table, _ = du.dual_cone_table(n, p)
+        table = du.dual_cone_table(n, p)
         if table.table != op_expected:
             return False, "component-level dual cones"
     op_table = du.dual_op_table(n, p)
@@ -365,18 +366,20 @@ def _variant_thetas(p: int, n: int) -> tuple[sg.Endo, ...]:
     return tuple(map(sg.Endo, _variant_mats(p, n)))
 
 
+def _e11(p: int, n: int) -> Mat:
+    """The projection onto the first coordinate line: 1 in the corner, 0 elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = 1
+    return Mat.make(rows, p)
+
+
 def _variant_mats(p: int, n: int) -> tuple[Mat, ...]:
     """Every matrix when there are at most 100, else 0, 1, E11 and a nilpotent."""
     if p ** (n * n) <= 100:
         return tuple(all_matrices(n, n, p))
-    mats = [Mat.zeros(n, n, p), Mat.identity(n, p)]
-    e11 = [[0] * n for _ in range(n)]
-    e11[0][0] = 1
-    mats.append(Mat.make(e11, p))
     nilp = [[0] * n for _ in range(n)]
     nilp[1][0] = 1
-    mats.append(Mat.make(nilp, p))
-    return tuple(mats)
+    return Mat.zeros(n, n, p), Mat.identity(n, p), _e11(p, n), Mat.make(nilp, p)
 
 
 def check_variant_regularity(p: int, n: int) -> Verdict:
@@ -438,10 +441,7 @@ def check_variant_crossconnection(p: int, n: int) -> Verdict:
         return True, {"not_applicable": "the only singular theta at n = 1 is 0"}
     if p ** (n * n) > 1000:
         raise TooLarge("regular-part search bounded to 1000 elements")
-    e11 = [[0] * n for _ in range(n)]
-    e11[0][0] = 1
-    ctx = va.make_variant(sg.Endo(Mat.make(e11, p)))
-    report = va.variant_crossconnection(ctx)
+    report = va.variant_crossconnection(va.make_variant(sg.Endo(_e11(p, n))))
     return report.ok, {"reg_size": report.reg_size}
 
 
@@ -449,8 +449,7 @@ def check_variant_nonprincipal(p: int, n: int) -> Verdict:
     if p ** (n * n) > 1000:
         raise TooLarge("carrier search bounded to 1000 elements")
     if p ** (n * n) > 100:
-        theta = _variant_thetas(p, n)[2]
-        census = va.nonprincipal_cones(va.make_variant(theta))
+        census = va.nonprincipal_cones(va.make_variant(sg.Endo(_e11(p, n))))
         ok = len(census.excess) >= 1
         return ok, {"excess": len(census.excess)}
     for theta in _variant_thetas(p, n):

@@ -1,6 +1,9 @@
 """CLI behaviour: exit codes, report schema, determinism."""
 import json
 
+import pytest
+
+from linsemi import crossconn as cx
 from linsemi.cli import Report, emit, main
 from linsemi.verify import Check
 
@@ -34,6 +37,19 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
+    def test_crossconn_theta_past_the_cayley_bound(self, p, n, monkeypatch, capsys):
+        # chi-naturality needs the Cayley table: the bound is tested before any functor is built.
+        for name in ("functor_from_global", "is_crossconnection"):
+            monkeypatch.setattr(cx, name, lambda *args: pytest.fail("built a functor past the bound"))
+        identity = ";".join(",".join(str(int(i == j)) for j in range(n)) for i in range(n))
+        assert main(["crossconn", "--p", str(p), "--n", str(n), "--theta", identity]) == 2
+        assert "Cayley table" in capsys.readouterr().err
+
+    def test_crossconn_singular_theta_is_refused_first(self, capsys):
+        assert main(["crossconn", "--p", "3", "--n", "3", "--theta", "1,0,0;0,1,0;0,0,0"]) == 2
+        assert "must be invertible" in capsys.readouterr().err
 
 
 class TestReports:

@@ -27,7 +27,7 @@ from linsemi.normal_cones import category
 from linsemi.semigroup import Endo, gl, pgl_order, sing
 from linsemi.normal_cones import hom_between
 from linsemi.subspaces import Morphism, Side, annihilator, canonical, transport_morphism, zero_subspace
-from linsemi.variants import make_variant, variant_categories
+from linsemi.variants import make_variant, restricted_objects
 
 
 def endo(rows, p=2):
@@ -266,7 +266,7 @@ def test_bifunctor_actions_land_in_target_sets():
     dual = category(2, 2, Side.DUAL)
     a, b = primal.objects[1], primal.objects[2]
     y, z = dual.objects[1], dual.objects[2]
-    for f in primal.hom(a, b):
+    for f in hom_between(a, b):
         for w in dual_morphisms(y, z):
             act_g = gamma_action(f, w, theta)
             act_d = delta_action(f, w, theta)
@@ -303,7 +303,7 @@ class TestRestrictedLocalIso:
     def test_corrupted_composite_breaks_composition(self):
         # theta = E11 at (2, 2): the restricted delta lives on {0, L}, L = <e1>.
         ctx = make_variant(endo([[1, 0], [0, 0]]))
-        objects = variant_categories(ctx).r_objects
+        objects, _ = restricted_objects(ctx)
         delta = functor_from_global(ctx.theta.mat, objects)
         images = set(delta.object_map.values())
         assert is_local_isomorphism(objects, delta.object_map, delta.morphism_map, images).ok
@@ -365,7 +365,7 @@ class TestTransportOncePerObject:
     @pytest.mark.parametrize("p", [2, 3])
     def test_restricted_delta_of_e11(self, p):
         ctx = make_variant(endo([[1, 0], [0, 0]], p))
-        self.assert_matches_reference(ctx.theta.mat, variant_categories(ctx).r_objects)
+        self.assert_matches_reference(ctx.theta.mat, restricted_objects(ctx)[0])
 
     def test_not_injective_raises(self):
         # E11 kills the second coordinate line.

@@ -12,10 +12,9 @@ from linsemi.semigroup import (
     all_endos,
     gl,
     gl_order,
-    green_oracle_report,
-    idempotent_decompositions,
     idempotent_from,
     idempotents,
+    index_green_report,
     mult_table,
     principal_ideals,
     regular_elements,
@@ -37,9 +36,10 @@ E11 = endo([[1, 0], [0, 0]])
 class TestGreen:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
     def test_oracle_agreement(self, n, p):
-        assert green_oracle_report(sing(n, p)).agrees
+        u = indexed.universe(n, p)
+        assert index_green_report(u, u.singular).agrees
 
-    def test_oracle_flags_read_the_kernel_table(self, monkeypatch):
+    def test_oracle_flags_read_the_kernel_table(self):
         # R and the right divisibility flags come from `Universe.kernel`: swapping
         # the kernels of two singular elements must make the oracle disagree.
         real = indexed.universe(2, 2)
@@ -48,15 +48,14 @@ class TestGreen:
         kernel = array("I", real.kernel)
         kernel[a], kernel[b] = kernel[b], kernel[a]
         tampered = dataclasses.replace(real, kernel=kernel)
-        monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
-        assert not green_oracle_report(sing(2, 2)).agrees
+        assert not index_green_report(tampered, tampered.singular).agrees
 
     def test_principal_ideals_read_the_cayley_table(self, monkeypatch):
-        elements = sing(2, 3)
+        u, elements = indexed.universe(2, 3), sing(2, 3)
         calls = []
         real = Mat.__matmul__
         monkeypatch.setattr(Mat, "__matmul__", lambda a, b: calls.append(1) or real(a, b))
-        left, right = principal_ideals(elements)
+        left, right = principal_ideals(u, u.singular)
         assert calls == []
         monkeypatch.undo()
         index = {e: i for i, e in enumerate(elements)}
@@ -67,7 +66,7 @@ class TestGreen:
 class TestIdempotents:
     def test_counts_2_2(self):
         assert len(idempotents(2, 2)) == 8
-        assert len(idempotents(2, 2, singular_only=True)) == 7
+        assert len([e for e in idempotents(2, 2) if not e.kernel.is_zero]) == 7
 
     def test_identity_and_zero_present(self):
         es = idempotents(2, 3)
@@ -93,9 +92,10 @@ class TestIdempotents:
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
     def test_decompositions_are_the_built_idempotents(self, p, n):
-        built = idempotent_decompositions(n, p)
-        assert tuple(e for e, _, _ in built) == idempotents(n, p)
-        assert all((e.kernel, e.image) == (null, image) for e, null, image in built)
+        u = indexed.universe(n, p)
+        assert [(e, e.kernel, e.image) for e in idempotents(n, p)] == [
+            (Endo(u.matrix(x)), u.subspaces[null], u.subspaces[image]) for x, null, image in u.decompositions
+        ]
 
     def test_check_rejects_swapped_decompositions(self, monkeypatch):
         from linsemi import indexed, verify
@@ -110,7 +110,7 @@ class TestIdempotents:
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
     def test_singular_count_closed_form(self, p, n):
-        assert singular_idempotent_count(n, p) == len(idempotents(n, p, singular_only=True))
+        assert singular_idempotent_count(n, p) == len([e for e in idempotents(n, p) if not e.kernel.is_zero])
 
 
 class TestIdempotentFrom:

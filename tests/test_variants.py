@@ -1,4 +1,5 @@
 """Sandwich products, the regular part, translate pairs and restricted categories."""
+from linsemi import variants
 from linsemi.gf import Mat
 from linsemi.semigroup import Endo, all_endos
 from linsemi.variants import (
@@ -139,6 +140,14 @@ class TestVariantCrossconnection:
         assert report.invertible
         assert report.reg_size == 16
         assert report.phi_injective and report.phi_table_matches
+
+    def test_builds_only_the_variant_and_pair_tables(self, monkeypatch):
+        # The restricted functors need the object sets only, not the carrier tables.
+        sizes = []
+        real = variants.mult_table
+        monkeypatch.setattr(variants, "mult_table", lambda xs, prod: sizes.append(len(xs)) or real(xs, prod))
+        assert variant_crossconnection(make_variant(E11)).ok
+        assert sizes == [5, 5]
 
     def test_phi_image_lands_in_carriers(self):
         ctx = make_variant(E11)
