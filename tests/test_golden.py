@@ -58,11 +58,22 @@ SUBCOMMAND_DIGESTS = {
     "variant --p 2 --n 3 --theta 1,0,0;0,1,0;0,0,0 --json": "cef83ad082f0c939811bfb6a829247fc80027328182b25187dfe61d4e8cf7425",
     # The linked semigroup of order 145.
     "crossconn --p 5 --n 2 --theta 0,1;1,0 --json": "fa8a22447c68c7978df51c7281ff4c4f53c5faf0e976dff51238f8447d5ead1d",
+    # Taken at commit 916ac0d, before the per-theta verdicts of `crossconn --theta`
+    # and `variant` moved into the check registry's module: an invertible theta
+    # (no restricted functors are built), the two n = 1 forms, each variant group
+    # alone, and the text report of the failing variant.
+    "variant --p 2 --n 2 --theta 0,1;1,0 --json": "2ea47dea11f857886a087e73a1d628f5f7e198f6aaf0f8e5189207ad9d529e15",
+    "variant --p 2 --n 1 --theta 0 --json": "7434f6e4a4f17ca5056cffde1f617c34b7f74a24764d4d7d071817e6eed4956d",
+    "crossconn --p 2 --n 1 --theta 1 --json": "4a668d8b1757bbaa1023818b2c592d4a392481b5c4b54a5b5fbfe80f0316ca82",
+    "variant --p 2 --n 2 --theta 1,1;0,0 --reg --json": "1b5d04ba1333d9a2a5d6d92c96978619094a7e10867e46f4571b19f6bfde9707",
+    "variant --p 3 --n 2 --theta 1,0;0,0 --cxn --json": "dbe941c17d08b2419be7d60b91715870a411372b4dc8a7368a603cb75b384c7b",
+    "variant --p 2 --n 2 --theta 0,0;1,0 --census --json": "0cc72cb22dc7c1c98a807a037c8336244e183061275f2830f0ef6da887d2f6ab",
+    "variant --p 3 --n 2 --theta 0,0;1,0": "fea03bba90d0116ab977620e02fd780bda06db91d861337d653f1bc1c01929b5",
 }
 
 # rank(theta^2) < rank(theta): the restricted gamma cannot be built, so the
 # crossconnection check fails and the command exits 1.
-FAILING_SUBCOMMANDS = {"variant --p 3 --n 2 --theta 0,0;1,0 --json"}
+FAILING_SUBCOMMANDS = {"variant --p 3 --n 2 --theta 0,0;1,0 --json", "variant --p 3 --n 2 --theta 0,0;1,0"}
 
 
 @pytest.mark.parametrize("p,n", sorted(DIGESTS))
