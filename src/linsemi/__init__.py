@@ -68,7 +68,6 @@ from .dual import (
     dual_cone_table,
     h_map,
     h_set,
-    m_set,
     nat_trans,
 )
 from .crossconn import (
@@ -89,9 +88,23 @@ from .variants import (
     phi,
     reg_variant,
     sandwich,
-    variant_categories,
     variant_crossconnection,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlgebraError", "ModulusMismatch", "NotACone", "NotADirectSum", "NotClosed", "NotIdempotent",
+    "NotInSandwich", "NotIncluded", "NotInduced", "NotInvertible", "NotSingular", "ShapeError",
+    "TooLarge", "Mat", "invert", "is_prime", "kernel_basis", "mat_to_text", "parse_mat", "rank",
+    "row_basis", "rref", "ComplementMode", "Morphism", "Side", "Subspace", "SubspaceFilter",
+    "annihilator", "canonical", "complement", "enumerate_subspaces", "gaussian_binomial",
+    "inclusion", "retraction", "Endo", "SemigroupTable", "all_endos", "gl", "idempotent_from",
+    "idempotents", "mult_table", "regular_elements", "sing", "sing_order", "transpose_table",
+    "Factorization", "NormalCone", "build_cone_semigroup", "cone_census", "cone_compose",
+    "cone_to_map", "epimorphic_component", "normal_factorization", "principal_cone",
+    "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "dual_cone_table", "h_map",
+    "h_set", "nat_trans", "CrossConn", "chi", "check_chi_naturality", "classify_crossconnections",
+    "gamma_delta_theta", "is_crossconnection", "is_local_isomorphism", "linked_pair_semigroup",
+    "recover_theta", "VariantContext", "make_variant", "nonprincipal_cones", "phi", "reg_variant",
+    "sandwich", "variant_crossconnection",
+]
 __version__ = "0.1.0"

@@ -17,9 +17,8 @@ from . import crossconn as cx
 from . import indexed as ix
 from . import semigroup as sg
 from . import subspaces as sub
-from . import variants as va
 from . import verify
-from .errors import AlgebraError
+from .errors import AlgebraError, NotInvertible
 from .gf import is_prime, mat_to_text, parse_mat
 from .subspaces import SubspaceFilter
 from .verify import Check
@@ -87,27 +86,19 @@ def _registry_checks(args, group: str, defaults: bool) -> list[Check]:
     return [verify.run_check(name, fn, args.p, args.n) for name, fn in chosen]
 
 
+def cmd_group(args) -> Report:
+    """The subcommand's group of the registry."""
+    return Report(args.command, {"p": args.p, "n": args.n}, _registry_checks(args, args.command, True))
+
+
 def cmd_lattice(args) -> Report:
-    report = Report("lattice", {"p": args.p, "n": args.n})
+    report = cmd_group(args)
     spaces = sub.enumerate_subspaces(args.n, args.p, SubspaceFilter.ALL)
     for a in spaces:
         rows = mat_to_text(a.basis) if a.dim else "-"
         report.listing.append(f"dim {a.dim}: {rows}")
     report.listing.append(f"subspaces: {len(spaces)}")
-    report.checks = _registry_checks(args, "lattice", True)
     return report
-
-
-def cmd_semigroup(args) -> Report:
-    return Report("semigroup", {"p": args.p, "n": args.n}, _registry_checks(args, "semigroup", True))
-
-
-def cmd_cones(args) -> Report:
-    return Report("cones", {"p": args.p, "n": args.n}, _registry_checks(args, "cones", True))
-
-
-def cmd_dual(args) -> Report:
-    return Report("dual", {"p": args.p, "n": args.n}, _registry_checks(args, "dual", True))
 
 
 def cmd_crossconn(args) -> Report:
@@ -117,86 +108,43 @@ def cmd_crossconn(args) -> Report:
     report = Report("crossconn", params)
     if args.theta:
         theta = _parse_theta(args.theta, args.p, args.n)
-        if theta.inverse() is not None:  # chi-naturality reads the Cayley table: test its bound first
-            ix.universe(args.n, args.p).products
-        gamma, delta = cx.gamma_delta_theta(theta)
-        verdict = cx.is_crossconnection(gamma)
-        report.checks.append(Check("crossconn.is-crossconnection", verdict.ok, verdict.failure))
-        chi_rep = cx.check_chi_naturality(theta, gamma, delta)
-        report.checks.append(
-            Check("crossconn.chi-naturality", chi_rep.ok, {"squares": chi_rep.squares_checked})
+        if theta.inverse() is None:
+            raise NotInvertible(cx.MUST_BE_INVERTIBLE)
+        ix.universe(args.n, args.p).products  # chi-naturality reads the Cayley table: test its bound first
+        verdicts = (
+            ("crossconn.is-crossconnection", verify.theta_crossconnection),
+            ("crossconn.chi-naturality", verify.theta_chi_naturality),
+            ("crossconn.linked-semigroup", verify.theta_linked_semigroup),
+            ("crossconn.recover-roundtrip", verify.theta_recover_roundtrip),
         )
-        linked = cx.linked_pair_semigroup(theta)
-        report.checks.append(
-            Check("crossconn.linked-semigroup", linked.matches_sing, {"order": linked.table.order})
-        )
-        if args.n < 2:
-            roundtrip = Check("crossconn.recover-roundtrip", True, {"not_applicable": cx.NEEDS_TWO_LINES})
-        else:
-            recovered = cx.recover_theta(delta)
-            ok = recovered == cx.canonical_scalar_rep(theta)
-            roundtrip = Check("crossconn.recover-roundtrip", ok, mat_to_text(recovered.mat))
-        report.checks.append(roundtrip)
+        report.checks = [verify.run_check(name, fn, theta) for name, fn in verdicts]
     report.checks += _registry_checks(args, "crossconn", not args.theta)
     return report
 
 
 def cmd_variant(args) -> Report:
-    params = {"p": args.p, "n": args.n, "theta": args.theta}
-    report = Report("variant", params)
+    report = Report("variant", {"p": args.p, "n": args.n, "theta": args.theta})
     theta = _parse_theta(args.theta, args.p, args.n)
-    ctx = va.make_variant(theta)
+    ix.universe(args.n, args.p).products  # every group reads the Cayley table: test its bound first
+    groups = (
+        (args.reg, "variant.reg", verify.theta_variant_reg),
+        (args.cxn, "variant.crossconnection", verify.theta_variant_crossconnection),
+        (args.census, "variant.nonprincipal-census", verify.theta_nonprincipal_census),
+    )
     run_all_groups = not (args.reg or args.cxn or args.census)
-    if args.reg or run_all_groups:
-        reg, _ = va.reg_indices(ctx)
-        sandwich = va.sandwich_index(ctx)
-        closed = set(reg).issuperset(sandwich(a, b) for a in reg for b in reg)
-        report.checks.append(Check("variant.reg", closed, {"reg_size": len(reg)}))
-    if (args.cxn or run_all_groups) and args.n == 1 and theta.inverse() is None:
-        # 0 is the only proper subspace at n = 1, so no functor of theta = 0 fails to be onto.
-        cxn_check = verify.check_variant_crossconnection
-        report.checks.append(verify.run_check("variant.crossconnection", cxn_check, args.p, args.n))
-    elif args.cxn or run_all_groups:
-        cxn = va.variant_crossconnection(ctx)
-        witness = {
-            "reg_size": cxn.reg_size,
-            "invertible": cxn.invertible,
-            "carrier_sizes": [len(va.tr_elements(ctx)), len(va.tb_elements(ctx))],
-        }
-        if not cxn.invertible:
-            verdicts = (("delta", cxn.delta_verdict), ("gamma", cxn.gamma_verdict))
-            witness.update({f"{side}_failure": v.failure for side, v in verdicts if not v.ok})
-        if cxn.phi_table_matches:  # the identity carries the variant table onto the pair table
-            witness["iso_witness"] = list(range(cxn.reg_size))
-        report.checks.append(Check("variant.crossconnection", cxn.ok, witness))
-    if args.census or run_all_groups:
-        census = va.nonprincipal_cones(ctx)
-        invertible = theta.inverse() is not None
-        zero = all(x == 0 for x in theta.mat.flat())
-        expected_excess = not invertible and not zero
-        ok = (len(census.excess) >= 1) == expected_excess
-        witness = {
-            "carrier": census.carrier_size,
-            "principal": census.principal_size,
-            "excess": len(census.excess),
-        }
-        if census.example is not None:
-            witness["example"] = mat_to_text(census.example.mat)
-        report.checks.append(Check("variant.nonprincipal-census", ok, witness))
+    report.checks = [verify.run_check(name, fn, theta) for flag, name, fn in groups if flag or run_all_groups]
     return report
 
 
 def cmd_verify_all(args) -> Report:
-    report = Report("verify-all", {"p": args.p, "n": args.n})
-    report.checks = verify.run_all(args.p, args.n)
-    return report
+    return Report("verify-all", {"p": args.p, "n": args.n}, verify.run_all(args.p, args.n))
 
 
 COMMANDS = {
     "lattice": cmd_lattice,
-    "semigroup": cmd_semigroup,
-    "cones": cmd_cones,
-    "dual": cmd_dual,
+    "semigroup": cmd_group,
+    "cones": cmd_group,
+    "dual": cmd_group,
     "crossconn": cmd_crossconn,
     "variant": cmd_variant,
     "verify-all": cmd_verify_all,

@@ -75,10 +75,13 @@ def functor_from_global(g: Mat, objects: Sequence[Subspace]) -> CrossConn:
     return CrossConn(a0.n, a0.p, a0.side, omap, mmap)
 
 
+MUST_BE_INVERTIBLE = "the inducing transformation must be invertible"
+
+
 def gamma_delta_theta(theta: Endo) -> tuple[CrossConn, CrossConn]:
     """The dual-side and primal-side functors induced by an automorphism."""
     if theta.inverse() is None:
-        raise NotInvertible("the inducing transformation must be invertible")
+        raise NotInvertible(MUST_BE_INVERTIBLE)
     n, p = theta.n, theta.p
     delta = functor_from_global(theta.mat, category(n, p, Side.PRIMAL).objects)
     gamma = functor_from_global(theta.mat.transpose(), category(n, p, Side.DUAL).objects)

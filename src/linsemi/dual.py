@@ -110,14 +110,6 @@ def m_set_complements(key: Subspace) -> frozenset[Subspace]:
     return frozenset() if key.is_zero else frozenset(complement(key, ComplementMode.ALL))
 
 
-def m_set(x) -> frozenset[Subspace]:
-    if isinstance(x, NormalCone):
-        return m_set_components(x)
-    if isinstance(x, HFunctor):
-        return m_set_complements(x.key)
-    raise TypeError(f"no M-set for {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class DualMorphism:
     """A morphism of the annihilator category, with a sandwich carrier.
@@ -215,11 +207,6 @@ def build_normal_dual(n: int, p: int) -> NormalDual:
         for h2, im2 in zip(hfs, images)
     )
     return NormalDual(hfs, tuple(zip(hfs, images)), injective, count_matches, incl)
-
-
-def dual_endo(alpha: Endo) -> Endo:
-    """The transpose, acting on functional coordinates of V*."""
-    return alpha.transpose()
 
 
 def dual_cone_table(n: int, p: int) -> SemigroupTable:

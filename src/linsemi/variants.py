@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .crossconn import CrossConn, FunctorVerdict, functor_from_global, is_local_isomorphism
 from .errors import NotInvertible
 from .indexed import universe
-from .semigroup import Endo, SemigroupTable, mult_table, regular_elements
+from .semigroup import Endo, mult_table, regular_elements
 from .subspaces import (
     ComplementMode,
     Subspace,
@@ -119,27 +119,6 @@ def restricted_objects(ctx: VariantContext) -> tuple[tuple[Subspace, ...], tuple
         tuple(a for a in spaces if ctx.w.contains(a)),
         tuple(annihilator(a) for a in spaces if a.contains(ctx.null)),
     )
-
-
-class VariantCategories(NamedTuple):
-    r_objects: tuple[Subspace, ...]
-    b_objects: tuple[Subspace, ...]
-    tr_table: SemigroupTable
-    tb_table: SemigroupTable
-    tr_regular: bool
-
-
-def variant_categories(ctx: VariantContext) -> VariantCategories:
-    """Object sets and carrier semigroups of the two restricted categories.
-
-    The kernel-side carrier is a subsemigroup of the opposite monoid, so
-    its table composes in reversed order.
-    """
-    tr = tr_elements(ctx)
-    tr_table = mult_table(tr, lambda a, b: a @ b)
-    tb_table = mult_table(tb_elements(ctx), lambda a, b: b @ a)
-    tr_reg, _ = regular_elements(tr, lambda a, b: a @ b)
-    return VariantCategories(*restricted_objects(ctx), tr_table, tb_table, len(tr_reg) == len(tr))
 
 
 class VariantCxnReport(NamedTuple):

@@ -3,10 +3,13 @@
 A check is a verdict function (p, n) -> (passed, witness), the witness
 small enough to print. A check that does not run past a bound raises
 TooLarge, and its message is the reason. Only `REGISTRY` names the
-checks, and `run_check` is the one place that turns a verdict into a
-Check record: TooLarge becomes a skip, any other AlgebraError a failed
-check. The registry order is fixed and the checks run one after another
-in that order, so report output is deterministic.
+checks. The `theta_*` verdicts judge one theta, for `crossconn --theta`
+and `variant`; a registry check that repeats such a rule loops over the
+verdict and keeps its own witness. `run_check` is the one place that
+turns a verdict into a Check record, for every subcommand: TooLarge
+becomes a skip, any other AlgebraError a failed check. The registry
+order is fixed and the checks run one after another in that order, so
+report output is deterministic.
 """
 from __future__ import annotations
 
@@ -289,53 +292,75 @@ def check_nat_trans(p: int, n: int) -> Verdict:
 
 
 def _gl_scope(p: int, n: int, full: int = 48, sample: int = 6) -> tuple[sg.Endo, ...]:
+    if n != 2:
+        raise TooLarge("run at n = 2")
     autos = sg.gl(n, p)
     return autos if len(autos) <= full else autos[:sample]
 
 
+def theta_crossconnection(theta: sg.Endo) -> Verdict:
+    """The automorphism's gamma is a cross-connection and its delta a local isomorphism."""
+    gamma, delta = cx.gamma_delta_theta(theta)
+    verdict = cx.is_crossconnection(gamma)
+    if not verdict.ok:
+        return False, verdict.failure
+    objects = nc.category(theta.n, theta.p).objects
+    if not cx.is_local_isomorphism(objects, delta.object_map, delta.morphism_map, objects).ok:
+        return False, "delta"
+    return True, None
+
+
+def theta_chi_naturality(theta: sg.Endo) -> Verdict:
+    gamma, delta = cx.gamma_delta_theta(theta)
+    report = cx.check_chi_naturality(theta, gamma, delta)
+    return report.ok, {"squares": report.squares_checked} if report.ok else report.failure
+
+
+def theta_linked_semigroup(theta: sg.Endo) -> Verdict:
+    linked = cx.linked_pair_semigroup(theta)
+    return linked.matches_sing, {"order": linked.table.order}
+
+
+def theta_recover_roundtrip(theta: sg.Endo) -> Verdict:
+    """delta gives theta back up to a scalar; one coordinate line cannot pin it down."""
+    if theta.n < 2:
+        return True, {"not_applicable": cx.NEEDS_TWO_LINES}
+    _, delta = cx.gamma_delta_theta(theta)
+    recovered = cx.recover_theta(delta)
+    return recovered == cx.canonical_scalar_rep(theta), mat_to_text(recovered.mat)
+
+
 def check_gl_crossconnections(p: int, n: int) -> Verdict:
-    if n != 2:
-        raise TooLarge("run at n = 2")
     autos = _gl_scope(p, n)
-    objects = nc.category(n, p).objects
     for theta in autos:
-        gamma, delta = cx.gamma_delta_theta(theta)
-        verdict = cx.is_crossconnection(gamma)
-        if not verdict.ok:
-            return False, (_endo_text(theta), verdict.failure)
-        if not cx.is_local_isomorphism(objects, delta.object_map, delta.morphism_map, objects).ok:
-            return False, (_endo_text(theta), "delta")
+        ok, failure = theta_crossconnection(theta)
+        if not ok:
+            return False, (_endo_text(theta), failure)
     return True, {"automorphisms": len(autos)}
 
 
 def check_chi(p: int, n: int) -> Verdict:
-    if n != 2:
-        raise TooLarge("run at n = 2")
     total = 0
     for theta in _gl_scope(p, n, sample=2):
-        gamma, delta = cx.gamma_delta_theta(theta)
-        report = cx.check_chi_naturality(theta, gamma, delta)
-        if not report.ok:
-            return False, (_endo_text(theta), report.failure)
-        total += report.squares_checked
+        ok, witness = theta_chi_naturality(theta)
+        if not ok:
+            return False, (_endo_text(theta), witness)
+        total += witness["squares"]
     return True, {"squares": total}
 
 
 def check_linked_semigroups(p: int, n: int) -> Verdict:
-    if n != 2:
-        raise TooLarge("run at n = 2")
     for theta in _gl_scope(p, n):
-        if not cx.linked_pair_semigroup(theta).matches_sing:
+        if not theta_linked_semigroup(theta)[0]:
             return False, _endo_text(theta)
     return True, {"order": sg.sing_order(n, p)}
 
 
 def check_scalar_invariance(p: int, n: int) -> Verdict:
-    if n != 2:
-        raise TooLarge("run at n = 2")
+    autos = _gl_scope(p, n)
     if p == 2:
         return True, {"note": "only the unit scalar exists"}
-    for theta in _gl_scope(p, n):
+    for theta in autos:
         gamma, delta = cx.gamma_delta_theta(theta)
         for c in range(2, p):
             gamma_c, delta_c = cx.gamma_delta_theta(sg.Endo(theta.mat.scale(c)))
@@ -354,10 +379,7 @@ def check_classification(p: int, n: int) -> Verdict:
         return False, {"count": census.count, "expected": want}
     for omap, theta in zip(census.bijections, census.thetas):
         _, delta = cx.gamma_delta_theta(theta)
-        if delta.object_map != omap:
-            return False, _endo_text(theta)
-        linked = cx.linked_pair_semigroup(theta)
-        if not linked.matches_sing:
+        if delta.object_map != omap or not theta_linked_semigroup(theta)[0]:
             return False, _endo_text(theta)
     return True, {"count": census.count}
 
@@ -382,18 +404,50 @@ def _variant_mats(p: int, n: int) -> tuple[Mat, ...]:
     return Mat.zeros(n, n, p), Mat.identity(n, p), _e11(p, n), Mat.make(nilp, p)
 
 
+def theta_variant_reg(theta: sg.Endo) -> Verdict:
+    """The regular part is closed under the sandwich product, and a theta b theta a = a for each first witness b."""
+    ctx = va.make_variant(theta)
+    sandwich = va.sandwich_index(ctx)
+    reg, witnesses = va.reg_indices(ctx)
+    closed = set(reg).issuperset(sandwich(a, b) for a in reg for b in reg)
+    ok = closed and all(sandwich(sandwich(a, b), a) == a for a, b in zip(reg, witnesses))
+    return ok, {"reg_size": len(reg)}
+
+
+def theta_variant_crossconnection(theta: sg.Endo) -> Verdict:
+    if theta.n == 1 and theta.inverse() is None:
+        return True, {"not_applicable": "the only singular theta at n = 1 is 0"}
+    ctx = va.make_variant(theta)
+    cxn = va.variant_crossconnection(ctx)
+    witness = {
+        "reg_size": cxn.reg_size,
+        "invertible": cxn.invertible,
+        "carrier_sizes": [len(va.tr_elements(ctx)), len(va.tb_elements(ctx))],
+    }
+    if not cxn.invertible:
+        verdicts = (("delta", cxn.delta_verdict), ("gamma", cxn.gamma_verdict))
+        witness.update({f"{side}_failure": v.failure for side, v in verdicts if not v.ok})
+    if cxn.phi_table_matches:  # the identity carries the variant table onto the pair table
+        witness["iso_witness"] = list(range(cxn.reg_size))
+    return cxn.ok, witness
+
+
+def theta_nonprincipal_census(theta: sg.Endo) -> Verdict:
+    """The image-side carrier holds a non-translate exactly when theta is singular and nonzero."""
+    census = va.nonprincipal_cones(va.make_variant(theta))
+    expected_excess = theta.inverse() is None and any(theta.mat.flat())
+    witness = {"carrier": census.carrier_size, "principal": census.principal_size, "excess": len(census.excess)}
+    if census.example is not None:
+        witness["example"] = mat_to_text(census.example.mat)
+    return (len(census.excess) >= 1) == expected_excess, witness
+
+
 def check_variant_regularity(p: int, n: int) -> Verdict:
     if p ** (n * n) > 1000:
         raise TooLarge("regular-part search bounded to 1000 elements")
     thetas = _variant_thetas(p, n)
     for theta in thetas:
-        ctx = va.make_variant(theta)
-        sandwich = va.sandwich_index(ctx)
-        reg, witnesses = va.reg_indices(ctx)
-        reg_set = set(reg)
-        if not reg_set.issuperset(sandwich(a, b) for a in reg for b in reg):
-            return False, _endo_text(theta)
-        if any(sandwich(sandwich(a, b), a) != a for a, b in zip(reg, witnesses)):
+        if not theta_variant_reg(theta)[0]:
             return False, _endo_text(theta)
     return True, {"thetas": len(thetas)}
 
@@ -437,27 +491,22 @@ def check_variant_membership(p: int, n: int) -> Verdict:
 
 
 def check_variant_crossconnection(p: int, n: int) -> Verdict:
-    if n == 1:
-        return True, {"not_applicable": "the only singular theta at n = 1 is 0"}
+    if n == 1:  # the only singular theta is 0
+        return theta_variant_crossconnection(sg.Endo(Mat.zeros(1, 1, p)))
     if p ** (n * n) > 1000:
         raise TooLarge("regular-part search bounded to 1000 elements")
-    report = va.variant_crossconnection(va.make_variant(sg.Endo(_e11(p, n))))
-    return report.ok, {"reg_size": report.reg_size}
+    ok, witness = theta_variant_crossconnection(sg.Endo(_e11(p, n)))
+    return ok, {"reg_size": witness["reg_size"]}
 
 
 def check_variant_nonprincipal(p: int, n: int) -> Verdict:
     if p ** (n * n) > 1000:
         raise TooLarge("carrier search bounded to 1000 elements")
     if p ** (n * n) > 100:
-        census = va.nonprincipal_cones(va.make_variant(sg.Endo(_e11(p, n))))
-        ok = len(census.excess) >= 1
-        return ok, {"excess": len(census.excess)}
+        ok, witness = theta_nonprincipal_census(sg.Endo(_e11(p, n)))
+        return ok, {"excess": witness["excess"]}
     for theta in _variant_thetas(p, n):
-        ctx = va.make_variant(theta)
-        census = va.nonprincipal_cones(ctx)
-        if theta.inverse() is not None or all(x == 0 for x in theta.mat.flat()):
-            continue
-        if len(census.excess) < 1:
+        if not theta_nonprincipal_census(theta)[0]:
             return False, _endo_text(theta)
     return True, None
 
@@ -496,10 +545,10 @@ REGISTRY: tuple[tuple[str, Callable[[int, int], Verdict]], ...] = (
 )
 
 
-def run_check(name: str, fn: Callable[[int, int], Verdict], p: int, n: int) -> Check:
-    """The record of one check: TooLarge makes it a skip, any other AlgebraError a failure."""
+def run_check(name: str, fn: Callable[..., Verdict], *args) -> Check:
+    """The record of the verdict fn(*args): TooLarge makes it a skip, any other AlgebraError a failure."""
     try:
-        passed, witness = fn(p, n)
+        passed, witness = fn(*args)
     except TooLarge as exc:
         return Check(name, True, {"skipped": str(exc)})
     except AlgebraError as exc:

@@ -1,4 +1,6 @@
 """The public names, pinned as the report digests are: a name leaves or joins `linsemi.__all__` on purpose."""
+import types
+
 import linsemi
 
 PUBLIC = """
@@ -7,15 +9,20 @@ PUBLIC = """
     NotInduced NotInvertible NotSingular SemigroupTable ShapeError Side Subspace SubspaceFilter TooLarge
     VariantContext all_endos annihilator build_cone_semigroup build_normal_dual canonical
     check_chi_naturality chi classify_crossconnections complement cone_census cone_compose cone_to_map
-    crossconn dual dual_cone_table enumerate_subspaces epimorphic_component errors gamma_delta_theta
-    gaussian_binomial gf gl h_map h_set idempotent_from idempotents inclusion indexed invert
-    is_crossconnection is_local_isomorphism is_prime kernel_basis linked_pair_semigroup m_set
-    make_variant mat_to_text mult_table nat_trans nonprincipal_cones normal_cones normal_factorization
-    parse_mat phi principal_cone rank recover_theta reg_variant regular_elements retraction row_basis
-    rref sandwich semigroup sing sing_order subspaces transpose_table validate_cone variant_categories
-    variant_crossconnection variants
+    dual_cone_table enumerate_subspaces epimorphic_component gamma_delta_theta gaussian_binomial gl
+    h_map h_set idempotent_from idempotents inclusion invert is_crossconnection is_local_isomorphism
+    is_prime kernel_basis linked_pair_semigroup make_variant mat_to_text mult_table nat_trans
+    nonprincipal_cones normal_factorization parse_mat phi principal_cone rank recover_theta reg_variant
+    regular_elements retraction row_basis rref sandwich sing sing_order transpose_table validate_cone
+    variant_crossconnection
 """.split()
 
 
 def test_public_names_are_pinned():
     assert sorted(linsemi.__all__) == PUBLIC
+
+
+def test_submodules_are_attributes_not_exports():
+    for name in ("crossconn", "dual", "errors", "gf", "indexed", "normal_cones", "semigroup", "subspaces", "variants"):
+        assert isinstance(getattr(linsemi, name), types.ModuleType)
+        assert name not in linsemi.__all__

@@ -258,3 +258,56 @@ def test_registry_names_every_public_check_once():
     assert len(set(names)) == len(names)
     assert len(set(fns)) == len(fns)
     assert set(fns) == public
+
+
+THETA_VERDICTS = {
+    "crossconn --p 2 --n 2 --theta 0,1;1,0 --json": ("theta_chi_naturality", "crossconn.chi-naturality"),
+    "variant --p 2 --n 2 --theta 1,0;0,0 --json": ("theta_variant_reg", "variant.reg"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(THETA_VERDICTS))
+def test_algebra_error_in_a_theta_verdict_fails_it(argv, monkeypatch, capsys):
+    import linsemi.verify as verify_mod
+    from linsemi.errors import ShapeError
+
+    def escapes(theta):
+        raise ShapeError("image escapes the domain of the partial map")
+
+    attr, name = THETA_VERDICTS[argv]
+    monkeypatch.setattr(verify_mod, attr, escapes)
+    code, out = run(argv.split(), capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks[name]["witness"] == {"error": "ShapeError: image escapes the domain of the partial map"}
+    assert not checks[name]["pass"]
+    assert all(c["pass"] for other, c in checks.items() if other != name)
+
+
+@pytest.mark.parametrize(
+    "p,n,message", [(2, 4, "Cayley table"), (3, 3, "Cayley table"), (2, 5, "exceed limit")]
+)
+def test_variant_past_the_bound_runs_no_verdict(p, n, message, monkeypatch, capsys):
+    import linsemi.verify as verify_mod
+
+    for attr in ("theta_variant_reg", "theta_variant_crossconnection", "theta_nonprincipal_census"):
+        monkeypatch.setattr(verify_mod, attr, lambda theta: pytest.fail("ran a verdict past the bound"))
+    e11 = ";".join(",".join(str(int(i == j == 0)) for j in range(n)) for i in range(n))
+    assert main(["variant", "--p", str(p), "--n", str(n), "--theta", e11]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_only_run_check_builds_a_check():
+    import ast
+    import pathlib
+
+    import linsemi
+
+    builders = set()
+    for path in pathlib.Path(linsemi.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls = [c for c in ast.walk(fn) if isinstance(c, ast.Call)]
+                if any(getattr(c.func, "id", getattr(c.func, "attr", None)) == "Check" for c in calls):
+                    builders.add(f"{path.stem}.{fn.name}")
+    assert builders == {"verify.run_check"}

@@ -18,7 +18,6 @@ from linsemi.dual import (
     h_set,
     hfunctor_of,
     index_h_sets,
-    m_set,
     m_set_complements,
     m_set_components,
     nat_trans,
@@ -134,7 +133,7 @@ class TestMSet:
         want = {canonical([[1, 0]], 2, 2), canonical([[1, 1]], 2, 2)}
         assert m_set_components(cone) == want
         assert m_set_complements(E11.kernel) == want
-        assert m_set(cone) == m_set(hfunctor_of(E11))
+        assert m_set_components(cone) == m_set_complements(hfunctor_of(E11).key)
 
     def test_zero_map_mset_is_zero_object(self):
         cone = principal_cone(Endo.zero(2, 2))
