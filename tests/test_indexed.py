@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from linsemi import dual, gf, indexed, normal_cones, semigroup, subspaces, verify
+from linsemi import dual, gf, indexed, normal_cones, semigroup, subspaces, variants, verify
 from linsemi.errors import ShapeError, TooLarge
 from linsemi.gf import kernel_basis, row_basis
 from linsemi.normal_cones import category
@@ -109,6 +109,46 @@ def test_cayley_table_seeded_pairs():
     for _ in range(2000):
         a, b = rng.randrange(q), rng.randrange(q)
         assert u.elements[u.products[a * q + b]] == u.elements[a] @ u.elements[b]
+
+
+def _multiply_like(monkeypatch, a, like):
+    """Give every universe the (2, 2) Cayley table in which element a multiplies as element like does."""
+    u = indexed.universe(2, 2)
+    q = len(u.transpose)
+    doctored = array("I", u.products)
+    doctored[a * q : (a + 1) * q] = u.products[like * q : (like + 1) * q]
+    # A data descriptor on the class outranks the value the cached property stored on the instance.
+    monkeypatch.setattr(indexed.Universe, "products", property(lambda self: doctored))
+
+
+E22, E11 = 1, 8  # the coordinate projections 0,0;0,1 and 1,0;0,0 at (2, 2)
+
+
+@pytest.mark.parametrize(
+    "name,verdict,args,witness",
+    [
+        ("semigroup.green-oracle", verify.check_green_oracle, (2, 2), (1, 2, "right divisibility")),
+        ("semigroup.sing-regular", verify.check_sing_regular, (2, 2), {"regular": 9}),
+        ("cones.compose-homomorphism", verify.check_cone_homomorphism, (2, 2), ("0,0;0,1", "0,0;0,1")),
+        ("cones.table-isomorphic", verify.check_cone_table, (2, 2), {"order": 10}),
+        ("dual.table-op", verify.check_dual_tables, (2, 2), "component-level dual cones"),
+        ("dual.naturality", verify.check_nat_trans, (2, 2), ("0,1;0,0", "escapes the h-set")),
+        ("variant.phi-homomorphism", verify.check_variant_phi, (2, 2), "0,0;0,1"),
+        ("theta_linked_semigroup", verify.theta_linked_semigroup, (Endo(gf.parse_mat("0,1;1,0", 2)),), {"order": 10}),
+        ("theta_variant_reg", verify.theta_variant_reg, (Endo.identity(2, 2),), {"reg_size": 15}),
+    ],
+)
+def test_product_verdicts_reject_a_doctored_cayley_table(monkeypatch, name, verdict, args, witness):
+    # Each verdict passes on the true table; E22 multiplying as E11 must fail it.
+    assert verify.run_check(name, verdict, *args).passed is True
+    variants.reg_indices.cache_clear()  # the regular part is cached per variant, from the table
+    _multiply_like(monkeypatch, E22, E11)
+    try:
+        check = verify.run_check(name, verdict, *args)
+    finally:
+        variants.reg_indices.cache_clear()
+    assert check.passed is False
+    assert check.witness == witness
 
 
 @pytest.mark.parametrize("p", [2, 3])
