@@ -220,9 +220,8 @@ def chi_indices(theta: Endo) -> list[int]:
     if theta_inv is None:
         raise NotInvertible("the duality is conjugation by an automorphism")
     u = ix.universe(theta.n, theta.p)
-    prod, q = u.products, len(u.transpose)
-    t, t_inv = u.index(theta), u.index(theta_inv)
-    return [prod[prod[t_inv * q + x] * q + t] for x in range(q)]
+    prod, t = u.products, u.index(theta)
+    return [prod[y][t] for y in prod[u.index(theta_inv)]]
 
 
 class ChiReport(NamedTuple):
@@ -244,7 +243,7 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     chi_of = chi_indices(theta)
     chi_back = chi_indices(theta.inverse())  # theta x theta^-1
     u = ix.universe(n, p)
-    prod, q = u.products, len(u.transpose)
+    prod = u.products
     gamma_sets = {
         (a, y): _bifunctor_indices(a, gamma.obj(y)) for a in primal.objects for y in dual.objects
     }
@@ -274,8 +273,8 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
                     for f, f_rows, g_rows in homs[(a, b)]:
                         for w, carrier_y in zip(duals, carriers):
                             for alpha, alpha_chi in zip(gset_ay, chis):
-                                lhs = chi_of[ix.globalize(prod[carrier_y * q + alpha], f_rows)]
-                                rhs = ix.globalize(prod[w * q + alpha_chi], g_rows)
+                                lhs = chi_of[ix.globalize(prod[carrier_y][alpha], f_rows)]
+                                rhs = ix.globalize(prod[w][alpha_chi], g_rows)
                                 if lhs != rhs or rhs not in target:
                                     what = mat_to_text(u.elements[alpha].mat) if lhs != rhs else "escapes"
                                     told = (*(str(x.basis) for x in (a, y, b, z)), mat_to_text(f.mat), what)
@@ -297,8 +296,8 @@ def linked_pair_semigroup(theta: Endo) -> LinkedSemigroup:
     """
     chi_of = chi_indices(theta)
     u = ix.universe(theta.n, theta.p)
-    prod, q, s = u.products, len(u.transpose), u.singular
-    matches = all(chi_of[prod[a * q + b]] == prod[chi_of[a] * q + chi_of[b]] for a in s for b in s)
+    prod, s = u.products, u.singular
+    matches = all(chi_of[prod[a][b]] == prod[chi_of[a]][chi_of[b]] for a in s for b in s)
     pairs = tuple((u.elements[a], u.elements[chi_of[a]]) for a in s)
     return LinkedSemigroup(SemigroupTable(pairs, sing_table(theta.n, theta.p).table), matches)
 

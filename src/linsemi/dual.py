@@ -65,10 +65,9 @@ def h_set(e: Endo, a: Subspace) -> frozenset[Endo]:
 def index_h_sets(u: Universe, e: int) -> tuple[frozenset[int], ...]:
     """Entry a is H(e; A) at the object A of subspace index a, as element indices: the singular x
     with e x = x, read from the Cayley table, and image inside A."""
-    prod, q = u.products, len(u.transpose)
-    fixed = [x for x in u.singular if prod[e * q + x] == x]
-    objects = range(len(u.subspaces) - 1)  # every subspace but V
-    return tuple(frozenset(x for x in fixed if u.contains(a, u.image[x])) for a in objects)
+    row = u.products[e]
+    fixed = [x for x in u.singular if row[x] == x]
+    return tuple(frozenset(x for x in fixed if u.contains(a, u.image[x])) for a in range(u.whole))
 
 
 def globalize(alpha: Endo, f: Morphism) -> Endo:

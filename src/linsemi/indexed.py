@@ -52,7 +52,10 @@ p^(n^2) products a @ t from at most n * |lattice| * p^n lookups.
 
 The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
-Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. A subspace
+Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. It is read as
+rows, `products[a][b]`, each row a view of one q^2 buffer, so this module
+alone knows how an index encodes a product, like `whole` (the index of V)
+and `vector_at` (the index of a vector). A subspace
 morphism f acts on the rows of an element whose image lies in f.dom:
 `dual.row_map(f)`, built on first use per morphism, sends each vector of
 f.dom to its image and marks the others -1, so x followed by f
@@ -125,14 +128,22 @@ class Universe:
         return tuple(itertools.product(range(self.p), repeat=self.n))
 
     @cached_property
+    def vector_at(self) -> dict[tuple[int, ...], int]:
+        return {v: i for i, v in enumerate(self.vectors)}
+
+    @cached_property
     def dims(self) -> array:
         return array(INDEX, (s.dim for s in self.subspaces))
+
+    @property
+    def whole(self) -> int:
+        """The index of V; subspaces come dimension-major, so V is last and the proper ones are range(whole)."""
+        return len(self.subspaces) - 1
 
     @cached_property
     def singular(self) -> array:
         """The singular indices in counting order, the order of `semigroup.sing`."""
-        whole = len(self.subspaces) - 1  # subspaces come dimension-major, so V is last
-        return array(INDEX, itertools.compress(itertools.count(), map(whole.__ne__, self.image)))
+        return array(INDEX, itertools.compress(itertools.count(), map(self.whole.__ne__, self.image)))
 
     def index(self, e: semigroup.Endo | Mat) -> int:
         return _value((e if isinstance(e, Mat) else e.mat).flat(), self.p)
@@ -211,22 +222,23 @@ class Universe:
         return tuple(sorted(out))
 
     @cached_property
-    def products(self) -> array:
-        """Entry a * q + b is the index of a @ b, for q = p^(n^2)."""
+    def products(self) -> tuple[memoryview, ...]:
+        """Entry [a][b] is the index of a @ b; the q = p^(n^2) rows are views of one q^2 buffer."""
         q = len(self.transpose)
         if q * q > MAX_PRODUCTS:
             raise TooLarge(f"a Cayley table of {q}^2 products exceeds {MAX_PRODUCTS}")
         out = array(INDEX, [0]) * (q * q)
         for b in range(q):
             out[b::q] = self.right_products(b)
-        return out
+        flat = memoryview(out)
+        return tuple(flat[a * q : (a + 1) * q] for a in range(q))
 
     def table(self, members: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Entry [i][j] is the position of members[i] @ members[j] in members; NotClosed if it escapes."""
-        prod, q = self.products, len(self.transpose)
+        prod = self.products
         at = {x: i for i, x in enumerate(members)}
         try:
-            return tuple(tuple([at[prod[a * q + b]] for b in members]) for a in members)
+            return tuple(tuple([at[row[b]] for b in members]) for row in map(prod.__getitem__, members))
         except KeyError:
             raise NotClosed("a product escapes the members") from None
 

@@ -310,8 +310,7 @@ class IndexCone(NamedTuple):
 def _rows(u: Universe) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """`_basis_rows` with vector indices; the proper subspaces lead `u.subspaces` in object order."""
     rows, per_object = _basis_rows(u.n, u.p, Side.PRIMAL)
-    at = {v: i for i, v in enumerate(u.vectors)}
-    return tuple(at[v] for v in rows), per_object
+    return tuple(map(u.vector_at.__getitem__, rows)), per_object
 
 
 def _span(u: Universe, vectors) -> int:

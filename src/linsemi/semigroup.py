@@ -120,10 +120,10 @@ def pgl_order(n: int, p: int) -> int:
 
 def principal_ideals(u: indexed.Universe, xs: Sequence[int]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     """Per element of xs, its left ideal S^1 a and right ideal a S^1 as positions in xs, from the Cayley table."""
-    prod, q = u.products, len(u.transpose)
+    prod = u.products
     at = {x: i for i, x in enumerate(xs)}
-    left = [frozenset([i, *(at[prod[s * q + a]] for s in xs)]) for i, a in enumerate(xs)]
-    right = [frozenset([i, *(at[prod[a * q + s]] for s in xs)]) for i, a in enumerate(xs)]
+    left = [frozenset([i, *(at[prod[s][a]] for s in xs)]) for i, a in enumerate(xs)]
+    right = [frozenset([i, *(at[prod[a][s]] for s in xs)]) for i, a in enumerate(xs)]
     return left, right
 
 

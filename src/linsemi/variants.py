@@ -74,9 +74,8 @@ def sandwich(a: Endo, b: Endo, ctx: VariantContext) -> Endo:
 def sandwich_index(ctx: VariantContext) -> Callable[[int, int], int]:
     """The sandwich product on element indices: a theta b is (a theta) b, one table lookup."""
     u = universe(ctx.n, ctx.p)
-    prod, q = u.products, len(u.transpose)
-    right = u.right_products(u.index(ctx.theta))
-    return lambda a, b: prod[right[a] * q + b]
+    prod, right = u.products, u.right_products(u.index(ctx.theta))
+    return lambda a, b: prod[right[a]][b]
 
 
 @lru_cache(maxsize=None)

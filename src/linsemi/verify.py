@@ -99,7 +99,7 @@ def check_inclusion_splitting(p: int, n: int) -> Verdict:
 
 def check_sing_order(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)
-    got = len(u.image) - u.image.count(len(u.subspaces) - 1)  # V is the last subspace
+    got = len(u.image) - u.image.count(u.whole)
     want = sg.sing_order(n, p)
     return got == want, {"order": got}
 
@@ -117,13 +117,12 @@ def check_idempotents(p: int, n: int) -> Verdict:
     built = u.decompositions
     if [x for x, _, _ in built] != u.idempotents.tolist():  # both in counting order
         return False, {"built": len(built), "brute": len(u.idempotents)}
-    at, whole = {v: i for i, v in enumerate(u.vectors)}, len(u.subspaces) - 1
     for x, null, image in built:  # the table's kernel and image must be x's decomposition
         kernel, img = u.kernel[x], u.image[x]
         span = kernel  # kernel + image by joining the image's basis rows onto the kernel
         for v in u.subspaces[img].basis.rows:
-            span = u.join[span][at[v]]
-        if u.dims[kernel] + u.dims[img] != n or span != whole or (kernel, img) != (null, image):
+            span = u.join[span][u.vector_at[v]]
+        if u.dims[kernel] + u.dims[img] != n or span != u.whole or (kernel, img) != (null, image):
             return False, mat_to_text(u.matrix(x))
     return True, {"count": len(built)}
 
@@ -132,8 +131,8 @@ def check_sing_regular(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
     if sg.sing_order(n, p) > 600:
         raise TooLarge("witness search bounded to order 600")
-    prod, q = u.products, len(u.transpose)
-    reg, _ = sg.regular_elements(u.singular, lambda a, b: prod[a * q + b])
+    prod = u.products
+    reg, _ = sg.regular_elements(u.singular, lambda a, b: prod[a][b])
     return len(reg) == len(u.singular), {"regular": len(reg)}
 
 
@@ -171,11 +170,11 @@ def check_cone_homomorphism(p: int, n: int) -> Verdict:
     if sg.sing_order(n, p) > 2000:
         raise TooLarge("cone sweep bounded to order 2000")
     u = ix.universe(n, p)
-    prod, q = u.products, len(u.transpose)
+    prod = u.products
     cones = {x: nc.index_cone(u, x) for x in u.singular}
     cap = 40000
     for a, b in itertools.islice(itertools.product(u.singular, repeat=2), cap):
-        if nc.index_compose(u, cones[a], cones[b]) != cones[prod[a * q + b]]:
+        if nc.index_compose(u, cones[a], cones[b]) != cones[prod[a][b]]:
             return False, (_endo_text(u.elements[a]), _endo_text(u.elements[b]))
     if len(cones) ** 2 > cap:
         return True, {"pairs_checked": cap, "capped": True}
@@ -269,15 +268,15 @@ def check_nat_trans(p: int, n: int) -> Verdict:
     if sg.sing_order(n, p) > 600:
         raise TooLarge("h-set enumeration bounded to order 600")
     u = ix.universe(n, p)
-    prod, q = u.products, len(u.transpose)
+    prod = u.products
     idems = [x for x, null, _ in u.decompositions if null]  # kernel 0 is the identity
     morphisms = [(g, u.subspace_at[g.dom], du.row_map(g)) for g in nc.category(n, p).all_morphisms()]
     checked = 0
     cap = 50000
     for e in idems:
         for f in idems:
-            for c in sorted({prod[prod[f * q + x] * q + e] for x in u.singular}):
-                row = prod[c * q : (c + 1) * q]  # entry x is c x
+            for c in sorted({prod[prod[f][x]][e] for x in u.singular}):
+                row = prod[c]  # entry x is c x
                 for g, dom, rows in morphisms:
                     for x in u.confined(dom, u.kernel[e]):  # the h-set of e at g.dom
                         acted = row[x]
@@ -457,17 +456,18 @@ def check_variant_phi(p: int, n: int) -> Verdict:
         raise TooLarge("regular-part search bounded to 1000 elements")
     thetas = _variant_thetas(p, n)
     u = ix.universe(n, p)
-    prod, q = u.products, len(u.transpose)
+    prod = u.products
+    q = len(prod)
     cap = 40000
     capped = False
     for theta in thetas:
         ctx = va.make_variant(theta)
         t = u.index(theta)
         # phi(a) = (theta a, a theta); the product of two pairs multiplies slotwise.
-        left, right = prod[t * q : (t + 1) * q], u.right_products(t)
+        left, right = prod[t], u.right_products(t)
         for a, b in itertools.islice(itertools.product(range(q), repeat=2), cap):
-            s = prod[right[a] * q + b]  # the sandwich a theta b
-            if left[s] != prod[left[a] * q + left[b]] or right[s] != prod[right[a] * q + right[b]]:
+            s = prod[right[a]][b]  # the sandwich a theta b
+            if left[s] != prod[left[a]][left[b]] or right[s] != prod[right[a]][right[b]]:
                 return False, _endo_text(theta)
         capped = capped or q * q >= cap
         reg, _ = va.reg_indices(ctx)

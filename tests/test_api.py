@@ -26,3 +26,19 @@ def test_submodules_are_attributes_not_exports():
     for name in ("crossconn", "dual", "errors", "gf", "indexed", "normal_cones", "semigroup", "subspaces", "variants"):
         assert isinstance(getattr(linsemi, name), types.ModuleType)
         assert name not in linsemi.__all__
+
+
+def test_only_indexed_decodes_an_index():
+    # How an index encodes a product, a vector or V is known to `indexed` alone.
+    import pathlib
+    import re
+
+    decoding = re.compile(r"len\(u\.transpose\)|\* q [+:]|len\(u\.subspaces\) - 1|enumerate\(u\.vectors\)")
+    found = {
+        f"{path.name}:{line}"
+        for path in pathlib.Path(linsemi.__file__).parent.glob("*.py")
+        if path.name != "indexed.py"
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if decoding.search(text)
+    }
+    assert found == set()
