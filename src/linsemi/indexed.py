@@ -52,10 +52,10 @@ p^(n^2) products a @ t from at most n * |lattice| * p^n lookups.
 
 The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
-Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. It is read as
-rows, `products[a][b]`, each row a view of one q^2 buffer, so this module
-alone knows how an index encodes a product, like `whole` (the index of V)
-and `vector_at` (the index of a vector). A subspace
+Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. Callers read
+it as rows, `products[a][b]`, each row a view of one q^2 buffer, and read
+V as `whole` and a vector's index from `vector_at`: only this module
+knows how an index encodes a product, a vector or V. A subspace
 morphism f acts on the rows of an element whose image lies in f.dom:
 `dual.row_map(f)`, built on first use per morphism, sends each vector of
 f.dom to its image and marks the others -1, so x followed by f
@@ -128,7 +128,7 @@ class Universe:
         return tuple(itertools.product(range(self.p), repeat=self.n))
 
     @cached_property
-    def vector_at(self) -> dict[tuple[int, ...], int]:
+    def vector_at(self) -> dict[tuple[int, ...], int]:  # the inverse of `vectors`
         return {v: i for i, v in enumerate(self.vectors)}
 
     @cached_property

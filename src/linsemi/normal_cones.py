@@ -143,10 +143,7 @@ def normal_factorization(f: Morphism) -> Factorization:
     q_mat = Mat(tuple(row[ker.nrows :] for row in inv.rows), len(free), p)
     q = Morphism(a, a_prime, q_mat)
     b_prime = f.image()
-    u_rows = []
-    for v in a_prime.basis.rows:
-        w = f.cod.basis.apply(f.mat.apply(a.coords_of(v)))
-        u_rows.append(b_prime.coords_of(w))
+    u_rows = [b_prime.coords_of(f.apply(v)) for v in a_prime.basis.rows]
     u = Morphism(a_prime, b_prime, Mat.make(u_rows, p, ncols=b_prime.dim))
     j = inclusion(b_prime, f.cod)
     return Factorization(q, u, j)
@@ -155,10 +152,7 @@ def normal_factorization(f: Morphism) -> Factorization:
 def epimorphic_component(f: Morphism) -> Morphism:
     """f viewed onto its image; equals q . u of the normal factorization."""
     b_prime = f.image()
-    rows = []
-    for v in f.dom.basis.rows:
-        w = f.cod.basis.apply(f.mat.apply(f.dom.coords_of(v)))
-        rows.append(b_prime.coords_of(w))
+    rows = [b_prime.coords_of(f.apply(v)) for v in f.dom.basis.rows]
     return Morphism(f.dom, b_prime, Mat.make(rows, f.dom.p, ncols=b_prime.dim))
 
 
@@ -193,12 +187,8 @@ class ConeValidation(NamedTuple):
 
 def _induced_endo(cone: NormalCone) -> Endo:
     """Read the global map off the components at the coordinate lines."""
-    rows = []
-    for i in range(cone.n):
-        e_i = tuple(1 if j == i else 0 for j in range(cone.n))
-        line = canonical([e_i], cone.n, cone.p, cone.side)
-        comp = cone.component(line)
-        rows.append(comp.cod.basis.apply(comp.mat.apply(line.coords_of(e_i))))
+    units = [tuple(1 if j == i else 0 for j in range(cone.n)) for i in range(cone.n)]
+    rows = [cone.component(canonical([e], cone.n, cone.p, cone.side)).apply(e) for e in units]
     return Endo(Mat.make(rows, cone.p, ncols=cone.n))
 
 
@@ -315,9 +305,9 @@ def _rows(u: Universe) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 def _span(u: Universe, vectors) -> int:
     """The subspace index of the span of the vectors, by folding the join table."""
-    s = 0
+    s, join = 0, u.join
     for v in vectors:
-        s = u.join[s][v]
+        s = join[s][v]
     return s
 
 
@@ -329,15 +319,13 @@ def index_cone(u: Universe, x: int) -> IndexCone:
 
 def index_m_set(u: Universe, cone: IndexCone) -> frozenset[int]:
     """The objects, as subspace indices, where dim A = dim vertex and A's row images span the vertex."""
-    dims, per_object, out = u.dims, _rows(u)[1], []
+    dims, per_object, image_of = u.dims, _rows(u)[1], cone.images.__getitem__
     dim = dims[cone.vertex]
-    for a in range(bisect_left(dims, dim), bisect_right(dims, dim)):  # subspaces come dimension-major
-        s = 0
-        for k in per_object[a]:
-            s = u.join[s][cone.images[k]]
-        if s == cone.vertex:
-            out.append(a)
-    return frozenset(out)
+    return frozenset(
+        a
+        for a in range(bisect_left(dims, dim), bisect_right(dims, dim))  # subspaces come dimension-major
+        if _span(u, map(image_of, per_object[a])) == cone.vertex
+    )
 
 
 @lru_cache(maxsize=None)

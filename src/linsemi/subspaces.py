@@ -291,13 +291,12 @@ def inclusion(a: Subspace, b: Subspace) -> Morphism:
     return Morphism(a, b, Mat.make(rows, a.p, ncols=b.dim))
 
 
-def retraction(a: Subspace, b: Subspace) -> Morphism:
-    """The splitting retraction q: b -> a with inclusion(a, b) . q = 1_a.
+def retraction(j: Morphism) -> Morphism:
+    """The splitting retraction q: b -> a of the inclusion j = inclusion(a, b), with j . q = 1_a.
 
     Projects along the canonical pivot complement of a inside b.
     """
-    j = inclusion(a, b)  # a in b-coordinates, also validates a <= b
-    acoords = j.mat
+    a, b, acoords = j.dom, j.cod, j.mat  # a in b-coordinates
     comp_pivots = set(rref(acoords).pivots)
     comp_rows = [
         [1 if j2 == c else 0 for j2 in range(b.dim)] for c in range(b.dim) if c not in comp_pivots

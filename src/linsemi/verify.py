@@ -91,8 +91,7 @@ def check_inclusion_splitting(p: int, n: int) -> Verdict:
             if not b.contains(a):
                 continue
             j = sub.inclusion(a, b)
-            q = sub.retraction(a, b)
-            if j.compose(q) != identity:
+            if j.compose(sub.retraction(j)) != identity:
                 return False, {"a": str(a.basis), "b": str(b.basis)}
     return True, None
 
@@ -457,7 +456,7 @@ def check_variant_phi(p: int, n: int) -> Verdict:
     thetas = _variant_thetas(p, n)
     u = ix.universe(n, p)
     prod = u.products
-    q = len(prod)
+    q = len(prod)  # the number of elements
     cap = 40000
     capped = False
     for theta in thetas:

@@ -123,20 +123,20 @@ def _multiply_like(monkeypatch, a, like):
 E22, E11 = 1, 8  # the coordinate projections 0,0;0,1 and 1,0;0,0 at (2, 2)
 
 
-@pytest.mark.parametrize(
-    "name,verdict,args,witness",
-    [
-        ("semigroup.green-oracle", verify.check_green_oracle, (2, 2), (1, 2, "right divisibility")),
-        ("semigroup.sing-regular", verify.check_sing_regular, (2, 2), {"regular": 9}),
-        ("cones.compose-homomorphism", verify.check_cone_homomorphism, (2, 2), ("0,0;0,1", "0,0;0,1")),
-        ("cones.table-isomorphic", verify.check_cone_table, (2, 2), {"order": 10}),
-        ("dual.table-op", verify.check_dual_tables, (2, 2), "component-level dual cones"),
-        ("dual.naturality", verify.check_nat_trans, (2, 2), ("0,1;0,0", "escapes the h-set")),
-        ("variant.phi-homomorphism", verify.check_variant_phi, (2, 2), "0,0;0,1"),
-        ("theta_linked_semigroup", verify.theta_linked_semigroup, (Endo(gf.parse_mat("0,1;1,0", 2)),), {"order": 10}),
-        ("theta_variant_reg", verify.theta_variant_reg, (Endo.identity(2, 2),), {"reg_size": 15}),
-    ],
-)
+PRODUCT_VERDICTS = [
+    ("semigroup.green-oracle", verify.check_green_oracle, (2, 2), (1, 2, "right divisibility")),
+    ("semigroup.sing-regular", verify.check_sing_regular, (2, 2), {"regular": 9}),
+    ("cones.compose-homomorphism", verify.check_cone_homomorphism, (2, 2), ("0,0;0,1", "0,0;0,1")),
+    ("cones.table-isomorphic", verify.check_cone_table, (2, 2), {"order": 10}),
+    ("dual.table-op", verify.check_dual_tables, (2, 2), "component-level dual cones"),
+    ("dual.naturality", verify.check_nat_trans, (2, 2), ("0,1;0,0", "escapes the h-set")),
+    ("variant.phi-homomorphism", verify.check_variant_phi, (2, 2), "0,0;0,1"),
+    ("theta_linked_semigroup", verify.theta_linked_semigroup, (Endo(gf.parse_mat("0,1;1,0", 2)),), {"order": 10}),
+    ("theta_variant_reg", verify.theta_variant_reg, (Endo.identity(2, 2),), {"reg_size": 15}),
+]
+
+
+@pytest.mark.parametrize("name,verdict,args,witness", PRODUCT_VERDICTS, ids=[case[0] for case in PRODUCT_VERDICTS])
 def test_product_verdicts_reject_a_doctored_cayley_table(monkeypatch, name, verdict, args, witness):
     # Each verdict passes on the true table; E22 multiplying as E11 must fail it.
     assert verify.run_check(name, verdict, *args).passed is True

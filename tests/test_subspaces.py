@@ -220,8 +220,15 @@ class TestInclusion:
                 if not b.contains(a):
                     continue
                 j = inclusion(a, b)
-                q = retraction(a, b)
-                assert j.compose(q) == Morphism.identity(a)
+                assert j.compose(retraction(j)) == Morphism.identity(a)
+
+    def test_splitting_check_rejects_a_zero_retraction(self, monkeypatch):
+        from linsemi import subspaces, verify
+
+        assert verify.check_inclusion_splitting(2, 2) == (True, None)
+        monkeypatch.setattr(subspaces, "retraction", lambda j: Morphism.zero(j.cod, j.dom))
+        # The zero subspace splits through zero; the first line <(0, 1)> inside itself does not.
+        assert verify.check_inclusion_splitting(2, 2) == (False, {"a": "0,1", "b": "0,1"})
 
     def test_inclusion_preserves_vectors(self):
         a = canonical([[1, 1, 0]], 3, 2)
