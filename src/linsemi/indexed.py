@@ -54,8 +54,8 @@ The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
 Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. Callers read
 it as rows, `products[a][b]`, each row a view of one q^2 buffer, and read
-V as `whole` and a vector's index from `vector_at`: only this module
-knows how an index encodes a product, a vector or V. A subspace
+V as `whole` and a vector's index from `vector_at`, so no caller computes
+a table offset, the index of V or the index of a vector. A subspace
 morphism f acts on the rows of an element whose image lies in f.dom:
 `dual.row_map(f)`, built on first use per morphism, sends each vector of
 f.dom to its image and marks the others -1, so x followed by f
