@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
 from .gf import Mat, inv_mod, invert, mat_to_text
-from .dual import DualMorphism, dual_morphisms, globalize, row_map
+from .dual import DualMorphism, globalize, index_dual_carriers, row_map
 from .normal_cones import category, hom_between
 from .semigroup import Endo, SemigroupTable, sing
 from .subspaces import (
@@ -235,7 +235,8 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
 
     Also checks that the duality map is a bijection between the two
     bifunctor sets at every object pair. Elements are indices: products
-    are Cayley-table lookups and the duality is a permutation.
+    are Cayley-table lookups, the duality is a permutation, and the dual
+    morphisms' carriers are `index_dual_carriers`, in counting order.
     """
     n, p = theta.n, theta.p
     primal = category(n, p, Side.PRIMAL)
@@ -263,7 +264,7 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     checked = 0
     for y in dual.objects:
         for z in dual.objects:
-            duals = [u.index(w.carrier) for w in dual_morphisms(y, z)]
+            duals = index_dual_carriers(u, y, z)
             carriers = [chi_back[w] for w in duals]
             for a in primal.objects:
                 gset_ay = gamma_sets[(a, y)]
@@ -276,7 +277,7 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
                                 lhs = chi_of[ix.globalize(prod[carrier_y][alpha], f_rows)]
                                 rhs = ix.globalize(prod[w][alpha_chi], g_rows)
                                 if lhs != rhs or rhs not in target:
-                                    what = mat_to_text(u.elements[alpha].mat) if lhs != rhs else "escapes"
+                                    what = mat_to_text(u.matrix(alpha)) if lhs != rhs else "escapes"
                                     told = (*(str(x.basis) for x in (a, y, b, z)), mat_to_text(f.mat), what)
                                     return ChiReport(False, checked, told)
                             checked += 1

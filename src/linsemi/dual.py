@@ -70,6 +70,12 @@ def index_h_sets(u: Universe, e: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(x for x in fixed if u.contains(a, u.image[x])) for a in range(u.whole))
 
 
+def index_dual_carriers(u: Universe, y: Subspace, z: Subspace) -> tuple[int, ...]:
+    """The carriers of `dual_morphisms(y, z)` as element indices, in counting order, by `confined`."""
+    top = complement(annihilator(y), ComplementMode.CANONICAL)
+    return u.confined(u.subspace_at[top], u.subspace_at[annihilator(z)])
+
+
 def globalize(alpha: Endo, f: Morphism) -> Endo:
     """The global composite of alpha with a partial map whose domain contains im(alpha)."""
     rows = []
@@ -84,13 +90,14 @@ def globalize(alpha: Endo, f: Morphism) -> Endo:
 
 @lru_cache(maxsize=None)
 def row_map(f: Morphism) -> tuple[int, ...]:
-    """Entry v is the index of vector v followed by f, or -1 when v is outside f.dom.
-
-    Element v < p^n of the universe has vector v as its last row and zero rows above it.
-    """
-    u = universe(f.dom.n, f.dom.p)
-    vectors = u.elements[: f.dom.p ** f.dom.n]
-    return tuple(u.index(globalize(e, f)) if f.dom.contains(e.image) else -1 for e in vectors)
+    """Entry v is the index of vector v followed by f, or -1 when v is outside f.dom: f sends the
+    basis rows of f.dom through `globalize`, extended linearly over f.dom."""
+    n, p, basis = f.dom.n, f.dom.p, f.dom.basis.rows
+    u = universe(n, p)
+    padded = Endo(Mat.make([*basis, *[[0] * n] * (n - len(basis))], p, ncols=n))
+    images = globalize(padded, f).mat.rows[: len(basis)]
+    extend = u.linear_map([u.vector_at[v] for v in basis], [u.vector_at[w] for w in images])
+    return tuple(extend.get(u.vector_at[v], -1) for v in u.vectors)
 
 
 def h_map(e: Endo, g: Morphism) -> dict[Endo, Endo]:

@@ -14,8 +14,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ModulusMismatch, ShapeError, TooLarge
 
-PRIMES = (2, 3, 5, 7)
-
 # Hard cap for "enumerate all p^(n*n) matrices" style loops.
 MAX_ENUM = 300_000
 

@@ -31,7 +31,8 @@ The tables are built once per size, on first use:
 - `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v;
   `combine(v, rows)` sums the given row vectors with the entries of
   vector v as coefficients.
-- `dims[s]` is the dimension of subspace s.
+- `dims[s]` is the dimension of subspace s; `span(vectors)` folds the join
+  table, and `linear_map(basis, images)` extends images of basis vectors.
 - `idempotents`, built on its own first use, lists every M with M @ M = M:
   row r of M @ M combines the rows of M with the entries of row r as
   coefficients, and the test of M stops at the first row that moves. The
@@ -57,9 +58,10 @@ it as rows, `products[a][b]`, each row a view of one q^2 buffer, and read
 V as `whole` and a vector's index from `vector_at`, so no caller computes
 a table offset, the index of V or the index of a vector. A subspace
 morphism f acts on the rows of an element whose image lies in f.dom:
-`dual.row_map(f)`, built on first use per morphism, sends each vector of
-f.dom to its image and marks the others -1, so x followed by f
-(`globalize`) is one lookup per row digit of x.
+`dual.row_map(f)`, built on first use per morphism from the images of
+f.dom's basis rows by `linear_map`, sends each vector of f.dom to its
+image and marks the others -1, so x followed by f (`globalize`) is one
+lookup per row digit of x.
 """
 from __future__ import annotations
 
@@ -176,6 +178,19 @@ class Universe:
         for j, times in self.terms[v]:
             acc = add[acc][times[rows[j]]]
         return acc
+
+    def span(self, vectors: Iterable[int]) -> int:
+        """The subspace index of the span of the vectors, by folding the join table."""
+        s, join = 0, self.join
+        for v in vectors:
+            s = join[s][v]
+        return s
+
+    def linear_map(self, basis: Sequence[int], images: Sequence[int]) -> dict[int, int]:
+        """The linear map sending vector basis[j] to vector images[j], on every vector of their span."""
+        shift = self.p ** (self.n - len(basis))  # coefficient vectors with zeros past position len(basis)
+        coefficients = [c * shift for c in range(self.p ** len(basis))]
+        return {self.combine(c, basis): self.combine(c, images) for c in coefficients}
 
     def rows(self, x: int) -> list[int]:
         """The vector indices of the rows of element x, row 0 first."""

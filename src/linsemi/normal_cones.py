@@ -303,14 +303,6 @@ def _rows(u: Universe) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(map(u.vector_at.__getitem__, rows)), per_object
 
 
-def _span(u: Universe, vectors) -> int:
-    """The subspace index of the span of the vectors, by folding the join table."""
-    s, join = 0, u.join
-    for v in vectors:
-        s = join[s][v]
-    return s
-
-
 def index_cone(u: Universe, x: int) -> IndexCone:
     """The principal cone of element x, each row image read from the row digits of x."""
     digits = u.rows(x)
@@ -319,26 +311,22 @@ def index_cone(u: Universe, x: int) -> IndexCone:
 
 def index_m_set(u: Universe, cone: IndexCone) -> frozenset[int]:
     """The objects, as subspace indices, where dim A = dim vertex and A's row images span the vertex."""
-    dims, per_object, image_of = u.dims, _rows(u)[1], cone.images.__getitem__
-    dim = dims[cone.vertex]
-    return frozenset(
-        a
-        for a in range(bisect_left(dims, dim), bisect_right(dims, dim))  # subspaces come dimension-major
-        if _span(u, map(image_of, per_object[a])) == cone.vertex
-    )
+    dims, per_object, join, images = u.dims, _rows(u)[1], u.join, cone.images
+    dim, out = dims[cone.vertex], []
+    for a in range(bisect_left(dims, dim), bisect_right(dims, dim)):  # subspaces come dimension-major
+        s = 0  # `Universe.span` inline: a call per object would double the time
+        for k in per_object[a]:
+            s = join[s][images[k]]
+        if s == cone.vertex:
+            out.append(a)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
 def _component(u: Universe, vertex: int, images: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-    """A component at a vertex, from its images of the vertex's basis rows.
-
-    Returns their span and the row map over the vertex's p^dim vectors, extended linearly.
-    """
+    """A component at a vertex from its images of the vertex's basis rows: their span, and the row map."""
     rows, per_object = _rows(u)
-    basis = [rows[k] for k in per_object[vertex]]
-    shift = u.p ** (u.n - len(basis))  # coefficient vectors with zeros past position dim
-    extend = {u.combine(c * shift, basis): u.combine(c * shift, images) for c in range(u.p ** len(basis))}
-    return _span(u, images), extend
+    return u.span(images), u.linear_map([rows[k] for k in per_object[vertex]], images)
 
 
 def index_compose(u: Universe, gamma: IndexCone, delta: IndexCone) -> IndexCone:

@@ -6,7 +6,9 @@ subsemigroup; pairing each with its two theta-translates embeds it into
 a product of carrier semigroups cut out by the chosen complement of the
 null space. When theta is singular the image-side carrier strictly
 exceeds the translates coming from regular elements, which is the
-non-principal cone count reported here.
+non-principal cone count reported here. Carriers, regular part and census
+are element indices read from `indexed.Universe`; only `variant_crossconnection`
+multiplies `Endo`s, as the second route to the variant and pair tables.
 """
 from __future__ import annotations
 
@@ -48,10 +50,6 @@ class VariantContext:
     def null(self) -> Subspace:
         return self.theta.kernel
 
-    @property
-    def image(self) -> Subspace:
-        return self.theta.image
-
 
 def make_variant(theta: Endo) -> VariantContext:
     """Choose the complement: the image when it splits the null space, else canonical.
@@ -92,18 +90,13 @@ def reg_variant(ctx: VariantContext) -> tuple[tuple[Endo, ...], tuple[tuple[Endo
     return tuple(elements[a] for a in reg), tuple((elements[a], elements[b]) for a, b in zip(reg, witnesses))
 
 
-def tr_elements(ctx: VariantContext) -> tuple[Endo, ...]:
-    """Image-side carrier: transformations with image inside the complement."""
+def carriers(ctx: VariantContext) -> tuple[list[int], list[int]]:
+    """The two carriers as element indices in counting order: image-side, the elements with
+    image inside the complement, and kernel-side, those with kernel above the null space."""
     u = universe(ctx.n, ctx.p)
-    w = u.subspace_at[ctx.w]
-    return tuple(f for f, s in zip(u.elements, u.image) if u.contains(w, s))
-
-
-def tb_elements(ctx: VariantContext) -> tuple[Endo, ...]:
-    """Kernel-side carrier: transformations with kernel above the null space."""
-    u = universe(ctx.n, ctx.p)
-    null = u.subspace_at[ctx.null]
-    return tuple(f for f, k in zip(u.elements, u.kernel) if u.contains(k, null))
+    w, null = u.subspace_at[ctx.w], u.subspace_at[ctx.null]
+    image_side = [x for x, s in enumerate(u.image) if u.contains(w, s)]
+    return image_side, [x for x, k in enumerate(u.kernel) if u.contains(k, null)]
 
 
 def phi(a: Endo, ctx: VariantContext) -> tuple[Endo, Endo]:
@@ -195,11 +188,13 @@ def nonprincipal_cones(ctx: VariantContext) -> NonprincipalCensus:
     When the null space does not split off the image, the chosen
     complement cannot contain the translates; the membership flag
     records this and the excess is taken against the translates that do
-    land in the carrier.
+    land in the carrier. The translates a theta are Cayley-table lookups,
+    and only the excess becomes `Endo`s, in counting order.
     """
-    carrier = set(tr_elements(ctx))
-    reg, _ = reg_variant(ctx)
-    principal = {a @ ctx.theta for a in reg}
+    u = universe(ctx.n, ctx.p)
+    carrier = set(carriers(ctx)[0])
+    right = u.right_products(u.index(ctx.theta))  # entry a is a theta
+    principal = {right[a] for a in reg_indices(ctx)[0]}
     inside = principal <= carrier
-    excess = tuple(sorted(carrier - principal, key=lambda e: e.mat.flat()))
+    excess = tuple(Endo(u.matrix(x)) for x in sorted(carrier - principal))
     return NonprincipalCensus(len(carrier), len(principal), inside, excess, excess[0] if excess else None)

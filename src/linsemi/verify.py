@@ -41,10 +41,6 @@ class Check:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
 
 
-def _endo_text(e: sg.Endo) -> str:
-    return mat_to_text(e.mat)
-
-
 def check_subspace_counts(p: int, n: int) -> Verdict:
     per_dim = [
         sum(1 for a in sub.enumerate_subspaces(n, p) if a.dim == k) for k in range(n + 1)
@@ -118,9 +114,7 @@ def check_idempotents(p: int, n: int) -> Verdict:
         return False, {"built": len(built), "brute": len(u.idempotents)}
     for x, null, image in built:  # the table's kernel and image must be x's decomposition
         kernel, img = u.kernel[x], u.image[x]
-        span = kernel  # kernel + image by joining the image's basis rows onto the kernel
-        for v in u.subspaces[img].basis.rows:
-            span = u.join[span][u.vector_at[v]]
+        span = u.span(u.vector_at[v] for s in (kernel, img) for v in u.subspaces[s].basis.rows)  # kernel + image
         if u.dims[kernel] + u.dims[img] != n or span != u.whole or (kernel, img) != (null, image):
             return False, mat_to_text(u.matrix(x))
     return True, {"count": len(built)}
@@ -161,7 +155,7 @@ def check_principal_roundtrip(p: int, n: int) -> Verdict:
     for alpha in sg.sing(n, p):
         cone = nc.principal_cone(alpha)
         if nc.cone_to_map(cone) != alpha:
-            return False, _endo_text(alpha)
+            return False, mat_to_text(alpha.mat)
     return True, None
 
 
@@ -174,7 +168,7 @@ def check_cone_homomorphism(p: int, n: int) -> Verdict:
     cap = 40000
     for a, b in itertools.islice(itertools.product(u.singular, repeat=2), cap):
         if nc.index_compose(u, cones[a], cones[b]) != cones[prod[a][b]]:
-            return False, (_endo_text(u.elements[a]), _endo_text(u.elements[b]))
+            return False, (mat_to_text(u.matrix(a)), mat_to_text(u.matrix(b)))
     if len(cones) ** 2 > cap:
         return True, {"pairs_checked": cap, "capped": True}
     return True, {"pairs_checked": len(cones) ** 2}
@@ -188,7 +182,7 @@ def check_idempotent_cones(p: int, n: int) -> Verdict:
         is_idem = nc.cone_compose(cone, cone) == cone
         vertex_identity = cone.component(cone.vertex) == sub.Morphism.identity(cone.vertex)
         if is_idem != vertex_identity:
-            return False, _endo_text(alpha)
+            return False, mat_to_text(alpha.mat)
     return True, None
 
 
@@ -238,7 +232,7 @@ def check_msets(p: int, n: int) -> Verdict:
             by_comp[null] = {u.subspace_at[a] for a in du.m_set_complements(u.subspaces[null])}
         by_iso = nc.index_m_set(u, nc.index_cone(u, x))
         if by_iso != by_comp[null] or len(by_iso) != p ** (k * (n - k)):
-            return False, _endo_text(u.elements[x])
+            return False, mat_to_text(u.matrix(x))
     return True, None
 
 
@@ -280,9 +274,9 @@ def check_nat_trans(p: int, n: int) -> Verdict:
                     for x in u.confined(dom, u.kernel[e]):  # the h-set of e at g.dom
                         acted = row[x]
                         if not (u.contains(u.kernel[acted], u.kernel[f]) and u.contains(dom, u.image[acted])):
-                            return False, (_endo_text(u.elements[c]), "escapes the h-set")
+                            return False, (mat_to_text(u.matrix(c)), "escapes the h-set")
                         if ix.globalize(acted, rows) != row[ix.globalize(x, rows)]:
-                            return False, (_endo_text(u.elements[c]), str(g.dom.basis))
+                            return False, (mat_to_text(u.matrix(c)), str(g.dom.basis))
                     checked += 1
                     if checked >= cap:
                         return True, {"squares_checked": checked, "capped": True}
@@ -333,7 +327,7 @@ def check_gl_crossconnections(p: int, n: int) -> Verdict:
     for theta in autos:
         ok, failure = theta_crossconnection(theta)
         if not ok:
-            return False, (_endo_text(theta), failure)
+            return False, (mat_to_text(theta.mat), failure)
     return True, {"automorphisms": len(autos)}
 
 
@@ -342,7 +336,7 @@ def check_chi(p: int, n: int) -> Verdict:
     for theta in _gl_scope(p, n, sample=2):
         ok, witness = theta_chi_naturality(theta)
         if not ok:
-            return False, (_endo_text(theta), witness)
+            return False, (mat_to_text(theta.mat), witness)
         total += witness["squares"]
     return True, {"squares": total}
 
@@ -350,7 +344,7 @@ def check_chi(p: int, n: int) -> Verdict:
 def check_linked_semigroups(p: int, n: int) -> Verdict:
     for theta in _gl_scope(p, n):
         if not theta_linked_semigroup(theta)[0]:
-            return False, _endo_text(theta)
+            return False, mat_to_text(theta.mat)
     return True, {"order": sg.sing_order(n, p)}
 
 
@@ -363,7 +357,7 @@ def check_scalar_invariance(p: int, n: int) -> Verdict:
         for c in range(2, p):
             gamma_c, delta_c = cx.gamma_delta_theta(sg.Endo(theta.mat.scale(c)))
             if gamma_c != gamma or delta_c != delta:
-                return False, (_endo_text(theta), c)
+                return False, (mat_to_text(theta.mat), c)
     return True, None
 
 
@@ -378,7 +372,7 @@ def check_classification(p: int, n: int) -> Verdict:
     for omap, theta in zip(census.bijections, census.thetas):
         _, delta = cx.gamma_delta_theta(theta)
         if delta.object_map != omap or not theta_linked_semigroup(theta)[0]:
-            return False, _endo_text(theta)
+            return False, mat_to_text(theta.mat)
     return True, {"count": census.count}
 
 
@@ -420,7 +414,7 @@ def theta_variant_crossconnection(theta: sg.Endo) -> Verdict:
     witness = {
         "reg_size": cxn.reg_size,
         "invertible": cxn.invertible,
-        "carrier_sizes": [len(va.tr_elements(ctx)), len(va.tb_elements(ctx))],
+        "carrier_sizes": list(map(len, va.carriers(ctx))),
     }
     if not cxn.invertible:
         verdicts = (("delta", cxn.delta_verdict), ("gamma", cxn.gamma_verdict))
@@ -446,7 +440,7 @@ def check_variant_regularity(p: int, n: int) -> Verdict:
     thetas = _variant_thetas(p, n)
     for theta in thetas:
         if not theta_variant_reg(theta)[0]:
-            return False, _endo_text(theta)
+            return False, mat_to_text(theta.mat)
     return True, {"thetas": len(thetas)}
 
 
@@ -467,11 +461,11 @@ def check_variant_phi(p: int, n: int) -> Verdict:
         for a, b in itertools.islice(itertools.product(range(q), repeat=2), cap):
             s = prod[right[a]][b]  # the sandwich a theta b
             if left[s] != prod[left[a]][left[b]] or right[s] != prod[right[a]][right[b]]:
-                return False, _endo_text(theta)
+                return False, mat_to_text(theta.mat)
         capped = capped or q * q >= cap
         reg, _ = va.reg_indices(ctx)
         if len({(left[a], right[a]) for a in reg}) != len(reg):
-            return False, (_endo_text(theta), "not injective")
+            return False, (mat_to_text(theta.mat), "not injective")
     return True, {"thetas": len(thetas), "capped": capped}
 
 
@@ -506,7 +500,7 @@ def check_variant_nonprincipal(p: int, n: int) -> Verdict:
         return ok, {"excess": witness["excess"]}
     for theta in _variant_thetas(p, n):
         if not theta_nonprincipal_census(theta)[0]:
-            return False, _endo_text(theta)
+            return False, mat_to_text(theta.mat)
     return True, None
 
 

@@ -232,14 +232,41 @@ def test_lattice_checks_row_reduce_nothing_at_2_4(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["crossconn.linked-semigroup", "crossconn.classification", "dual.table-op"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "crossconn.linked-semigroup",
+        "crossconn.classification",
+        "dual.table-op",
+        "variant.nonprincipal-excess",
+        "crossconn.chi-naturality",
+    ],
+)
 def test_sing_tables_make_no_endo_product(monkeypatch, name):
-    # Every table of Sing these checks compare is read from the Cayley table.
+    # Every table of Sing and every carrier these checks compare is read from the index tables.
     calls = []
     matmul = Endo.__matmul__
     monkeypatch.setattr(Endo, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
     passed, _ = dict(REGISTRY)[name](3, 2)
     assert passed and not calls
+
+
+def test_only_the_variant_second_route_multiplies_endos(monkeypatch):
+    # The variant cross-connection keeps its Endo tables as a second route; every other check reads indices.
+    current, callers = [None], set()
+    matmul = Endo.__matmul__
+    monkeypatch.setattr(Endo, "__matmul__", lambda a, b: callers.add(current[0]) or matmul(a, b))
+
+    def named(name, fn):
+        def run(p, n):
+            current[0] = name
+            return fn(p, n)
+
+        return run
+
+    monkeypatch.setattr(verify, "REGISTRY", tuple((name, named(name, fn)) for name, fn in REGISTRY))
+    assert all(check.passed for check in verify.run_all(2, 2))
+    assert callers == {"variant.crossconnection"}
 
 
 def test_run_all_builds_no_endo_at_2_4(monkeypatch):

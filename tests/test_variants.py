@@ -1,16 +1,19 @@
 """Sandwich products, the regular part, translate pairs and restricted categories."""
-from linsemi import variants
+import pytest
+
+from linsemi import variants, verify
+from linsemi.errors import NotClosed
 from linsemi.gf import Mat
-from linsemi.semigroup import Endo, all_endos, mult_table, regular_elements
+from linsemi.indexed import universe
+from linsemi.semigroup import Endo, all_endos, regular_elements
 from linsemi.variants import (
+    carriers,
     make_variant,
     nonprincipal_cones,
     phi,
     reg_variant,
     restricted_objects,
     sandwich,
-    tb_elements,
-    tr_elements,
     variant_crossconnection,
 )
 
@@ -94,12 +97,12 @@ class TestVariantCategories:
     def test_e11_carriers(self):
         ctx = make_variant(E11)
         assert ctx.w == E11.image
-        tr = tr_elements(ctx)
-        tb = tb_elements(ctx)
+        u = universe(2, 2)
+        tr, tb = carriers(ctx)
         assert len(tr) == 4
-        assert all(row in ((0, 0), (1, 0)) for f in tr for row in f.mat.rows)
+        assert all(row in ((0, 0), (1, 0)) for x in tr for row in u.matrix(x).rows)
         assert len(tb) == 4
-        assert all(f.mat.rows[1] == (0, 0) for f in tb)
+        assert all(u.matrix(x).rows[1] == (0, 0) for x in tb)
 
     def test_e11_objects(self):
         r_objects, b_objects = restricted_objects(make_variant(E11))
@@ -107,24 +110,28 @@ class TestVariantCategories:
         assert len(b_objects) == 2
 
     def test_carriers_closed(self):
-        # mult_table construction itself raises NotClosed on failure; the
-        # kernel-side carrier lives in the opposite monoid
+        # Universe.table raises NotClosed when a product escapes; the
+        # kernel-side carrier lives in the opposite monoid, closed all the same
+        u = universe(2, 2)
         for theta in all_endos(2, 2):
             if theta.inverse() is not None:
                 continue
-            ctx = make_variant(theta)
-            assert mult_table(tr_elements(ctx), lambda a, b: a @ b).order == len(tr_elements(ctx))
-            assert mult_table(tb_elements(ctx), lambda a, b: b @ a).order == len(tb_elements(ctx))
+            for carrier in carriers(make_variant(theta)):
+                assert len(u.table(carrier)) == len(carrier)
+        with pytest.raises(NotClosed):
+            u.table([u.index(E11), u.index(endo([[0, 1], [0, 0]]))])
 
     def test_carrier_regularity_is_reported_not_assumed(self):
         # the image-side carrier of the coordinate projection is not regular:
         # the nilpotent member has no witness inside the carrier
-        tr = tr_elements(make_variant(E11))
-        assert len(regular_elements(tr, lambda a, b: a @ b)[0]) < len(tr)
-        nilpotent = endo([[0, 0], [1, 0]])
-        assert nilpotent in tr_elements(make_variant(E11))
-        for g in tr_elements(make_variant(E11)):
-            assert nilpotent @ g @ nilpotent != nilpotent
+        u = universe(2, 2)
+        tr = carriers(make_variant(E11))[0]
+        prod = u.products
+        assert len(regular_elements(tr, lambda a, b: prod[a][b])[0]) < len(tr)
+        nilpotent = u.index(endo([[0, 0], [1, 0]]))
+        assert nilpotent in tr
+        for g in tr:
+            assert prod[prod[nilpotent][g]][nilpotent] != nilpotent
 
 
 class TestVariantCrossconnection:
@@ -154,8 +161,8 @@ class TestVariantCrossconnection:
     def test_phi_image_lands_in_carriers(self):
         ctx = make_variant(E11)
         reg, _ = reg_variant(ctx)
-        tr = set(tr_elements(ctx))
-        tb = set(tb_elements(ctx))
+        u = universe(2, 2)
+        tr, tb = ({u.elements[x] for x in carrier} for carrier in carriers(ctx))
         for a in reg:
             pair = phi(a, ctx)
             assert pair[1] in tr  # image-side coordinate a . theta
@@ -190,3 +197,10 @@ class TestNonprincipal:
                 continue
             census = nonprincipal_cones(make_variant(theta))
             assert len(census.excess) >= 1
+
+    def test_census_fails_when_every_element_counts_as_regular(self, monkeypatch):
+        # With every element regular, every a theta is a translate, so E11's carrier has no excess.
+        q = 16
+        monkeypatch.setattr(variants, "reg_indices", lambda ctx: (tuple(range(q)), tuple(range(q))))
+        assert verify.theta_nonprincipal_census(E11) == (False, {"carrier": 4, "principal": 4, "excess": 0})
+        assert verify.check_variant_nonprincipal(2, 2) == (False, "0,0;0,1")
