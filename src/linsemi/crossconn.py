@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
 from .gf import Mat, inv_mod, invert, mat_to_text
-from .dual import DualMorphism, globalize, index_dual_carriers, row_map
+from .dual import extension, index_dual_carriers
 from .normal_cones import category, hom_between
 from .semigroup import Endo, SemigroupTable, sing
 from .subspaces import (
@@ -31,7 +31,6 @@ from .subspaces import (
     image_subspace,
     inclusion,
     is_direct_sum,
-    transport_morphism,
 )
 
 
@@ -180,33 +179,6 @@ def _bifunctor_indices(image_in: Subspace, coimage_in: Subspace) -> tuple[int, .
     return u.confined(u.subspace_at[image_in], u.subspace_at[annihilator(coimage_in)])
 
 
-def bifunctor_gamma_set(a: Subspace, y: Subspace, gamma: CrossConn) -> tuple[Endo, ...]:
-    """{alpha singular : im alpha <= a, (ker alpha)ann <= gamma(y)}."""
-    elements = ix.universe(a.n, a.p).elements
-    return tuple(elements[x] for x in _bifunctor_indices(a, gamma.obj(y)))
-
-
-def bifunctor_delta_set(a: Subspace, y: Subspace, delta: CrossConn) -> tuple[Endo, ...]:
-    """{alpha singular : im alpha <= delta(a), (ker alpha)ann <= y}."""
-    elements = ix.universe(a.n, a.p).elements
-    return tuple(elements[x] for x in _bifunctor_indices(delta.obj(a), y))
-
-
-def gamma_action(f: Morphism, w: DualMorphism, theta: Endo) -> Callable[[Endo], Endo]:
-    """alpha maps to y . alpha . f, where y carries the transported dual morphism."""
-    theta_inv = theta.inverse()
-    if theta_inv is None:
-        raise NotInvertible("bifunctor actions are generated by automorphisms here")
-    y = theta @ w.carrier @ theta_inv
-    return lambda alpha: globalize(y @ alpha, f)
-
-
-def delta_action(f: Morphism, w: DualMorphism, theta: Endo) -> Callable[[Endo], Endo]:
-    """alpha maps to w-carrier . alpha . (conjugated f)."""
-    g = transport_morphism(f, theta.mat)
-    return lambda alpha: globalize(w.carrier @ alpha, g)
-
-
 def chi(theta: Endo) -> Callable[[Endo], Endo]:
     theta_inv = theta.inverse()
     if theta_inv is None:
@@ -236,7 +208,12 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
     Also checks that the duality map is a bijection between the two
     bifunctor sets at every object pair. Elements are indices: products
     are Cayley-table lookups, the duality is a permutation, and the dual
-    morphisms' carriers are `index_dual_carriers`, in counting order.
+    morphisms' carriers are `index_dual_carriers`, in counting order. A
+    morphism f acts as a product with `extension(f)`, which is "followed
+    by f" on the elements with image inside f.dom. Both sides stay there:
+    alpha in Gamma(a, y) gives im(carrier alpha) <= im alpha <= a, and the
+    bijection, checked before any square, puts chi(alpha) in Delta(a, y),
+    so im(w chi(alpha)) <= delta(a).
     """
     n, p = theta.n, theta.p
     primal = category(n, p, Side.PRIMAL)
@@ -255,9 +232,9 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
         mapped = {chi_of[x] for x in gset}
         if len(mapped) != len(gset) or mapped != delta_sets[(a, y)]:
             return ChiReport(False, 0, (str(a.basis), str(y.basis), "duality is not a bijection"))
-    # The row maps of each f: a -> b and of its image under delta.
+    # The extensions of each f: a -> b and of its image under delta.
     homs = {
-        (a, b): [(f, row_map(f), row_map(delta.mor(f))) for f in hom_between(a, b)]
+        (a, b): [(f, extension(f), extension(delta.mor(f))) for f in hom_between(a, b)]
         for a in primal.objects
         for b in primal.objects
     }
@@ -271,11 +248,11 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
                 chis = [chi_of[x] for x in gset_ay]
                 for b in primal.objects:
                     target = delta_sets[(b, z)]
-                    for f, f_rows, g_rows in homs[(a, b)]:
+                    for f, ext_f, ext_g in homs[(a, b)]:
                         for w, carrier_y in zip(duals, carriers):
                             for alpha, alpha_chi in zip(gset_ay, chis):
-                                lhs = chi_of[ix.globalize(prod[carrier_y][alpha], f_rows)]
-                                rhs = ix.globalize(prod[w][alpha_chi], g_rows)
+                                lhs = chi_of[prod[prod[carrier_y][alpha]][ext_f]]
+                                rhs = prod[prod[w][alpha_chi]][ext_g]
                                 if lhs != rhs or rhs not in target:
                                     what = mat_to_text(u.matrix(alpha)) if lhs != rhs else "escapes"
                                     told = (*(str(x.basis) for x in (a, y, b, z)), mat_to_text(f.mat), what)

@@ -89,15 +89,13 @@ def globalize(alpha: Endo, f: Morphism) -> Endo:
 
 
 @lru_cache(maxsize=None)
-def row_map(f: Morphism) -> tuple[int, ...]:
-    """Entry v is the index of vector v followed by f, or -1 when v is outside f.dom: f sends the
-    basis rows of f.dom through `globalize`, extended linearly over f.dom."""
-    n, p, basis = f.dom.n, f.dom.p, f.dom.basis.rows
-    u = universe(n, p)
-    padded = Endo(Mat.make([*basis, *[[0] * n] * (n - len(basis))], p, ncols=n))
-    images = globalize(padded, f).mat.rows[: len(basis)]
-    extend = u.linear_map([u.vector_at[v] for v in basis], [u.vector_at[w] for w in images])
-    return tuple(extend.get(u.vector_at[v], -1) for v in u.vectors)
+def extension(f: Morphism) -> int:
+    """The index of the element E that is f on f.dom and 0 on f.dom's canonical complement.
+
+    For every x with image inside f.dom, x followed by f is x E, the lookup `products[x][E]`.
+    """
+    u = universe(f.dom.n, f.dom.p)
+    return u.index(globalize(idempotent_from(complement(f.dom, ComplementMode.CANONICAL), f.dom), f))
 
 
 def h_map(e: Endo, g: Morphism) -> dict[Endo, Endo]:

@@ -57,11 +57,10 @@ Pin 1997); past `MAX_PRODUCTS` entries it raises TooLarge. Callers read
 it as rows, `products[a][b]`, each row a view of one q^2 buffer, and read
 V as `whole` and a vector's index from `vector_at`, so no caller computes
 a table offset, the index of V or the index of a vector. A subspace
-morphism f acts on the rows of an element whose image lies in f.dom:
-`dual.row_map(f)`, built on first use per morphism from the images of
-f.dom's basis rows by `linear_map`, sends each vector of f.dom to its
-image and marks the others -1, so x followed by f (`globalize`) is one
-lookup per row digit of x.
+morphism f acts on an element x whose image lies in f.dom as one more
+product: `dual.extension(f)` is the index of the element E that is f on
+f.dom and 0 on its canonical complement, so x followed by f is
+`products[x][E]`.
 """
 from __future__ import annotations
 
@@ -72,7 +71,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import semigroup
-from .errors import NotClosed, ShapeError, TooLarge
+from .errors import NotClosed, TooLarge
 from .gf import Mat, enum_guard
 from .subspaces import ComplementMode, Side, Subspace, annihilator, complement, enumerate_subspaces
 
@@ -315,17 +314,3 @@ def universe(n: int, p: int) -> Universe:
     )
     return Universe(n, p, subspaces, at, image, kernel, transpose, below, join, ann, add, scale)
 
-
-def globalize(x: int, rows: Sequence[int]) -> int:
-    """Element x followed by the morphism of `dual.row_map` rows; ShapeError if a row escapes."""
-    q = len(rows)
-    out, place = 0, 1
-    # Zero rows map to zero, so the leading zero digits need no lookup.
-    while x:
-        x, v = divmod(x, q)
-        w = rows[v]
-        if w < 0:
-            raise ShapeError("image escapes the domain of the partial map")
-        out += w * place
-        place *= q
-    return out

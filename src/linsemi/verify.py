@@ -257,25 +257,30 @@ def check_dual_tables(p: int, n: int) -> Verdict:
 
 
 def check_nat_trans(p: int, n: int) -> Verdict:
-    """Naturality of carrier action: act then push along g equals push then act."""
+    """Naturality of carrier action: act then push along g equals push then act.
+
+    g acts as a product with `extension(g)`, which is "followed by g" on the elements with
+    image inside g.dom: x comes from the h-set at g.dom, and the escape test puts c x there
+    before the square reads it.
+    """
     if sg.sing_order(n, p) > 600:
         raise TooLarge("h-set enumeration bounded to order 600")
     u = ix.universe(n, p)
     prod = u.products
     idems = [x for x, null, _ in u.decompositions if null]  # kernel 0 is the identity
-    morphisms = [(g, u.subspace_at[g.dom], du.row_map(g)) for g in nc.category(n, p).all_morphisms()]
+    morphisms = [(g, u.subspace_at[g.dom], du.extension(g)) for g in nc.category(n, p).all_morphisms()]
     checked = 0
     cap = 50000
     for e in idems:
         for f in idems:
             for c in sorted({prod[prod[f][x]][e] for x in u.singular}):
                 row = prod[c]  # entry x is c x
-                for g, dom, rows in morphisms:
+                for g, dom, ext in morphisms:
                     for x in u.confined(dom, u.kernel[e]):  # the h-set of e at g.dom
                         acted = row[x]
                         if not (u.contains(u.kernel[acted], u.kernel[f]) and u.contains(dom, u.image[acted])):
                             return False, (mat_to_text(u.matrix(c)), "escapes the h-set")
-                        if ix.globalize(acted, rows) != row[ix.globalize(x, rows)]:
+                        if prod[acted][ext] != row[prod[x][ext]]:
                             return False, (mat_to_text(u.matrix(c)), str(g.dom.basis))
                     checked += 1
                     if checked >= cap:

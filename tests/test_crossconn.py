@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-from linsemi import crossconn, verify
+from linsemi import crossconn, indexed, verify
 
 from linsemi.errors import NotInduced, NotInvertible, TooLarge
 from linsemi.gf import Mat, mat_to_text
 from linsemi.crossconn import (
     CrossConn,
-    bifunctor_delta_set,
-    bifunctor_gamma_set,
+    _bifunctor_indices,
     canonical_scalar_rep,
     check_chi_naturality,
     chi,
@@ -110,27 +109,34 @@ class TestIsCrossconnection:
         assert is_crossconnection(gamma).ok
 
 
+def gamma_set(a, y, gamma):
+    return {indexed.universe(a.n, a.p).elements[x] for x in _bifunctor_indices(a, gamma.obj(y))}
+
+
+def delta_set(a, y, delta):
+    return {indexed.universe(a.n, a.p).elements[x] for x in _bifunctor_indices(delta.obj(a), y)}
+
+
 class TestBifunctors:
     def test_example_sets(self):
         gamma, delta = gamma_delta_theta(Endo.identity(2, 2))
         a = canonical([[1, 0]], 2, 2)
         y = annihilator(canonical([[0, 1]], 2, 2))
-        got = set(bifunctor_gamma_set(a, y, gamma))
-        assert got == {Endo.zero(2, 2), endo([[1, 0], [0, 0]])}
+        assert gamma_set(a, y, gamma) == {Endo.zero(2, 2), endo([[1, 0], [0, 0]])}
 
     def test_zero_object_collapses(self):
         gamma, delta = gamma_delta_theta(SWAP)
         a = zero_subspace(2, 2)
         y = annihilator(canonical([[0, 1]], 2, 2))
-        assert set(bifunctor_gamma_set(a, y, gamma)) == {Endo.zero(2, 2)}
+        assert gamma_set(a, y, gamma) == {Endo.zero(2, 2)}
 
     def test_chi_is_bijection_between_sets(self):
         gamma, delta = gamma_delta_theta(SWAP)
         chi_map = chi(SWAP)
         for a in category(2, 2, Side.PRIMAL).objects:
             for y in category(2, 2, Side.DUAL).objects:
-                gset = bifunctor_gamma_set(a, y, gamma)
-                dset = set(bifunctor_delta_set(a, y, delta))
+                gset = gamma_set(a, y, gamma)
+                dset = delta_set(a, y, delta)
                 assert len(gset) == len(dset)
                 assert {chi_map(x) for x in gset} == dset
 
@@ -257,23 +263,24 @@ class TestClassification:
 
 
 def test_bifunctor_actions_land_in_target_sets():
-    from linsemi.crossconn import delta_action, gamma_action
-    from linsemi.dual import dual_morphisms
+    # The index actions of the chi-naturality square: f acts through its extension element.
+    from linsemi.dual import extension, index_dual_carriers
 
     theta = SWAP
     gamma, delta = gamma_delta_theta(theta)
+    u = indexed.universe(2, 2)
+    prod, chi_back = u.products, crossconn.chi_indices(theta.inverse())
     primal = category(2, 2, Side.PRIMAL)
     dual = category(2, 2, Side.DUAL)
     a, b = primal.objects[1], primal.objects[2]
     y, z = dual.objects[1], dual.objects[2]
     for f in hom_between(a, b):
-        for w in dual_morphisms(y, z):
-            act_g = gamma_action(f, w, theta)
-            act_d = delta_action(f, w, theta)
-            for alpha in bifunctor_gamma_set(a, y, gamma):
-                assert act_g(alpha) in set(bifunctor_gamma_set(b, z, gamma))
-            for alpha in bifunctor_delta_set(a, y, delta):
-                assert act_d(alpha) in set(bifunctor_delta_set(b, z, delta))
+        ext_f, ext_g = extension(f), extension(delta.mor(f))
+        for w in index_dual_carriers(u, y, z):
+            for alpha in _bifunctor_indices(a, gamma.obj(y)):
+                assert prod[prod[chi_back[w]][alpha]][ext_f] in _bifunctor_indices(b, gamma.obj(z))
+            for alpha in _bifunctor_indices(delta.obj(a), y):
+                assert prod[prod[w][alpha]][ext_g] in _bifunctor_indices(delta.obj(b), z)
 
 
 def test_functor_check_catches_broken_composition():
@@ -375,6 +382,7 @@ class TestTransportOncePerObject:
 
 def test_gl_batch_composes_each_pair_at_most_once(monkeypatch):
     # Composites come from one table per object triple, shared by every functor.
+    crossconn._compose_table.cache_clear()  # an earlier test at (3,2) may have filled it
     calls = []
     compose = Morphism.compose
     monkeypatch.setattr(Morphism, "compose", lambda f, g: calls.append(1) or compose(f, g))

@@ -151,18 +151,16 @@ def test_product_verdicts_reject_a_doctored_cayley_table(monkeypatch, name, verd
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_row_map_globalize_matches_dual(p):
+def test_extension_products_match_dual_globalize(p):
     u = indexed.universe(2, p)
     for f in category(2, p).all_morphisms():
-        rows = dual.row_map(f)
+        ext = dual.extension(f)
         for x, e in enumerate(u.elements):
             if f.dom.contains(e.image):
-                assert u.elements[indexed.globalize(x, rows)] == dual.globalize(e, f)
+                assert u.elements[u.products[x][ext]] == dual.globalize(e, f)
             else:
                 with pytest.raises(ShapeError):
                     dual.globalize(e, f)
-                with pytest.raises(ShapeError):
-                    indexed.globalize(x, rows)
 
 
 def test_products_with_variant_thetas():
