@@ -102,11 +102,12 @@ def cmd_lattice(args) -> Report:
 
 
 def cmd_crossconn(args) -> Report:
+    given = args.theta is not None  # an explicit "" is parsed, and rejected, like any matrix
     params = {"p": args.p, "n": args.n}
-    if args.theta:
+    if given:
         params["theta"] = args.theta
     report = Report("crossconn", params)
-    if args.theta:
+    if given:
         theta = _parse_theta(args.theta, args.p, args.n)
         if theta.inverse() is None:
             raise NotInvertible(cx.MUST_BE_INVERTIBLE)
@@ -118,7 +119,7 @@ def cmd_crossconn(args) -> Report:
             ("crossconn.recover-roundtrip", verify.theta_recover_roundtrip),
         )
         report.checks = [verify.run_check(name, fn, theta) for name, fn in verdicts]
-    report.checks += _registry_checks(args, "crossconn", not args.theta)
+    report.checks += _registry_checks(args, "crossconn", not given)
     return report
 
 

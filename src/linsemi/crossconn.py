@@ -65,7 +65,7 @@ def functor_from_global(g: Mat, objects: Sequence[Subspace]) -> CrossConn:
         image = omap[a] = image_subspace(a, g)
         if image.dim != a.dim:
             raise NotInvertible("global map is not injective on the domain")
-        s = Mat.make([image.coords_of(v) for v in (a.basis @ g).rows], a.p, ncols=a.dim)
+        s = image.coordinates((a.basis @ g).rows)
         frames[a] = (invert(s), s)
     mmap = {
         f: Morphism(omap[a], omap[b], frames[a][0] @ f.mat @ frames[b][1])
@@ -309,9 +309,6 @@ def recover_theta(
     if n < 2:
         raise NotInduced(NEEDS_TWO_LINES)
 
-    def unit(i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(n))
-
     def line(v: Sequence[int]) -> Subspace:
         return canonical([v], n, p, Side.PRIMAL)
 
@@ -321,10 +318,11 @@ def recover_theta(
             raise NotInduced("a coordinate line is not sent to a line")
         return img.basis.rows[0]
 
-    rows = [image_generator(line(unit(0)))]
+    units = Mat.identity(n, p).rows
+    rows = [image_generator(line(units[0]))]
     for i in range(1, n):
-        gen = image_generator(line(unit(i)))
-        diag_img = omap.get(line(tuple((a + b) % p for a, b in zip(unit(0), unit(i)))))
+        gen = image_generator(line(units[i]))
+        diag_img = omap.get(line(tuple((a + b) % p for a, b in zip(units[0], units[i]))))
         if diag_img is None or diag_img.dim != 1:
             raise NotInduced("a diagonal line is not sent to a line")
         scaled = None

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
-from .gf import Mat, all_matrices, invert
+from .gf import Mat, all_matrices, projection
 from .indexed import Universe, universe
 from .normal_cones import NormalCone, category, cone_table
 from .semigroup import Endo, SemigroupTable, idempotent_from, sing
@@ -78,14 +78,10 @@ def index_dual_carriers(u: Universe, y: Subspace, z: Subspace) -> tuple[int, ...
 
 def globalize(alpha: Endo, f: Morphism) -> Endo:
     """The global composite of alpha with a partial map whose domain contains im(alpha)."""
-    rows = []
-    for i in range(alpha.n):
-        v = alpha.mat.rows[i]
-        coords = f.dom.coords_of(v)
-        if coords is None:
-            raise ShapeError("image escapes the domain of the partial map")
-        rows.append(f.cod.basis.apply(f.mat.apply(coords)))
-    return Endo(Mat.make(rows, alpha.p, ncols=alpha.n))
+    coords = f.dom.coordinates(alpha.mat.rows)
+    if coords is None:
+        raise ShapeError("image escapes the domain of the partial map")
+    return Endo(coords @ f.mat @ f.cod.basis)
 
 
 @lru_cache(maxsize=None)
@@ -135,17 +131,6 @@ class DualMorphism:
         return DualMorphism(self.dom, other.cod, self.fmat @ other.fmat, other.carrier @ self.carrier)
 
 
-def _functional_matrix(u: Endo, dom: Subspace, cod: Subspace) -> Mat:
-    ut = u.mat.transpose()
-    rows = []
-    for w in dom.basis.rows:
-        coords = cod.coords_of(ut.apply(w))
-        if coords is None:
-            raise NotInSandwich("carrier does not map the annihilator into the target")
-        rows.append(coords)
-    return Mat.make(rows, u.p, ncols=cod.dim)
-
-
 def nat_trans(u: Endo, e: Endo, f: Endo) -> DualMorphism:
     """The dual morphism (ker e)ann -> (ker f)ann carried by u = f u e."""
     _check_idempotent(e)
@@ -154,7 +139,10 @@ def nat_trans(u: Endo, e: Endo, f: Endo) -> DualMorphism:
         raise NotInSandwich("carrier fails u = f u e")
     dom = annihilator(e.kernel)
     cod = annihilator(f.kernel)
-    return DualMorphism(dom, cod, _functional_matrix(u, dom, cod), u)
+    fmat = cod.coordinates((dom.basis @ u.mat.transpose()).rows)
+    if fmat is None:
+        raise NotInSandwich("carrier does not map the annihilator into the target")
+    return DualMorphism(dom, cod, fmat, u)
 
 
 def component_action(dm: DualMorphism, e: Endo, a: Subspace) -> dict[Endo, Endo]:
@@ -167,21 +155,18 @@ def dual_morphisms(y: Subspace, z: Subspace) -> tuple[DualMorphism, ...]:
     """All morphisms y -> z of the annihilator category, via their carriers.
 
     Carriers for (ker e)ann -> (ker f)ann correspond to linear maps
-    im f -> im e, glued with zero on ker f.
+    im f -> im e, glued with zero on ker f: the carrier of mm is the
+    projection onto im f along ker f, then mm, read in im e.
     """
     null_e = annihilator(y)
     null_f = annihilator(z)
-    e = idempotent_from(null_e, complement(null_e, ComplementMode.CANONICAL))
-    f = idempotent_from(null_f, complement(null_f, ComplementMode.CANONICAL))
-    im_e, im_f = e.image, f.image
-    stacked = null_f.basis.vstack(im_f.basis)
-    inv = invert(stacked)
-    out = []
-    for mm in all_matrices(im_f.dim, im_e.dim, y.p):
-        target = Mat.zeros(null_f.dim, y.n, y.p).vstack(mm @ im_e.basis)
-        u = Endo(inv @ target)
-        out.append(nat_trans(u, e, f))
-    return tuple(out)
+    im_e = complement(null_e, ComplementMode.CANONICAL)
+    im_f = complement(null_f, ComplementMode.CANONICAL)
+    e = idempotent_from(null_e, im_e)
+    f = idempotent_from(null_f, im_f)
+    glue = projection(null_f.basis, im_f.basis)
+    mms = all_matrices(im_f.dim, im_e.dim, y.p)
+    return tuple(nat_trans(Endo(glue @ mm @ im_e.basis), e, f) for mm in mms)
 
 
 def functor_p_object(h: HFunctor) -> Subspace:

@@ -229,6 +229,27 @@ def invert(m: Mat) -> Mat | None:
     return transform
 
 
+def pivot_complement(m: Mat) -> Mat:
+    """The unit rows at the non-pivot columns of rref(m): a basis of a complement of m's row space."""
+    pivots = set(rref(m).pivots)
+    units = Mat.identity(m.ncols, m.p).rows
+    return Mat(tuple(e for c, e in enumerate(units) if c not in pivots), m.ncols, m.p)
+
+
+def projection(along: Mat, onto: Mat) -> Mat | None:
+    """The projection of the ambient space onto the rows of onto along the rows of along.
+
+    Row i holds the coordinates, in the rows of onto, of unit vector i projected:
+    the last onto.nrows columns of the inverse of along stacked on onto. None when
+    the stacked rows are not a basis.
+    """
+    stacked = along.vstack(onto)
+    inv = invert(stacked) if stacked.is_square else None
+    if inv is None:
+        return None
+    return Mat(tuple(row[along.nrows :] for row in inv.rows), onto.nrows, onto.p)
+
+
 def solve_left(m: Mat, target: Sequence[int]) -> tuple[int, ...] | None:
     """One solution x of x @ m = target, or None when target is outside the row space."""
     if len(target) != m.ncols:
@@ -248,6 +269,14 @@ def enum_guard(r: int, c: int, p: int) -> None:
     total = p ** (r * c)
     if total > MAX_ENUM:
         raise TooLarge(f"{total} matrices of shape {r}x{c} over GF({p}) exceed limit {MAX_ENUM}")
+
+
+def digit_value(digits: Sequence[int], base: int) -> int:
+    """The number with these base-`base` digits, most significant first: the position in counting order."""
+    out = 0
+    for d in digits:
+        out = out * base + d
+    return out
 
 
 def all_matrices(r: int, c: int, p: int) -> Iterator[Mat]:

@@ -72,18 +72,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import semigroup
 from .errors import NotClosed, TooLarge
-from .gf import Mat, enum_guard
+from .gf import Mat, digit_value, enum_guard
 from .subspaces import ComplementMode, Side, Subspace, annihilator, complement, enumerate_subspaces
 
 MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 23 MB
 INDEX = "I"  # the typecode of every table
-
-
-def _value(digits: Sequence[int], base: int) -> int:
-    out = 0
-    for d in digits:
-        out = out * base + d
-    return out
 
 
 def _digit_fold(rounds: Sequence[Callable[[int], Iterable[int]]]) -> array:
@@ -147,7 +140,7 @@ class Universe:
         return array(INDEX, itertools.compress(itertools.count(), map(self.whole.__ne__, self.image)))
 
     def index(self, e: semigroup.Endo | Mat) -> int:
-        return _value((e if isinstance(e, Mat) else e.mat).flat(), self.p)
+        return digit_value((e if isinstance(e, Mat) else e.mat).flat(), self.p)
 
     def matrix(self, x: int) -> Mat:
         return Mat(tuple(self.vectors[r] for r in self.rows(x)), self.n, self.p)
@@ -232,7 +225,7 @@ class Universe:
                 for b in members[w]:
                     for a in members[k]:
                         target[add[a][b]] = b
-                out.append((_value([target[e] for e in units], q), k, w))
+                out.append((digit_value([target[e] for e in units], q), k, w))
         return tuple(sorted(out))
 
     @cached_property
@@ -302,8 +295,8 @@ def universe(n: int, p: int) -> Universe:
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
     vs = list(itertools.product(range(p), repeat=n))
-    add = tuple(array(INDEX, (_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
-    scale = tuple(array(INDEX, (_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
+    add = tuple(array(INDEX, (digit_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
+    scale = tuple(array(INDEX, (digit_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
     join = _join_table(subspaces, add, scale)
     image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
     transpose = _transpose_table(n, p)

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotACone, NotClosed, NotSingular, ShapeError, TooLarge
-from .gf import Mat, invert, kernel_basis, rref
+from .gf import Mat, all_matrices, kernel_basis, pivot_complement, projection
 from .indexed import Universe, universe
 from .semigroup import Endo, SemigroupTable, idempotent_from
 from .subspaces import (
@@ -90,11 +90,7 @@ def _object_index(n: int, p: int, side: Side) -> dict[Subspace, int]:
 @lru_cache(maxsize=None)
 def hom_between(a: Subspace, b: Subspace) -> tuple[Morphism, ...]:
     """Every linear map a -> b, as morphisms in counting order."""
-    mats = itertools.product(range(a.p), repeat=a.dim * b.dim)
-    return tuple(
-        Morphism(a, b, Mat(tuple(flat[i * b.dim : (i + 1) * b.dim] for i in range(a.dim)), b.dim, a.p))
-        for flat in mats
-    )
+    return tuple(Morphism(a, b, m) for m in all_matrices(a.dim, b.dim, a.p))
 
 
 @lru_cache(maxsize=None)
@@ -127,33 +123,26 @@ class Factorization(NamedTuple):
 def normal_factorization(f: Morphism) -> Factorization:
     """Factor f through the canonical pivot complement of its kernel.
 
-    The retraction projects the domain onto the complement along ker(f),
-    so the middle leg is injective and the image provides the inclusion.
-    The complement's basis is a subset of the domain's canonical basis
-    rows, which keeps every coordinate system aligned.
+    In the domain's coordinates the complement is `pivot_complement(ker)`, and
+    the retraction is `projection(ker, comp)`: the projection onto the complement
+    along ker(f), so the middle leg is injective and the image provides the
+    inclusion. The complement's basis, comp @ a.basis, is a subset of the
+    domain's canonical basis rows, which keeps every coordinate system aligned.
     """
     a = f.dom
-    p = a.p
     ker = kernel_basis(f.mat)
-    pivots = set(rref(ker).pivots)
-    free = [c for c in range(a.dim) if c not in pivots]
-    comp = Mat.make([[1 if j == c else 0 for j in range(a.dim)] for c in free], p, ncols=a.dim)
-    a_prime = Subspace(a.n, p, a.side, Mat(tuple(a.basis.rows[c] for c in free), a.n, p))
-    inv = invert(ker.vstack(comp))
-    q_mat = Mat(tuple(row[ker.nrows :] for row in inv.rows), len(free), p)
-    q = Morphism(a, a_prime, q_mat)
-    b_prime = f.image()
-    u_rows = [b_prime.coords_of(f.apply(v)) for v in a_prime.basis.rows]
-    u = Morphism(a_prime, b_prime, Mat.make(u_rows, p, ncols=b_prime.dim))
-    j = inclusion(b_prime, f.cod)
-    return Factorization(q, u, j)
+    comp = pivot_complement(ker)
+    a_prime = Subspace(a.n, a.p, a.side, comp @ a.basis)
+    onto = epimorphic_component(f)
+    q = Morphism(a, a_prime, projection(ker, comp))
+    u = Morphism(a_prime, onto.cod, comp @ onto.mat)
+    return Factorization(q, u, inclusion(onto.cod, f.cod))
 
 
 def epimorphic_component(f: Morphism) -> Morphism:
     """f viewed onto its image; equals q . u of the normal factorization."""
     b_prime = f.image()
-    rows = [b_prime.coords_of(f.apply(v)) for v in f.dom.basis.rows]
-    return Morphism(f.dom, b_prime, Mat.make(rows, f.dom.p, ncols=b_prime.dim))
+    return Morphism(f.dom, b_prime, b_prime.coordinates((f.mat @ f.cod.basis).rows))
 
 
 @dataclass(frozen=True)
@@ -187,7 +176,7 @@ class ConeValidation(NamedTuple):
 
 def _induced_endo(cone: NormalCone) -> Endo:
     """Read the global map off the components at the coordinate lines."""
-    units = [tuple(1 if j == i else 0 for j in range(cone.n)) for i in range(cone.n)]
+    units = Mat.identity(cone.n, cone.p).rows
     rows = [cone.component(canonical([e], cone.n, cone.p, cone.side)).apply(e) for e in units]
     return Endo(Mat.make(rows, cone.p, ncols=cone.n))
 

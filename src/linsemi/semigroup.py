@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import indexed
 from .errors import NotADirectSum, NotClosed, ShapeError
-from .gf import Mat, all_matrices, invert, kernel_basis, row_basis
-from .subspaces import Side, Subspace, gaussian_binomial, is_direct_sum
+from .gf import Mat, all_matrices, invert, kernel_basis, projection, row_basis
+from .subspaces import Side, Subspace, gaussian_binomial
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,17 @@ def index_green_report(u: indexed.Universe, xs: Sequence[int]) -> GreenOracleRep
 
 
 def idempotent_from(null: Subspace, image: Subspace) -> Endo:
-    """The projection with the given kernel and image; they must decompose V."""
+    """The projection with the given kernel and image; they must decompose V.
+
+    It is `projection(null.basis, image.basis) @ image.basis`: the projection
+    onto image along null, read back in ambient coordinates. The projection
+    exists exactly when the two bases together are a basis of V.
+    """
     null._match(image)
-    if not is_direct_sum(null, image):
+    proj = projection(null.basis, image.basis)
+    if proj is None:
         raise NotADirectSum("kernel and image do not decompose the ambient space")
-    stacked = null.basis.vstack(image.basis)
-    inv = invert(stacked)
-    target = Mat.zeros(null.dim, null.n, null.p).vstack(image.basis)
-    return Endo(inv @ target)
+    return Endo(proj @ image.basis)
 
 
 @lru_cache(maxsize=None)

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, reduce
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotIncluded, NotInvertible, ShapeError, TooLarge
-from .gf import Mat, check_modulus, invert, kernel_basis, rank, row_basis, rref, solve_left
+from .gf import Mat, check_modulus, digit_value, kernel_basis, pivot_complement, projection
+from .gf import rank, row_basis, solve_left
 
 
 class Side(Enum):
@@ -71,6 +72,12 @@ class Subspace:
             raise ShapeError(f"vector of length {len(v)} in ambient dimension {self.n}")
         return _coordinate_table(self.basis).get(v)
 
+    def coordinates(self, vectors: Iterable[Sequence[int]]) -> Mat | None:
+        """The matrix whose row i is coords_of(vectors[i]), or None when one vector is outside."""
+        rows = tuple(map(self.coords_of, vectors))
+        # coords_of returns reduced entries, so the matrix skips Mat.make.
+        return None if None in rows else Mat(rows, self.dim, self.p)
+
     def contains_vector(self, v: Sequence[int]) -> bool:
         return self.coords_of(v) is not None
 
@@ -81,7 +88,7 @@ class Subspace:
     @cached_property
     def members(self) -> int:
         """Bit v is set for every vector of the subspace, v read as a base-p number."""
-        return sum(1 << reduce(lambda acc, x: acc * self.p + x, v, 0) for v in self.vectors())
+        return sum(1 << digit_value(v, self.p) for v in self.vectors())
 
     def _match(self, other: "Subspace") -> None:
         if (self.n, self.p, self.side) != (other.n, other.p, other.side):
@@ -192,9 +199,7 @@ def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):
     meets a's in the zero vector alone.
     """
     if mode is ComplementMode.CANONICAL:
-        pivots = set(rref(a.basis).pivots)
-        rows = [[1 if j == c else 0 for j in range(a.n)] for c in range(a.n) if c not in pivots]
-        return Subspace(a.n, a.p, a.side, Mat.make(rows, a.p, ncols=a.n))
+        return Subspace(a.n, a.p, a.side, pivot_complement(a.basis))
     want = a.n - a.dim
     spaces = enumerate_subspaces(a.n, a.p, SubspaceFilter.ALL, a.side)
     return tuple(w for w in spaces if w.dim == want and a.members & w.members == 1)
@@ -282,31 +287,22 @@ class Morphism:
 def inclusion(a: Subspace, b: Subspace) -> Morphism:
     """The inclusion morphism j(a, b); raises NotIncluded when a is not inside b."""
     a._match(b)
-    rows = []
-    for v in a.basis.rows:
-        coords = b.coords_of(v)
-        if coords is None:
-            raise NotIncluded(f"{a.basis} is not a subspace of {b.basis}")
-        rows.append(coords)
-    return Morphism(a, b, Mat.make(rows, a.p, ncols=b.dim))
+    coords = b.coordinates(a.basis.rows)
+    if coords is None:
+        raise NotIncluded(f"{a.basis} is not a subspace of {b.basis}")
+    return Morphism(a, b, coords)
 
 
 def retraction(j: Morphism) -> Morphism:
     """The splitting retraction q: b -> a of the inclusion j = inclusion(a, b), with j . q = 1_a.
 
-    Projects along the canonical pivot complement of a inside b.
+    In b-coordinates, it is `projection(pivot_complement(j.mat), j.mat)`: the
+    projection onto a along the canonical pivot complement of a inside b.
     """
-    a, b, acoords = j.dom, j.cod, j.mat  # a in b-coordinates
-    comp_pivots = set(rref(acoords).pivots)
-    comp_rows = [
-        [1 if j2 == c else 0 for j2 in range(b.dim)] for c in range(b.dim) if c not in comp_pivots
-    ]
-    comp = Mat.make(comp_rows, b.p, ncols=b.dim)
-    inv = invert(comp.vstack(acoords))
-    if inv is None:
+    proj = projection(pivot_complement(j.mat), j.mat)
+    if proj is None:
         raise ShapeError("basis completion failed; a is not full rank inside b")
-    proj = Mat(tuple(row[comp.nrows :] for row in inv.rows), a.dim, b.p)
-    return Morphism(b, a, proj)
+    return Morphism(j.cod, j.dom, proj)
 
 
 def image_subspace(a: Subspace, m: Mat) -> Subspace:

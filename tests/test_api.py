@@ -44,3 +44,20 @@ def test_only_indexed_decodes_an_index():
         if decoding.search(text)
     }
     assert found == set()
+
+
+def test_only_gf_builds_complements_and_projections():
+    # Unit rows, pivot complements and projections along a decomposition are `gf`'s:
+    # elsewhere they are `Mat.identity`, `pivot_complement` and `projection`.
+    import pathlib
+    import re
+
+    inline = re.compile(r"1 if \w+ == \w+ else 0|invert\(\w+\.vstack|Mat\.zeros\(.*\)\.vstack\(")
+    found = {
+        f"{path.name}:{line}"
+        for path in pathlib.Path(linsemi.__file__).parent.glob("*.py")
+        if path.name != "gf.py"
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if inline.search(text)
+    }
+    assert found == set()

@@ -32,6 +32,12 @@ class TestExitCodes:
     def test_unparseable_matrix(self, capsys):
         assert main(["variant", "--p", "2", "--n", "2", "--theta", "x,y"]) == 2
 
+    @pytest.mark.parametrize("command", ["crossconn", "variant"])
+    def test_empty_theta_is_a_bad_matrix(self, command, capsys):
+        # An explicit empty --theta is parsed, and refused, like any other matrix.
+        assert main([command, "--theta", ""]) == 2
+        assert "bad matrix entry ''" in capsys.readouterr().err
+
     def test_wrong_shape_theta(self, capsys):
         assert main(["variant", "--p", "2", "--n", "2", "--theta", "1,0,0;0,1,0;0,0,1"]) == 2
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linsemi.errors import ModulusMismatch, ShapeError
+from linsemi.indexed import universe
 from linsemi.gf import (
     Mat,
     all_matrices,
@@ -14,6 +15,8 @@ from linsemi.gf import (
     kernel_basis,
     mat_to_text,
     parse_mat,
+    pivot_complement,
+    projection,
     rank,
     row_basis,
     rref,
@@ -205,6 +208,27 @@ class TestTextFormat:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             parse_mat("1,0;1", 2)
+
+
+class TestDecomposition:
+    def test_pivot_complement_is_unit_rows_completing_a_basis(self):
+        for m in all_matrices(2, 3, 2):
+            comp = pivot_complement(m)
+            assert all(sorted(row) == [0, 0, 1] for row in comp.rows)
+            assert rank(comp.vstack(row_basis(m))) == 3
+
+    def test_projection_is_none_on_a_non_basis(self):
+        line, plane = Mat.make([[1, 1]], 3), Mat.identity(2, 3)
+        assert projection(line, line.scale(2)) is None  # square but singular
+        assert projection(line, plane) is None  # three rows in a plane
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+    def test_projection_gives_each_listed_idempotent(self, p, n):
+        # `decompositions` builds the idempotent of (K, W) from the add table, without an inverse.
+        u = universe(n, p)
+        for x, k, w in u.decompositions:
+            null, image = u.subspaces[k].basis, u.subspaces[w].basis
+            assert projection(null, image) @ image == u.matrix(x)
 
 
 @pytest.mark.parametrize("r,c", [(0, 3), (3, 0), (1, 1), (2, 3)])

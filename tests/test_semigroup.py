@@ -132,6 +132,8 @@ class TestIdempotentFrom:
     def test_not_complementary(self):
         with pytest.raises(NotADirectSum):
             idempotent_from(canonical([[1, 0]], 2, 2), canonical([[1, 0]], 2, 2))
+        with pytest.raises(NotADirectSum):  # independent, but short of V
+            idempotent_from(canonical([[1, 0, 0]], 3, 2), canonical([[0, 1, 0]], 3, 2))
 
 
 class TestRegularElements:

@@ -96,6 +96,18 @@ class TestCoordsOf:
                     s.coords_of(v)
 
 
+class TestCoordinates:
+    @pytest.mark.parametrize("n,p", [(3, 2), (2, 3)])
+    def test_rows_are_coords_of(self, n, p):
+        vectors = list(itertools.product(range(p), repeat=n))
+        for s in enumerate_subspaces(n, p):
+            inside = [v for v in vectors if s.coords_of(v) is not None]
+            assert s.coordinates(inside) == Mat.make([s.coords_of(v) for v in inside], p, ncols=s.dim)
+            for v in vectors:
+                if s.coords_of(v) is None:
+                    assert s.coordinates([*inside, v]) is None
+
+
 class TestEnumeration:
     def test_counts_2_2(self):
         assert len(enumerate_subspaces(2, 2)) == 5
@@ -221,6 +233,12 @@ class TestInclusion:
                     continue
                 j = inclusion(a, b)
                 assert j.compose(retraction(j)) == Morphism.identity(a)
+
+    @pytest.mark.parametrize("rows", [[[0, 0]], [[1, 2], [2, 1]]])
+    def test_retraction_of_a_rank_deficient_map_fails(self, rows):
+        a, b = canonical([[1, 0], [0, 1]][: len(rows)], 2, 3), full_subspace(2, 3)
+        with pytest.raises(ShapeError, match="basis completion failed"):
+            retraction(Morphism(a, b, Mat.make(rows, 3)))
 
     def test_splitting_check_rejects_a_zero_retraction(self, monkeypatch):
         from linsemi import subspaces, verify
