@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import crossconn as cx
 from . import indexed as ix
@@ -24,13 +23,15 @@ from .subspaces import SubspaceFilter
 from .verify import Check
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    checks: list[Check] = field(default_factory=list)
-    elapsed_ms: int = 0
-    listing: list[str] = field(default_factory=list)
+    """One subcommand's result; the subcommand fills in checks, listing and timing as it runs."""
+
+    def __init__(self, command: str, params: dict, checks: list[Check] | None = None) -> None:
+        self.command = command
+        self.params = params
+        self.checks = [] if checks is None else checks
+        self.elapsed_ms = 0
+        self.listing: list[str] = []
 
     @property
     def all_passed(self) -> bool:

@@ -12,7 +12,6 @@ projectively to an invertible map reproducing the bijection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -34,8 +33,7 @@ from .subspaces import (
 )
 
 
-@dataclass
-class CrossConn:
+class CrossConn(NamedTuple):
     """Functor data on a subspace category: object map plus morphism map."""
 
     n: int

@@ -9,7 +9,6 @@ semigroup.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,11 +29,19 @@ from .subspaces import (
 )
 
 
-@dataclass(frozen=True)
-class HFunctor:
+class _HFunctorFields(NamedTuple):
+    key: Subspace  # the null space; nonzero for idempotents of the singular part
+
+
+class HFunctor(_HFunctorFields):
     """The set-valued functor attached to an idempotent, keyed by its null space."""
 
-    key: Subspace  # the null space; nonzero for idempotents of the singular part
+    __slots__ = ()
+
+    def __new__(cls, key: Subspace) -> "HFunctor":
+        self = tuple.__new__(cls, (key,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if self.key.is_zero:
@@ -110,20 +117,28 @@ def m_set_complements(key: Subspace) -> frozenset[Subspace]:
     return frozenset() if key.is_zero else frozenset(complement(key, ComplementMode.ALL))
 
 
-@dataclass(frozen=True)
-class DualMorphism:
+class DualMorphism(NamedTuple):
     """A morphism of the annihilator category, with a sandwich carrier.
 
     Acts on functional coordinates by w -> w . u^T. The carrier is any
-    u = f u e realizing the map; it is excluded from equality because
-    carriers are unique only up to maps into the null space of the
-    domain's witness.
+    u = f u e realizing the map; it is excluded from equality and hashing
+    because carriers are unique only up to maps into the null space of
+    the domain's witness.
     """
 
     dom: Subspace  # DUAL side: (ker e)ann
     cod: Subspace  # DUAL side: (ker f)ann
     fmat: Mat  # dim(dom) x dim(cod) functional-coordinate matrix
-    carrier: Endo = field(compare=False)
+    carrier: Endo
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DualMorphism and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     def compose(self, other: "DualMorphism") -> "DualMorphism":
         if self.cod != other.dom:

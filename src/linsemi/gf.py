@@ -3,12 +3,12 @@
 Matrices act on row vectors, v -> v @ M, so the product A @ B means
 "apply A, then B" and every composite in this package reads left to
 right. All values are immutable and hashable; entries are ints reduced
-mod p.
+mod p. Values are NamedTuple records: construction, `==` and hashing
+are the tuple's own, in C, and assigning a field raises AttributeError.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -42,8 +42,7 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(NamedTuple):
     """Immutable matrix over GF(p); may have zero rows or columns."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -66,7 +65,8 @@ class Mat:
         return Mat(tup, ncols, p)
 
     @staticmethod
-    def identity(n: int, p: int) -> "Mat":
+    @lru_cache(maxsize=None)
+    def identity(n: int, p: int) -> "Mat":  # read by every invert, pivot complement and identity morphism
         return Mat.make([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
 
     @staticmethod
@@ -82,12 +82,11 @@ class Mat:
         return self.nrows == self.ncols
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.p != other.p:
-            raise ModulusMismatch(f"GF({self.p}) vs GF({other.p})")
-        if self.ncols != other.nrows:
+        p, orows = self.p, other.rows
+        if p != other.p:
+            raise ModulusMismatch(f"GF({p}) vs GF({other.p})")
+        if self.ncols != len(orows):
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        p = self.p
-        orows = other.rows
         out = []
         for row in self.rows:
             acc = [0] * other.ncols

@@ -66,9 +66,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import semigroup
 from .errors import NotClosed, TooLarge
@@ -96,10 +95,7 @@ def _digit_sums(places: Sequence[Sequence[int]]) -> array:
     return _digit_fold([lambda s, place=place: map(s.__add__, place) for place in places])
 
 
-@dataclass(frozen=True, eq=False)
-class Universe:
-    """Lookup tables for every n x n matrix over GF(p), indexed in counting order."""
-
+class _UniverseFields(NamedTuple):
     n: int
     p: int
     subspaces: tuple[Subspace, ...]
@@ -112,6 +108,22 @@ class Universe:
     ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
     add: tuple[array, ...]
     scale: tuple[array, ...]
+
+
+class Universe(_UniverseFields):
+    """Lookup tables for every n x n matrix over GF(p), indexed in counting order.
+
+    A universe equals only itself and hashes by identity: its tables are
+    arrays and dicts, and `confined` is cached per universe.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = object.__hash__
 
     @cached_property
     def elements(self) -> tuple[semigroup.Endo, ...]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -56,8 +55,7 @@ from .subspaces import (
 CENSUS_BUDGET = 2000  # component families `cone_census` enumerates at most
 
 
-@dataclass(frozen=True)
-class SubspaceCategory:
+class SubspaceCategory(NamedTuple):
     n: int
     p: int
     side: Side
@@ -145,8 +143,7 @@ def epimorphic_component(f: Morphism) -> Morphism:
     return Morphism(f.dom, b_prime, b_prime.coordinates((f.mat @ f.cod.basis).rows))
 
 
-@dataclass(frozen=True)
-class NormalCone:
+class NormalCone(NamedTuple):
     """One morphism per object into a fixed proper vertex."""
 
     n: int

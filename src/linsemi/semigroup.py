@@ -8,7 +8,6 @@ entry by entry, and no isomorphism search is offered.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -18,11 +17,17 @@ from .gf import Mat, all_matrices, invert, kernel_basis, projection, row_basis
 from .subspaces import Side, Subspace, gaussian_binomial
 
 
-@dataclass(frozen=True)
-class Endo:
+class _EndoFields(NamedTuple):
+    mat: Mat
+
+
+class Endo(_EndoFields):
     """A linear transformation of GF(p)^n acting on row vectors."""
 
-    mat: Mat
+    def __new__(cls, mat: Mat) -> "Endo":
+        self = tuple.__new__(cls, (mat,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if not self.mat.is_square:
@@ -221,8 +226,7 @@ def regular_elements(elements: Sequence, product: Callable) -> tuple[list, dict]
     return regular, witness
 
 
-@dataclass(frozen=True)
-class SemigroupTable:
+class SemigroupTable(NamedTuple):
     """A finite multiplication table over an ordered element list."""
 
     elements: tuple

@@ -16,10 +16,9 @@ Containment compares two bitmasks of member vectors, cached per subspace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotIncluded, NotInvertible, ShapeError, TooLarge
 from .gf import Mat, check_modulus, digit_value, kernel_basis, pivot_complement, projection
@@ -29,6 +28,10 @@ from .gf import rank, row_basis, solve_left
 class Side(Enum):
     PRIMAL = "primal"
     DUAL = "dual"
+
+    # Members are singletons, so identity is their equality and their hash;
+    # Enum's own hash runs in Python, once per Subspace or Morphism hashed.
+    __hash__ = object.__hash__
 
     def flip(self) -> "Side":
         return Side.DUAL if self is Side.PRIMAL else Side.PRIMAL
@@ -45,20 +48,18 @@ class ComplementMode(Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _SubspaceFields(NamedTuple):
     n: int
     p: int
     side: Side
     basis: Mat  # RREF, one row per dimension
 
-    def __hash__(self) -> int:  # the hash the dataclass generates, computed once
-        return self._hash
 
-    _hash = cached_property(lambda self: hash((self.n, self.p, self.side, self.basis)))
+class Subspace(_SubspaceFields):
+    """A subspace of GF(p)^n, or of its dual on the DUAL side, as its canonical basis."""
 
     @cached_property
-    def dim(self) -> int:  # read often enough to compute once, like the hash
+    def dim(self) -> int:  # read often enough to compute once
         return self.basis.nrows
 
     @property
@@ -205,6 +206,7 @@ def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):
     return tuple(w for w in spaces if w.dim == want and a.members & w.members == 1)
 
 
+@lru_cache(maxsize=None)
 def annihilator(a: Subspace) -> Subspace:
     """Functionals vanishing on a; maps PRIMAL to DUAL and back."""
     return Subspace(a.n, a.p, a.side.flip(), kernel_basis(a.basis.transpose()))
@@ -226,22 +228,25 @@ def is_direct_sum(a: Subspace, b: Subspace) -> bool:
     return a.dim + b.dim == a.n and rank(a.basis.vstack(b.basis)) == a.n
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """A linear map dom -> cod, stored w.r.t. the canonical bases."""
-
+class _MorphismFields(NamedTuple):
     dom: Subspace
     cod: Subspace
     mat: Mat  # dim(dom) x dim(cod)
 
+
+class Morphism(_MorphismFields):
+    """A linear map dom -> cod, stored w.r.t. the canonical bases."""
+
+    __slots__ = ()
+
+    def __new__(cls, dom: Subspace, cod: Subspace, mat: Mat) -> "Morphism":
+        self = tuple.__new__(cls, (dom, cod, mat))
+        self.__post_init__()
+        return self
+
     def __post_init__(self) -> None:
         if self.mat.nrows != self.dom.dim or self.mat.ncols != self.cod.dim:
             raise ShapeError("morphism matrix does not match dom/cod dimensions")
-
-    def __hash__(self) -> int:  # the hash the dataclass generates, computed once
-        return self._hash
-
-    _hash = cached_property(lambda self: hash((self.dom, self.cod, self.mat)))
 
     @staticmethod
     def identity(a: Subspace) -> "Morphism":

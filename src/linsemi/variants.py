@@ -12,7 +12,6 @@ multiplies `Endo`s, as the second route to the variant and pair tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -31,8 +30,7 @@ from .subspaces import (
 )
 
 
-@dataclass(frozen=True)
-class VariantContext:
+class VariantContext(NamedTuple):
     """A sandwich element together with the chosen complement of its null space."""
 
     theta: Endo

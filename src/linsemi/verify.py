@@ -14,8 +14,7 @@ report output is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import crossconn as cx
 from . import dual as du
@@ -31,8 +30,7 @@ from .subspaces import ComplementMode
 Verdict = tuple[bool, object]  # (passed, witness)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     witness: object = None

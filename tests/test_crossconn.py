@@ -1,5 +1,4 @@
 """Automorphism-induced functor pairs, the duality, and the classification."""
-import dataclasses
 import json
 
 import pytest
@@ -165,7 +164,7 @@ class TestChiNaturality:
         def zeroed(theta):
             gamma, delta = real(theta)
             zero = {f: Morphism.zero(g.dom, g.cod) for f, g in delta.morphism_map.items()}
-            return gamma, dataclasses.replace(delta, morphism_map=zero)
+            return gamma, delta._replace(morphism_map=zero)
 
         monkeypatch.setattr(crossconn, "gamma_delta_theta", zeroed)
         check = verify.run_check("crossconn.chi-naturality", verify.check_chi, 2, 2)

@@ -1,5 +1,4 @@
 """The index-coded element core against the row-reduction route in `gf`."""
-import dataclasses
 import random
 import sys
 from array import array
@@ -180,7 +179,7 @@ def test_membership_check_reads_the_containment_table(monkeypatch, law):
     s = 0 if law == "image" else real.whole
     below = list(real.below)
     below[s] &= ~(1 << s)
-    tampered = dataclasses.replace(real, below=tuple(below))
+    tampered = real._replace(below=tuple(below))
     monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
     passed, witness = check_variant_membership(2, 2)
     assert not passed
@@ -202,7 +201,7 @@ def test_membership_check_reads_the_annihilator_table(monkeypatch):
     # theta = 0 comes first at (2, 2): its kernel law needs ann(0) = V to contain
     # ker(0) = V. Making every subspace its own annihilator must fail it.
     real = indexed.universe(2, 2)
-    tampered = dataclasses.replace(real, ann=array("I", range(len(real.subspaces))))
+    tampered = real._replace(ann=array("I", range(len(real.subspaces))))
     monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
     assert check_variant_membership(2, 2) == (False, "0,0;0,0")
 

@@ -276,13 +276,13 @@ class TestMorphism:
 
 
 class TestCachedHash:
-    """The cached hashes are the values the dataclass generates, so set and dict orders keep."""
+    """A record's hash is the hash of its field tuple, so set and dict orders keep."""
 
     @pytest.mark.parametrize("side", list(Side))
     def test_subspace_hash_is_the_field_hash(self, side):
         for s in enumerate_subspaces(2, 3, SubspaceFilter.ALL, side):
             assert hash(s) == hash((s.n, s.p, s.side, s.basis))
-            assert hash(s) == hash(s)  # the second call reads the cache
+            assert hash(s) == hash(s)
 
     def test_morphism_hash_is_the_field_hash(self):
         a, b = canonical([[1, 0]], 2, 3), full_subspace(2, 3)
