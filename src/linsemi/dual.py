@@ -77,12 +77,6 @@ def index_h_sets(u: Universe, e: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(x for x in fixed if u.contains(a, u.image[x])) for a in range(u.whole))
 
 
-def index_dual_carriers(u: Universe, y: Subspace, z: Subspace) -> tuple[int, ...]:
-    """The carriers of `dual_morphisms(y, z)` as element indices, in counting order, by `confined`."""
-    top = complement(annihilator(y), ComplementMode.CANONICAL)
-    return u.confined(u.subspace_at[top], u.subspace_at[annihilator(z)])
-
-
 def globalize(alpha: Endo, f: Morphism) -> Endo:
     """The global composite of alpha with a partial map whose domain contains im(alpha)."""
     coords = f.dom.coordinates(alpha.mat.rows)

@@ -1,4 +1,5 @@
 """The index-coded element core against the row-reduction route in `gf`."""
+import itertools
 import random
 import sys
 from array import array
@@ -148,6 +149,41 @@ def test_product_verdicts_reject_a_doctored_cayley_table(monkeypatch, name, verd
         variants.reg_indices.cache_clear()
     assert check.passed is False
     assert check.witness == witness
+
+
+def test_naturality_verdicts_reject_every_doctored_row(monkeypatch):
+    # All 240 ordered pairs (a, like) at (2, 2): a table in which a multiplies as like must fail
+    # both naturality verdicts, whichever part of each catches it.
+    for a, like in itertools.permutations(range(16), 2):
+        with monkeypatch.context() as m:
+            _multiply_like(m, a, like)
+            assert not verify.run_check("dual.naturality", verify.check_nat_trans, 2, 2).passed, (a, like)
+            assert not verify.run_check("crossconn.chi-naturality", verify.check_chi, 2, 2).passed, (a, like)
+
+
+def test_light_test_catches_what_the_escape_test_misses(monkeypatch):
+    # E22 multiplying as 0 keeps every h-set closed, but (x g) y = x (g y) fails for g the swap.
+    _multiply_like(monkeypatch, E22, 0)
+    assert verify.check_nat_trans(2, 2) == (False, ("0,0;1,0", "0,1;1,0", "(x g) y != x (g y)"))
+
+
+def test_light_test_needs_generators_that_reach_every_element(monkeypatch):
+    monkeypatch.setattr(verify, "_end_generators", lambda p, n: (gf.Mat.identity(n, p),))
+    passed, witness = verify.check_nat_trans(2, 2)
+    assert not passed
+    assert (witness["generators"], witness["reached"]) == (["1,0;0,1"], 1)
+
+
+# Every size at which dual.naturality runs (Sing of order at most 600).
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_end_generators_generate_every_matrix(p, n):
+    # By `Mat` products, so the closure does not rest on the Cayley table it is used to test.
+    gens = verify._end_generators(p, n)
+    reached, frontier = set(gens), gens
+    while frontier:
+        frontier = [y for y in {x @ g for x in frontier for g in gens} if y not in reached]
+        reached.update(frontier)
+    assert len(reached) == p ** (n * n)
 
 
 @pytest.mark.parametrize("p", [2, 3])
