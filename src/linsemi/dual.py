@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, projection
-from .indexed import Universe, universe
+from .indexed import Universe, lattice, universe
 from .normal_cones import NormalCone, category, cone_table
 from .semigroup import Endo, SemigroupTable, idempotent_from, sing
 from .subspaces import (
@@ -192,18 +192,21 @@ class NormalDual(NamedTuple):
 
 
 def build_normal_dual(n: int, p: int) -> NormalDual:
-    """Materialize the dual: H-functors keyed by nonzero null spaces, mapped by annihilator."""
+    """Materialize the dual: H-functors keyed by nonzero null spaces, mapped by annihilator.
+
+    Inclusions are read from the containment masks of `indexed.lattice`: key k1 contains key k2
+    exactly when the image of k2 contains the image of k1.
+    """
     keys = enumerate_subspaces(n, p, SubspaceFilter.NONZERO)
     hfs = tuple(map(HFunctor, keys))
     images = [functor_p_object(h) for h in hfs]
     injective = len(set(images)) == len(images)
     dual_objects = set(enumerate_subspaces(n, p, SubspaceFilter.PROPER, Side.DUAL))
     count_matches = set(images) == dual_objects
-    incl = all(
-        h1.key.contains(h2.key) == im2.contains(im1)
-        for h1, im1 in zip(hfs, images)
-        for h2, im2 in zip(hfs, images)
-    )
+    lat = lattice(n, p)
+    at, below = lat.subspace_at, lat.below
+    pairs = [(at[h.key], at[Subspace(n, p, Side.PRIMAL, im.basis)]) for h, im in zip(hfs, images)]
+    incl = all(below[k1] >> k2 & 1 == below[i2] >> i1 & 1 for k1, i1 in pairs for k2, i2 in pairs)
     return NormalDual(hfs, tuple(zip(hfs, images)), injective, count_matches, incl)
 
 

@@ -6,6 +6,16 @@ Equivalently the index is a base-p^n number whose digits are the vector
 indices of the rows, row 0 most significant. A subspace is its position
 in `enumerate_subspaces(n, p)`.
 
+The subspace lattice has its own index, `lattice(n, p)`, built once per
+size with no `enum_guard`, so it exists at (2, 5) and (5, 4) too, where
+`universe` raises TooLarge. It owns the tables over subspace indices:
+`members[s]`, the bitmask of the vectors of subspace s; `dims[s]`;
+`below[s]`, whose bit t is set when subspace s contains subspace t, read
+from the member bitmasks; and `ann[s]`, the index of the annihilator of
+subspace s read as a primal subspace, one `annihilator` call per subspace.
+The lattice checks and `dual.build_normal_dual` read it, and a universe
+holds the same `subspaces`, `subspace_at`, `dims`, `below` and `ann`.
+
 `Universe.elements` (all p^(n^2) `Endo`s) is built only when read, never
 at (2, 4); every table is an `array` of typecode "I", 4 bytes an entry.
 
@@ -22,17 +32,15 @@ The tables are built once per size, on first use:
   compare every table entry with `row_basis`, `kernel_basis` and
   `Mat.transpose`.
 - `kernel[i]` uses the identity ker(M) = ann(image(M^T)): v @ M = 0
-  says exactly that v is orthogonal to every row of M^T. The annihilator
-  table `ann` (one row reduction per subspace, kept) and the transpose
-  table give every kernel without a row reduction per element.
+  says exactly that v is orthogonal to every row of M^T. The lattice's
+  `ann` and the transpose table give every kernel without a row
+  reduction per element.
 - `transpose[i]` is the index of the transposed matrix.
-- `below[s]` is a bitmask over subspaces: bit t is set when subspace s
-  contains subspace t.
 - `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v;
   `combine(v, rows)` sums the given row vectors with the entries of
   vector v as coefficients.
-- `dims[s]` is the dimension of subspace s; `span(vectors)` folds the join
-  table, and `linear_map(basis, images)` extends images of basis vectors.
+- `span(vectors)` folds the join table, and `linear_map(basis, images)`
+  extends images of basis vectors.
 - `idempotents`, built on its own first use, lists every M with M @ M = M:
   row r of M @ M combines the rows of M with the entries of row r as
   coefficients, and the test of M stops at the first row that moves. The
@@ -95,6 +103,17 @@ def _digit_sums(places: Sequence[Sequence[int]]) -> array:
     return _digit_fold([lambda s, place=place: map(s.__add__, place) for place in places])
 
 
+class Lattice(NamedTuple):
+    """The subspaces of GF(p)^n in `enumerate_subspaces` order, and tables over their indices."""
+
+    subspaces: tuple[Subspace, ...]
+    subspace_at: dict[Subspace, int]
+    members: tuple[int, ...]  # entry s is `subspaces[s].members`, the bitmask of its vectors
+    dims: array
+    below: tuple[int, ...]  # bit t of entry s is set when subspace s contains subspace t
+    ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
+
+
 class _UniverseFields(NamedTuple):
     n: int
     p: int
@@ -139,7 +158,7 @@ class Universe(_UniverseFields):
 
     @cached_property
     def dims(self) -> array:
-        return array(INDEX, (s.dim for s in self.subspaces))
+        return lattice(self.n, self.p).dims
 
     @property
     def whole(self) -> int:
@@ -288,34 +307,41 @@ def _transpose_table(n: int, p: int) -> array:
     return _digit_sums(places)
 
 
-def _join_table(subspaces: Sequence[Subspace], add: Sequence[array], scale: Sequence[array]) -> tuple[array, ...]:
+def _join_table(members: Sequence[int], add: Sequence[array], scale: Sequence[array]) -> tuple[array, ...]:
     """Entry [s][v] is the index of subspace s + <v>, vectors in counting order: the bitmask
     of its members a + c v, over a in s and every c, names it among the subspaces."""
-    at = {s.members: i for i, s in enumerate(subspaces)}
+    at = {m: i for i, m in enumerate(members)}
     out = []
-    for s in subspaces:
-        inside = [a for a in range(len(add)) if s.members >> a & 1]
-        members = ({1 << add[a][c[v]] for c in scale for a in inside} for v in range(len(add)))
-        out.append(array(INDEX, (at[sum(bits)] for bits in members)))
+    for mask in members:
+        inside = [a for a in range(len(add)) if mask >> a & 1]
+        joined = ({1 << add[a][c[v]] for c in scale for a in inside} for v in range(len(add)))
+        out.append(array(INDEX, (at[sum(bits)] for bits in joined)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def lattice(n: int, p: int) -> Lattice:
+    """Index the subspaces of GF(p)^n; at every size, with no `enum_guard`."""
+    subspaces = enumerate_subspaces(n, p)
+    at = {s: i for i, s in enumerate(subspaces)}
+    members = tuple(s.members for s in subspaces)
+    below = tuple(sum(1 << t for t, m in enumerate(members) if m | top == top) for top in members)
+    ann = array(INDEX, (at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces))
+    return Lattice(subspaces, at, members, array(INDEX, (s.dim for s in subspaces)), below, ann)
 
 
 @lru_cache(maxsize=None)
 def universe(n: int, p: int) -> Universe:
     """Build the tables for End(GF(p)^n); raises TooLarge beyond `all_endos`' limit."""
     enum_guard(n, n, p)
-    subspaces = enumerate_subspaces(n, p)
-    at = {s: i for i, s in enumerate(subspaces)}
+    lat = lattice(n, p)
     vs = list(itertools.product(range(p), repeat=n))
     add = tuple(array(INDEX, (digit_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
     scale = tuple(array(INDEX, (digit_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
-    join = _join_table(subspaces, add, scale)
+    join = _join_table(lat.members, add, scale)
     image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
     transpose = _transpose_table(n, p)
-    ann = array(INDEX, (at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces))
+    at, below, ann = lat.subspace_at, lat.below, lat.ann
     kernel = array(INDEX, (ann[image[t]] for t in transpose))
-    below = tuple(
-        sum(1 << j for j, b in enumerate(subspaces) if a.contains(b)) for a in subspaces
-    )
-    return Universe(n, p, subspaces, at, image, kernel, transpose, below, join, ann, add, scale)
+    return Universe(n, p, lat.subspaces, at, image, kernel, transpose, below, join, ann, add, scale)
 

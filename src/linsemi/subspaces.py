@@ -12,6 +12,9 @@ first use and cached on the basis. A table costs p^dim vector-matrix
 products, once per distinct basis; a query is then one reduction mod p
 and one lookup, and a vector outside the subspace is simply absent.
 Containment compares two bitmasks of member vectors, cached per subspace.
+Tables over a whole lattice, built once per size with no `enum_guard`
+(member bitmasks, dimensions, containment masks and annihilators by
+index), belong to `indexed.lattice`; the lattice checks read them.
 """
 from __future__ import annotations
 
