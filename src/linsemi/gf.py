@@ -279,12 +279,17 @@ def digit_value(digits: Sequence[int], base: int) -> int:
 
 
 def all_matrices(r: int, c: int, p: int) -> Iterator[Mat]:
-    """All r x c matrices over GF(p) in row-major counting order."""
+    """All r x c matrices over GF(p) in row-major counting order.
+
+    Every matrix of the batch is r x c with entries in range(p) by construction,
+    so nothing is checked per matrix: each is built by `tuple.__new__(Mat, ...)`,
+    what the record's generated `__new__` does, minus its Python frame.
+    """
     enum_guard(r, c, p)
     # Row 0 is the most significant digit, so this is the flat counting order.
     rows = tuple(itertools.product(range(p), repeat=c))
-    for mat_rows in itertools.product(rows, repeat=r):
-        yield Mat(mat_rows, c, p)
+    fields = zip(itertools.product(rows, repeat=r), itertools.repeat(c), itertools.repeat(p))
+    yield from map(tuple.__new__, itertools.repeat(Mat), fields)
 
 
 def parse_mat(text: str, p: int) -> Mat:

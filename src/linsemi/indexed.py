@@ -10,8 +10,10 @@ The subspace lattice has its own index, `lattice(n, p)`, built once per
 size with no `enum_guard`, so it exists at (2, 5) and (5, 4) too, where
 `universe` raises TooLarge. It owns the tables over subspace indices:
 `members[s]`, the bitmask of the vectors of subspace s; `dims[s]`;
-`below[s]`, whose bit t is set when subspace s contains subspace t, read
-from the member bitmasks; and `ann[s]`, the index of the annihilator of
+`below[s]`, whose bit t is set when subspace s contains subspace t, and
+its transpose `above[t]`, the AND of the masks of the subspaces holding
+each basis row of t, built with one step per containment pair, not one
+per pair of subspaces; and `ann[s]`, the index of the annihilator of
 subspace s read as a primal subspace, one `annihilator` call per subspace.
 The lattice checks and `dual.build_normal_dual` read it, and a universe
 holds the same `subspaces`, `subspace_at`, `dims`, `below` and `ann`.
@@ -73,9 +75,10 @@ f.dom and 0 on its canonical complement, so x followed by f is
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import semigroup
 from .errors import NotClosed, TooLarge
@@ -99,8 +102,15 @@ def _digit_fold(rounds: Sequence[Callable[[int], Iterable[int]]]) -> array:
 
 
 def _digit_sums(places: Sequence[Sequence[int]]) -> array:
-    """Entry i is the sum of the place values picked by the base-len digits of i."""
-    return _digit_fold([lambda s, place=place: map(s.__add__, place) for place in places])
+    """Entry i is the sum of the place values picked by the base-len digits of i.
+
+    Each round streams every (value so far, place value) pair through `operator.add`
+    into the next array, with no Python frame per entry.
+    """
+    out = array(INDEX, [0])
+    for place in places:
+        out = array(INDEX, itertools.starmap(operator.add, itertools.product(out, place)))
+    return out
 
 
 class Lattice(NamedTuple):
@@ -111,6 +121,7 @@ class Lattice(NamedTuple):
     members: tuple[int, ...]  # entry s is `subspaces[s].members`, the bitmask of its vectors
     dims: array
     below: tuple[int, ...]  # bit t of entry s is set when subspace s contains subspace t
+    above: tuple[int, ...]  # bit s of entry t is set when subspace s contains subspace t: `below` transposed
     ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
 
 
@@ -319,15 +330,43 @@ def _join_table(members: Sequence[int], add: Sequence[array], scale: Sequence[ar
     return tuple(out)
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _containment(subspaces: Sequence[Subspace], members: Sequence[int], q: int) -> tuple[tuple[int, ...], ...]:
+    """The `below` and `above` masks from `holders[v]`, the mask of the subspaces holding vector v:
+    t lies in s when s holds every basis row of t, so `above[t]` ANDs the holders of t's rows,
+    and `below`, its bit-transpose, takes one step per containment pair, not per pair of subspaces."""
+    holders = [0] * q
+    for s, mask in enumerate(members):
+        for v in set_bits(mask):
+            holders[v] |= 1 << s
+    everything = (1 << len(members)) - 1
+    above, below = [], [0] * len(members)
+    for t, a in enumerate(subspaces):
+        mask = everything
+        for row in a.basis.rows:
+            mask &= holders[digit_value(row, a.p)]
+        above.append(mask)
+        for s in set_bits(mask):
+            below[s] |= 1 << t
+    return tuple(below), tuple(above)
+
+
 @lru_cache(maxsize=None)
 def lattice(n: int, p: int) -> Lattice:
     """Index the subspaces of GF(p)^n; at every size, with no `enum_guard`."""
     subspaces = enumerate_subspaces(n, p)
     at = {s: i for i, s in enumerate(subspaces)}
     members = tuple(s.members for s in subspaces)
-    below = tuple(sum(1 << t for t, m in enumerate(members) if m | top == top) for top in members)
+    below, above = _containment(subspaces, members, p**n)
     ann = array(INDEX, (at[Subspace(n, p, Side.PRIMAL, annihilator(s).basis)] for s in subspaces))
-    return Lattice(subspaces, at, members, array(INDEX, (s.dim for s in subspaces)), below, ann)
+    return Lattice(subspaces, at, members, array(INDEX, (s.dim for s in subspaces)), below, above, ann)
 
 
 @lru_cache(maxsize=None)

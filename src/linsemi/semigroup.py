@@ -8,6 +8,7 @@ entry by entry, and no isomorphism search is offered.
 """
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -85,15 +86,21 @@ class Endo(_EndoFields):
 
 @lru_cache(maxsize=None)
 def all_endos(n: int, p: int) -> tuple[Endo, ...]:
-    """Every n x n matrix over GF(p) in counting order."""
-    return tuple(Endo(m) for m in all_matrices(n, n, p))
+    """Every n x n matrix over GF(p) in counting order.
+
+    `all_matrices(n, n, p)` yields square matrices only, so the shape test of
+    `Endo.__post_init__` holds for the whole batch, and each `Endo` is built by
+    `tuple.__new__(Endo, (m,))`, one C-level call per element. `Endo(m)` still
+    validates on every other call.
+    """
+    return tuple(map(tuple.__new__, itertools.repeat(Endo), zip(all_matrices(n, n, p))))
 
 
 @lru_cache(maxsize=None)
 def sing(n: int, p: int) -> tuple[Endo, ...]:
     """The singular (non-invertible) transformations, in counting order."""
     u = indexed.universe(n, p)
-    return tuple(u.elements[x] for x in u.singular)
+    return tuple(map(u.elements.__getitem__, u.singular))
 
 
 @lru_cache(maxsize=None)

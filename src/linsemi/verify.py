@@ -86,15 +86,17 @@ def check_annihilator_antitone(p: int, n: int) -> Verdict:
 
 def check_inclusion_splitting(p: int, n: int) -> Verdict:
     """j . q = 1 for the inclusion j of every a inside b and its retraction q, tested once per
-    distinct inclusion matrix: the identity reads j.mat alone."""
+    distinct inclusion matrix: the identity reads j.mat alone, the coordinates of a's basis
+    in b's, so j and q are built only for a pair whose matrix is new."""
     lat = ix.lattice(n, p)
     spaces, verdicts = lat.subspaces, {}
     for s, a in enumerate(spaces):
-        for b in itertools.compress(spaces, (top >> s & 1 for top in lat.below)):
-            j = sub.inclusion(a, b)
-            if j.mat not in verdicts:
-                verdicts[j.mat] = j.compose(sub.retraction(j)) == sub.Morphism.identity(a)
-            if not verdicts[j.mat]:
+        for b in map(spaces.__getitem__, ix.set_bits(lat.above[s])):
+            mat = b.coordinates(a.basis.rows)
+            if mat not in verdicts:
+                j = sub.inclusion(a, b)
+                verdicts[mat] = j.compose(sub.retraction(j)) == sub.Morphism.identity(a)
+            if not verdicts[mat]:
                 return False, {"a": str(a.basis), "b": str(b.basis)}
     return True, None
 

@@ -100,6 +100,7 @@ def test_lattice_tables_equal_their_definitions(p, n):
     for s, a in enumerate(spaces):
         assert lat.members[s] == sum(1 << gf.digit_value(v, p) for v in a.vectors())
         assert lat.below[s] == sum(1 << t for t, b in enumerate(spaces) if a.contains(b))
+        assert lat.above[s] == sum(1 << t for t, b in enumerate(spaces) if b.contains(a))
         assert spaces[lat.ann[s]].basis == annihilator(a).basis
 
 
@@ -143,3 +144,13 @@ def test_lattice_checks_read_the_index_at_2_4(monkeypatch):
     distinct = sum(len(enumerate_subspaces(m, 2)) for m in range(5))
     assert calls["contains"] == 0 and calls["retraction"] == distinct == 91
     assert calls["rows"] <= 2 * distinct
+
+
+def test_inclusion_splitting_builds_one_inclusion_per_matrix_at_2_4(monkeypatch):
+    # The verdicts are keyed on the coordinates of a's basis in b's: of the 513
+    # containment pairs, only the 91 whose matrix is new build an inclusion.
+    calls = []
+    real = subspaces.inclusion
+    monkeypatch.setattr(subspaces, "inclusion", lambda a, b: calls.append((a, b)) or real(a, b))
+    assert verify.check_inclusion_splitting(2, 4) == (True, None)
+    assert len(calls) == 91

@@ -3,9 +3,9 @@ from array import array
 
 import pytest
 
-from linsemi import indexed
-from linsemi.errors import NotADirectSum, NotClosed
-from linsemi.gf import Mat
+from linsemi import gf, indexed
+from linsemi.errors import NotADirectSum, NotClosed, ShapeError
+from linsemi.gf import Mat, all_matrices
 from linsemi.semigroup import (
     Endo,
     all_endos,
@@ -184,3 +184,36 @@ def test_enumeration_bound_guard():
     for build in (all_endos, sing, gl):
         with pytest.raises(TooLarge):
             build(5, 2)
+
+
+class TestBulkConstruction:
+    """`all_endos` and `sing` build their records without `Endo.__new__`; the values are those it builds."""
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
+    def test_all_endos_is_endo_of_each_matrix(self, p, n):
+        built = all_endos(n, p)
+        assert built == tuple(Endo(m) for m in all_matrices(n, n, p))
+        assert all(type(e) is Endo and type(e.mat) is Mat for e in built)
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+    def test_sing_is_the_rank_deficient_endos(self, p, n):
+        singular = sing(n, p)
+        assert singular == tuple(e for e in all_endos(n, p) if gf.rank(e.mat) < n)
+        assert all(type(e) is Endo for e in singular)
+
+    def test_endo_still_validates_its_shape(self):
+        with pytest.raises(ShapeError):
+            Endo(Mat.make([[1, 0]], 2))
+
+    def test_the_2_4_check_path_builds_no_endo(self, monkeypatch):
+        from linsemi import semigroup, verify
+
+        semigroup.all_endos.cache_clear()
+        indexed.universe.cache_clear()
+        seen = []
+        build, elements, check = semigroup.all_endos, indexed.Universe.elements, Endo.__post_init__
+        monkeypatch.setattr(semigroup, "all_endos", lambda n, p: seen.append("all_endos") or build(n, p))
+        monkeypatch.setattr(indexed.Universe, "elements", property(lambda u: seen.append("elements") or elements.func(u)))
+        monkeypatch.setattr(Endo, "__post_init__", lambda e: seen.append("Endo") or check(e))
+        assert all(c.passed for c in verify.run_all(2, 4))
+        assert seen == []
