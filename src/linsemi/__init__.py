@@ -66,13 +66,10 @@ from .dual import (
     HFunctor,
     build_normal_dual,
     dual_cone_table,
-    h_map,
-    h_set,
     nat_trans,
 )
 from .crossconn import (
     CrossConn,
-    chi,
     check_chi_naturality,
     classify_crossconnections,
     gamma_delta_theta,
@@ -101,10 +98,10 @@ __all__ = [
     "idempotents", "mult_table", "regular_elements", "sing", "sing_order", "transpose_table",
     "Factorization", "NormalCone", "build_cone_semigroup", "cone_census", "cone_compose",
     "cone_to_map", "epimorphic_component", "normal_factorization", "principal_cone",
-    "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "dual_cone_table", "h_map",
-    "h_set", "nat_trans", "CrossConn", "chi", "check_chi_naturality", "classify_crossconnections",
-    "gamma_delta_theta", "is_crossconnection", "is_local_isomorphism", "linked_pair_semigroup",
-    "recover_theta", "VariantContext", "make_variant", "nonprincipal_cones", "phi", "reg_variant",
-    "sandwich", "variant_crossconnection",
+    "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "dual_cone_table", "nat_trans",
+    "CrossConn", "check_chi_naturality", "classify_crossconnections", "gamma_delta_theta",
+    "is_crossconnection", "is_local_isomorphism", "linked_pair_semigroup", "recover_theta",
+    "VariantContext", "make_variant", "nonprincipal_cones", "phi", "reg_variant", "sandwich",
+    "variant_crossconnection",
 ]
 __version__ = "0.1.0"

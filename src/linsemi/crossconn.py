@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
@@ -178,13 +178,6 @@ def _bifunctor_indices(image_in: Subspace, coimage_in: Subspace) -> tuple[int, .
     return u.confined(u.subspace_at[image_in], u.subspace_at[annihilator(coimage_in)])
 
 
-def chi(theta: Endo) -> Callable[[Endo], Endo]:
-    theta_inv = theta.inverse()
-    if theta_inv is None:
-        raise NotInvertible("the duality is conjugation by an automorphism")
-    return lambda alpha: theta_inv @ alpha @ theta
-
-
 def chi_indices(theta: Endo) -> list[int]:
     """Entry x is the index of theta^-1 x theta, read from the Cayley table."""
     theta_inv = theta.inverse()
@@ -268,23 +261,16 @@ def sing_table(n: int, p: int) -> SemigroupTable:
 NEEDS_TWO_LINES = "recovery needs at least two coordinate lines"
 
 
-def recover_theta(
-    delta: CrossConn | dict[Subspace, Subspace], n: int | None = None, p: int | None = None
-) -> Endo:
+def recover_theta(delta: CrossConn) -> Endo:
     """Projective lifting: read the inducing map off the coordinate lines.
 
     The image of the first coordinate line fixes the scale (leading
     coefficient one); the remaining scalars are pinned by the images of
     the diagonal lines through e1 + ei. The result is verified to
-    reproduce the whole functor exactly, otherwise NotInduced is raised.
+    reproduce the whole functor exactly (its morphism map too, when it has
+    one), otherwise NotInduced is raised.
     """
-    if isinstance(delta, CrossConn):
-        omap = delta.object_map
-        n, p = delta.n, delta.p
-    else:
-        omap = delta
-        if n is None or p is None:
-            raise ValueError("object-map recovery needs explicit n and p")
+    n, p, omap = delta.n, delta.p, delta.object_map
     if n < 2:
         raise NotInduced(NEEDS_TWO_LINES)
 
@@ -319,7 +305,7 @@ def recover_theta(
     primal = category(n, p, Side.PRIMAL).objects
     if {a: image_subspace(a, theta.mat) for a in primal} != dict(omap):
         raise NotInduced("recovered map does not reproduce the object map")
-    if isinstance(delta, CrossConn) and delta.morphism_map:
+    if delta.morphism_map:
         if functor_from_global(theta.mat, primal).morphism_map != delta.morphism_map:
             raise NotInduced("recovered map does not reproduce the morphism map")
     return theta
@@ -359,7 +345,7 @@ def classify_crossconnections(n: int, p: int) -> ClassificationCensus:
         omap = {zero: zero}
         omap.update(dict(zip(lines, perm)))
         try:
-            theta = recover_theta(omap, n, p)
+            theta = recover_theta(CrossConn(n, p, Side.PRIMAL, omap, {}))
         except NotInduced:
             continue
         kept.append(omap)

@@ -2,10 +2,13 @@
 
 An H-functor is its null space: for every idempotent e with that kernel,
 its value at a subspace A is the set of singular maps x with e x = x
-(kernel above the null space) and image inside A. Annihilators identify
-the dual of the subspace category with the category of proper subspaces
-of V*, and cones over that category multiply opposite to the singular
-semigroup.
+(kernel above the null space) and image inside A, read from the Cayley
+table by `index_h_sets`; a morphism g acts on it as the product with
+`extension(g)`. The M-set of a null space is its set of complements.
+Annihilators identify the dual of the subspace category with the
+category of proper subspaces of V*: `nat_trans` and `dual_morphisms`
+give its morphisms by sandwich carriers, and cones over it multiply
+opposite to the singular semigroup.
 """
 from __future__ import annotations
 
@@ -15,8 +18,8 @@ from typing import NamedTuple
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, projection
 from .indexed import Universe, lattice, universe
-from .normal_cones import NormalCone, category, cone_table
-from .semigroup import Endo, SemigroupTable, idempotent_from, sing
+from .normal_cones import cone_table
+from .semigroup import Endo, SemigroupTable, idempotent_from
 from .subspaces import (
     ComplementMode,
     Morphism,
@@ -48,25 +51,11 @@ class HFunctor(_HFunctorFields):
             raise NotSingular("H-functors of the singular part have nonzero null spaces")
 
 
-def hfunctor_of(e: Endo) -> HFunctor:
-    _check_idempotent(e)
-    return HFunctor(e.kernel)
-
-
 def _check_idempotent(e: Endo) -> None:
     if not e.is_idempotent:
         raise NotIdempotent("expected an idempotent transformation")
     if not e.is_singular:
         raise NotSingular("expected a singular idempotent")
-
-
-@lru_cache(maxsize=None)
-def h_set(e: Endo, a: Subspace) -> frozenset[Endo]:
-    """{x singular : ker x >= ker e and im x <= a}, by enumeration."""
-    _check_idempotent(e)
-    return frozenset(
-        x for x in sing(e.n, e.p) if x.kernel.contains(e.kernel) and a.contains(x.image)
-    )
 
 
 def index_h_sets(u: Universe, e: int) -> tuple[frozenset[int], ...]:
@@ -93,17 +82,6 @@ def extension(f: Morphism) -> int:
     """
     u = universe(f.dom.n, f.dom.p)
     return u.index(globalize(idempotent_from(complement(f.dom, ComplementMode.CANONICAL), f.dom), f))
-
-
-def h_map(e: Endo, g: Morphism) -> dict[Endo, Endo]:
-    """The functor action on a morphism g: sends x to x . g between h-sets."""
-    return {x: globalize(x, g) for x in h_set(e, g.dom)}
-
-
-def m_set_components(cone: NormalCone) -> frozenset[Subspace]:
-    """Objects where the cone component is an isomorphism."""
-    objects = category(cone.n, cone.p, cone.side).objects
-    return frozenset(a for a, c in zip(objects, cone.components) if c.is_iso)
 
 
 def m_set_complements(key: Subspace) -> frozenset[Subspace]:
@@ -152,11 +130,6 @@ def nat_trans(u: Endo, e: Endo, f: Endo) -> DualMorphism:
     if fmat is None:
         raise NotInSandwich("carrier does not map the annihilator into the target")
     return DualMorphism(dom, cod, fmat, u)
-
-
-def component_action(dm: DualMorphism, e: Endo, a: Subspace) -> dict[Endo, Endo]:
-    """The natural transformation's component at a: x maps to carrier . x."""
-    return {x: dm.carrier @ x for x in h_set(e, a)}
 
 
 @lru_cache(maxsize=None)

@@ -39,18 +39,8 @@ from typing import NamedTuple, Sequence
 from .errors import NotACone, NotClosed, NotSingular, ShapeError, TooLarge
 from .gf import Mat, all_matrices, kernel_basis, pivot_complement, projection
 from .indexed import Universe, universe
-from .semigroup import Endo, SemigroupTable, idempotent_from
-from .subspaces import (
-    ComplementMode,
-    Morphism,
-    Side,
-    Subspace,
-    SubspaceFilter,
-    canonical,
-    complement,
-    enumerate_subspaces,
-    inclusion,
-)
+from .semigroup import Endo, SemigroupTable
+from .subspaces import Morphism, Side, Subspace, SubspaceFilter, canonical, enumerate_subspaces, inclusion
 
 CENSUS_BUDGET = 2000  # component families `cone_census` enumerates at most
 
@@ -155,12 +145,6 @@ class NormalCone(NamedTuple):
     def component(self, a: Subspace) -> Morphism:
         return self.components[category(self.n, self.p, self.side).index(a)]
 
-    def to_json(self) -> dict:
-        return {
-            "vertex": self.vertex.to_json(),
-            "components": [[list(r) for r in c.mat.rows] for c in self.components],
-        }
-
 
 class ConeValidation(NamedTuple):
     valid: bool
@@ -262,13 +246,6 @@ def cone_compose(gamma: NormalCone, delta: NormalCone) -> NormalCone:
     onto = epimorphic_component(delta.component(gamma.vertex))
     comps = tuple(c.compose(onto) for c in gamma.components)
     return NormalCone(gamma.n, gamma.p, gamma.side, onto.cod, comps)
-
-
-def idempotent_cone(target: Subspace) -> NormalCone:
-    """The idempotent cone at a proper subspace, from the projection fixing it."""
-    comp = complement(target, ComplementMode.CANONICAL)
-    proj = idempotent_from(comp, target)
-    return principal_cone(proj, target.side)
 
 
 class IndexCone(NamedTuple):

@@ -243,18 +243,6 @@ class SemigroupTable(NamedTuple):
     def order(self) -> int:
         return len(self.elements)
 
-    def is_associative(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[t[i][j]][k] == t[i][t[j][k]] for i in range(n) for j in range(n) for k in range(n))
-
-    def to_json(self, label: Callable = str) -> dict:
-        return {
-            "order": self.order,
-            "elements": [label(e) for e in self.elements],
-            "table": [list(row) for row in self.table],
-        }
-
 
 def mult_table(elements: Sequence, product: Callable) -> SemigroupTable:
     """Build the table; raises NotClosed when a product escapes the element set."""

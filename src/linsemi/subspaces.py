@@ -102,13 +102,6 @@ class Subspace(_SubspaceFields):
         """All p^dim vectors of the subspace, coordinates in counting order."""
         return iter(_coordinate_table(self.basis))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "p": self.p, "side": self.side.value, "basis": [list(r) for r in self.basis.rows]}
-
-    @staticmethod
-    def from_json(data: dict) -> "Subspace":
-        return canonical(data["basis"], data["n"], data["p"], Side(data["side"]))
-
 
 @lru_cache(maxsize=None)
 def _coordinate_table(basis: Mat) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -213,18 +206,6 @@ def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):
 def annihilator(a: Subspace) -> Subspace:
     """Functionals vanishing on a; maps PRIMAL to DUAL and back."""
     return Subspace(a.n, a.p, a.side.flip(), kernel_basis(a.basis.transpose()))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    a._match(b)
-    ker = kernel_basis(a.basis.vstack(b.basis))
-    rows = [a.basis.apply(k[: a.dim]) for k in ker.rows]
-    return canonical(rows, a.n, a.p, a.side)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._match(b)
-    return Subspace(a.n, a.p, a.side, row_basis(a.basis.vstack(b.basis)))
 
 
 def is_direct_sum(a: Subspace, b: Subspace) -> bool:

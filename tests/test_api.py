@@ -8,9 +8,9 @@ PUBLIC = """
     Morphism NormalCone NotACone NotADirectSum NotClosed NotIdempotent NotInSandwich NotIncluded
     NotInduced NotInvertible NotSingular SemigroupTable ShapeError Side Subspace SubspaceFilter TooLarge
     VariantContext all_endos annihilator build_cone_semigroup build_normal_dual canonical
-    check_chi_naturality chi classify_crossconnections complement cone_census cone_compose cone_to_map
+    check_chi_naturality classify_crossconnections complement cone_census cone_compose cone_to_map
     dual_cone_table enumerate_subspaces epimorphic_component gamma_delta_theta gaussian_binomial gl
-    h_map h_set idempotent_from idempotents inclusion invert is_crossconnection is_local_isomorphism
+    idempotent_from idempotents inclusion invert is_crossconnection is_local_isomorphism
     is_prime kernel_basis linked_pair_semigroup make_variant mat_to_text mult_table nat_trans
     nonprincipal_cones normal_factorization parse_mat phi principal_cone rank recover_theta reg_variant
     regular_elements retraction row_basis rref sandwich sing sing_order transpose_table validate_cone
@@ -44,6 +44,43 @@ def test_only_indexed_decodes_an_index():
         if decoding.search(text)
     }
     assert found == set()
+
+
+# Public top-level definitions that no other module of the package names, each with why it stays.
+KEPT_WITHOUT_CALLER = {
+    "dual.dual_morphisms": "the normal dual's hom-sets by carrier: the tests' reference for their sizes and composition",
+    "subspaces.transport_morphism": "S_a^-1 f S_b for one morphism: the tests' reference for functor_from_global",
+    "subspaces.zero_subspace": "the zero object of the lattice, which the tests name in expected values",
+    "subspaces.full_subspace": "V as a subspace, which the tests name in expected values",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    # A public function or class that no other module names is test-only code, unless it is kept above.
+    import ast
+    import pathlib
+
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in pathlib.Path(linsemi.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    uncalled = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in named
+    }
+    assert uncalled == set(KEPT_WITHOUT_CALLER)
 
 
 def test_only_gf_builds_complements_and_projections():

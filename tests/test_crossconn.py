@@ -13,7 +13,6 @@ from linsemi.crossconn import (
     _bifunctor_indices,
     canonical_scalar_rep,
     check_chi_naturality,
-    chi,
     classify_crossconnections,
     functor_from_global,
     gamma_delta_theta,
@@ -118,6 +117,12 @@ class TestIsCrossconnection:
         assert is_crossconnection(gamma).ok
 
 
+def conjugate(theta):
+    """The duality by definition: alpha -> theta^-1 alpha theta, by Endo products."""
+    theta_inv = theta.inverse()
+    return lambda alpha: theta_inv @ alpha @ theta
+
+
 def gamma_set(a, y, gamma):
     return {indexed.universe(a.n, a.p).elements[x] for x in _bifunctor_indices(a, gamma.obj(y))}
 
@@ -141,7 +146,7 @@ class TestBifunctors:
 
     def test_chi_is_bijection_between_sets(self):
         gamma, delta = gamma_delta_theta(SWAP)
-        chi_map = chi(SWAP)
+        chi_map = conjugate(SWAP)
         for a in category(2, 2, Side.PRIMAL).objects:
             for y in category(2, 2, Side.DUAL).objects:
                 gset = gamma_set(a, y, gamma)
@@ -196,14 +201,30 @@ class TestLinkedSemigroup:
         linked = linked_pair_semigroup(SWAP)
         assert linked.table.order == 10
         assert linked.matches_sing
-        conjugate = chi(SWAP)
-        assert linked.table.elements == tuple((a, conjugate(a)) for a in sing(2, 2))
+        chi_map = conjugate(SWAP)
+        assert linked.table.elements == tuple((a, chi_map(a)) for a in sing(2, 2))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_batch_all_automorphisms(self, p):
         for theta in gl(2, p):
             linked = linked_pair_semigroup(theta)
             assert linked.matches_sing
+
+    def test_check_rejects_a_broken_homomorphism_for_one_theta(self, monkeypatch):
+        # Swapping chi at the first two singular elements for the last theta of GL(2, 2) breaks
+        # chi(ab) = chi(a) chi(b); the thetas before it pass, so the witness is that theta.
+        u, last, real = indexed.universe(2, 2), gl(2, 2)[-1], crossconn.chi_indices
+
+        def broken(theta):
+            chi_of = real(theta)
+            if theta == last:
+                a, b = u.singular[:2]
+                chi_of[a], chi_of[b] = chi_of[b], chi_of[a]
+            return chi_of
+
+        monkeypatch.setattr(crossconn, "chi_indices", broken)
+        check = verify.run_check("crossconn.linked-semigroup", verify.check_linked_semigroups, 2, 2)
+        assert (check.passed, check.witness) == (False, mat_to_text(last.mat))
 
     def test_projection_to_first_is_isomorphism(self):
         linked = linked_pair_semigroup(SWAP)
@@ -240,7 +261,7 @@ class TestRecoverTheta:
         omap = {zero_subspace(2, 2): zero_subspace(2, 2)}
         omap.update({a: lines[0] for a in lines})  # collapses, not induced
         with pytest.raises(NotInduced):
-            recover_theta(omap, 2, 2)
+            recover_theta(CrossConn(2, 2, Side.PRIMAL, omap, {}))
 
 
 class TestClassification:

@@ -2,32 +2,27 @@
 import pytest
 
 from linsemi import crossconn as cx
-from linsemi import semigroup, verify
+from linsemi import dual, semigroup, verify
 from linsemi.errors import NotIdempotent, NotInSandwich, NotSingular
 from linsemi.gf import Mat
 from linsemi.dual import (
     HFunctor,
     build_normal_dual,
-    component_action,
     dual_cone_table,
     dual_morphisms,
     dual_op_table,
+    extension,
     functor_p_object,
     globalize,
-    h_map,
-    h_set,
-    hfunctor_of,
     index_h_sets,
     m_set_complements,
-    m_set_components,
     nat_trans,
 )
 from linsemi.indexed import Universe, universe
-from linsemi.normal_cones import category, hom_between, principal_cone
+from linsemi.normal_cones import category, principal_cone
 from linsemi.semigroup import Endo, idempotent_from, idempotents, mult_table, sing, transpose_table
 from linsemi.subspaces import (
     ComplementMode,
-    Morphism,
     Side,
     SubspaceFilter,
     annihilator,
@@ -52,6 +47,22 @@ def singular_idempotents(n, p):
     return [e for e in idempotents(n, p) if not e.kernel.is_zero]
 
 
+def h_set(e, a):
+    """H(e; A) on `Endo`s, as `index_h_sets` reads it off the Cayley table."""
+    u = universe(e.n, e.p)
+    return frozenset(u.elements[x] for x in index_h_sets(u, u.index(e))[u.subspace_at[a]])
+
+
+def h_set_by_definition(e, a):
+    """H(e; A) by definition: the singular x with ker x >= ker e and im x <= A."""
+    return {x for x in sing(e.n, e.p) if x.kernel.contains(e.kernel) and a.contains(x.image)}
+
+
+def iso_components(cone):
+    """The M-set of a cone by definition: the objects where its component is an isomorphism."""
+    return {a for a, c in zip(category(cone.n, cone.p, cone.side).objects, cone.components) if c.is_iso}
+
+
 class TestHSet:
     def test_example_on_image_line(self):
         got = h_set(E11, canonical([[1, 0]], 2, 2))
@@ -61,14 +72,10 @@ class TestHSet:
         assert h_set(E11, zero_subspace(2, 2)) == {Endo.zero(2, 2)}
 
     def test_brute_force_definition(self):
+        # The fixed points of e x = x, by Endo products, are the maps whose kernel contains ker e.
         for a in enumerate_subspaces(2, 2, SubspaceFilter.PROPER):
-            got = h_set(E11, a)
-            brute = {
-                x
-                for x in sing(2, 2)
-                if x.kernel.contains(E11.kernel) and a.contains(x.image)
-            }
-            assert got == brute
+            brute = {x for x in sing(2, 2) if E11 @ x == x and a.contains(x.image)}
+            assert h_set(E11, a) == brute == h_set_by_definition(E11, a)
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3)])
     def test_index_h_sets_match_h_set(self, n, p):
@@ -78,7 +85,7 @@ class TestHSet:
             got = index_h_sets(u, u.index(e))
             assert len(got) == len(objects)
             for a, h in zip(objects, got):
-                assert {u.elements[x] for x in h} == h_set(e, a)
+                assert {u.elements[x] for x in h} == h_set_by_definition(e, a)
 
     def test_check_rejects_doctored_decompositions(self, monkeypatch):
         assert verify.check_hfunctor_keys(2, 2) == (True, {"kernels_checked": 4})
@@ -91,14 +98,6 @@ class TestHSet:
         monkeypatch.setattr(Universe, "decompositions", property(lambda u: doctored))
         assert verify.check_hfunctor_keys(2, 2) == (False, str(u.subspaces[null].basis))
 
-    def test_requires_idempotent(self):
-        with pytest.raises(NotIdempotent):
-            h_set(endo([[0, 1], [0, 0]]), zero_subspace(2, 2))
-
-    def test_requires_singular(self):
-        with pytest.raises(NotSingular):
-            h_set(Endo.identity(2, 2), zero_subspace(2, 2))
-
     def test_determined_by_kernel(self):
         groups = {}
         for e in singular_idempotents(2, 2):
@@ -109,42 +108,50 @@ class TestHSet:
 
 
 class TestHMap:
+    """A morphism g: a -> b acts on H(e; a) by x -> x E_g, the lookup products[x][extension(g)]."""
+
     def test_inclusion_acts_as_identity(self):
-        a = canonical([[1, 0]], 2, 2)
-        b = canonical([[1, 0], [0, 1]], 2, 2)
-        j = inclusion(a, canonical([[1, 0]], 2, 2))
-        action = h_map(E11, Morphism.identity(a))
-        for x, y in action.items():
-            assert x == y
+        # At (3, 2) the lines lie in planes, so H(e; a) holds nonzero x for a proper inclusion a -> b.
+        u = universe(3, 2)
+        objects = category(3, 2).objects
+        pairs = [(a, b) for a in objects for b in objects if a != b and b.contains(a) and not a.is_zero]
+        assert pairs
+        for e in singular_idempotents(3, 2):
+            h = index_h_sets(u, u.index(e))
+            for a, b in pairs:
+                ext = extension(inclusion(a, b))
+                assert all(u.products[x][ext] == x for x in h[u.subspace_at[a]])
 
     def test_lands_in_target_hset(self):
+        u = universe(2, 2)
         cat = category(2, 2)
-        for a in cat.objects:
-            for b in cat.objects:
-                for g in hom_between(a, b):
-                    action = h_map(E11, g)
-                    target = h_set(E11, b)
-                    assert set(action.values()) <= target
+        for e in singular_idempotents(2, 2):
+            h = index_h_sets(u, u.index(e))
+            for g in cat.all_morphisms():
+                ext = extension(g)
+                for x in h[u.subspace_at[g.dom]]:
+                    y = u.products[x][ext]
+                    assert y in h[u.subspace_at[g.cod]]
+                    assert u.elements[y] == globalize(u.elements[x], g)
 
 
 class TestMSet:
     def test_projection_mset(self):
         cone = principal_cone(E11)
         want = {canonical([[1, 0]], 2, 2), canonical([[1, 1]], 2, 2)}
-        assert m_set_components(cone) == want
+        assert iso_components(cone) == want
         assert m_set_complements(E11.kernel) == want
-        assert m_set_components(cone) == m_set_complements(hfunctor_of(E11).key)
 
     def test_zero_map_mset_is_zero_object(self):
         cone = principal_cone(Endo.zero(2, 2))
-        assert m_set_components(cone) == {zero_subspace(2, 2)}
+        assert iso_components(cone) == {zero_subspace(2, 2)}
         assert m_set_complements(Endo.zero(2, 2).kernel) == {zero_subspace(2, 2)}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_size_formula(self, n):
         for e in singular_idempotents(n, 2):
             k = e.kernel.dim
-            got = m_set_components(principal_cone(e))
+            got = iso_components(principal_cone(e))
             assert got == m_set_complements(e.kernel)
             assert len(got) == 2 ** (k * (n - k))
 
@@ -154,6 +161,14 @@ class TestMSet:
         proper = enumerate_subspaces(n, p, SubspaceFilter.PROPER)
         for key in enumerate_subspaces(n, p):
             assert m_set_complements(key) == {a for a in proper if is_direct_sum(a, key)}
+
+    def test_check_rejects_a_dropped_complement(self, monkeypatch):
+        # Drop <e2>, the canonical complement of <e1>: the M-sets of E22, the first idempotent with
+        # kernel <e1>, disagree, as its cone is still an isomorphism on <e2>.
+        real, key = dual.m_set_complements, E22.kernel
+        monkeypatch.setattr(dual, "m_set_complements", lambda k: real(k) - {complement(k)} if k == key else real(k))
+        check = verify.run_check("dual.mset-characterizations", verify.check_msets, 2, 2)
+        assert (check.passed, check.witness) == (False, "0,0;0,1")
 
     def test_sweep_bound_decided_before_building(self):
         # 20 833 singular idempotents at (2, 5); the closed form says so without building them.
@@ -188,19 +203,28 @@ class TestNatTrans:
         with pytest.raises(NotInSandwich):
             nat_trans(Endo.identity(2, 2) @ E11, E22, E22)
 
+    def test_requires_idempotent(self):
+        with pytest.raises(NotIdempotent):
+            nat_trans(Endo.zero(2, 2), endo([[0, 1], [0, 0]]), E11)
+        with pytest.raises(NotIdempotent):
+            nat_trans(Endo.zero(2, 2), E11, endo([[0, 1], [0, 0]]))
+
+    def test_requires_singular(self):
+        with pytest.raises(NotSingular):
+            nat_trans(Endo.zero(2, 2), Endo.identity(2, 2), E11)
+        with pytest.raises(NotSingular):
+            nat_trans(Endo.zero(2, 2), E11, Endo.identity(2, 2))
+
     def test_component_action_matches_functional_action(self):
-        # the same carrier acts on h-sets and on annihilator coordinates
+        # The component at a sends x in H(e; a) to carrier . x, which lies in H(f; a).
         for e in singular_idempotents(2, 2):
             for f in singular_idempotents(2, 2):
                 carriers = {f @ x @ e for x in sing(2, 2)}
                 for u in carriers:
                     dm = nat_trans(u, e, f)
                     for a in enumerate_subspaces(2, 2, SubspaceFilter.PROPER):
-                        action = component_action(dm, e, a)
-                        for x, y in action.items():
-                            assert y == u @ x
-                            assert y.kernel.contains(f.kernel)
-                            assert a.contains(y.image)
+                        for x in h_set_by_definition(e, a):
+                            assert dm.carrier @ x in h_set_by_definition(f, a)
 
     def test_naturality_squares(self):
         cat = category(2, 2)
@@ -209,7 +233,7 @@ class TestNatTrans:
                 for u in sorted({f @ x @ e for x in sing(2, 2)}, key=lambda m: m.mat.flat()):
                     dm = nat_trans(u, e, f)
                     for g in cat.all_morphisms():
-                        for x in h_set(e, g.dom):
+                        for x in h_set_by_definition(e, g.dom):
                             assert globalize(dm.carrier @ x, g) == dm.carrier @ globalize(x, g)
 
 
@@ -256,7 +280,7 @@ class TestFunctorP:
     def test_hfunctor_equality_by_key(self):
         es = [e for e in singular_idempotents(2, 2) if e.kernel == canonical([[0, 1]], 2, 2)]
         assert len(es) >= 2
-        assert len({hfunctor_of(e) for e in es}) == 1
+        assert len({HFunctor(e.kernel) for e in es}) == 1
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(NotSingular):

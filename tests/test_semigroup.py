@@ -164,13 +164,6 @@ class TestTables:
         with pytest.raises(NotClosed):
             mult_table([E11, endo([[0, 1], [1, 0]])], lambda a, b: a @ b)
 
-    def test_table_json(self):
-        t = mult_table(sing(2, 2), lambda a, b: a @ b)
-        data = t.to_json(lambda e: e.mat.rows)
-        assert data["order"] == 10
-        assert len(data["table"]) == 10
-        assert t.is_associative()
-
     def test_transpose_table(self):
         t = mult_table(sing(2, 2), lambda a, b: a @ b)
         op = transpose_table(t)
