@@ -38,7 +38,6 @@ from .subspaces import (
 )
 from .semigroup import (
     Endo,
-    SemigroupTable,
     all_endos,
     gl,
     idempotent_from,
@@ -47,12 +46,10 @@ from .semigroup import (
     regular_elements,
     sing,
     sing_order,
-    transpose_table,
 )
 from .normal_cones import (
     Factorization,
     NormalCone,
-    build_cone_semigroup,
     cone_census,
     cone_compose,
     cone_to_map,
@@ -65,7 +62,6 @@ from .dual import (
     DualMorphism,
     HFunctor,
     build_normal_dual,
-    dual_cone_table,
     nat_trans,
 )
 from .crossconn import (
@@ -75,7 +71,6 @@ from .crossconn import (
     gamma_delta_theta,
     is_crossconnection,
     is_local_isomorphism,
-    linked_pair_semigroup,
     recover_theta,
 )
 from .variants import (
@@ -94,14 +89,12 @@ __all__ = [
     "TooLarge", "Mat", "invert", "is_prime", "kernel_basis", "mat_to_text", "parse_mat", "rank",
     "row_basis", "rref", "ComplementMode", "Morphism", "Side", "Subspace", "SubspaceFilter",
     "annihilator", "canonical", "complement", "enumerate_subspaces", "gaussian_binomial",
-    "inclusion", "retraction", "Endo", "SemigroupTable", "all_endos", "gl", "idempotent_from",
-    "idempotents", "mult_table", "regular_elements", "sing", "sing_order", "transpose_table",
-    "Factorization", "NormalCone", "build_cone_semigroup", "cone_census", "cone_compose",
-    "cone_to_map", "epimorphic_component", "normal_factorization", "principal_cone",
-    "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "dual_cone_table", "nat_trans",
+    "inclusion", "retraction", "Endo", "all_endos", "gl", "idempotent_from", "idempotents",
+    "mult_table", "regular_elements", "sing", "sing_order", "Factorization", "NormalCone",
+    "cone_census", "cone_compose", "cone_to_map", "epimorphic_component", "normal_factorization",
+    "principal_cone", "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "nat_trans",
     "CrossConn", "check_chi_naturality", "classify_crossconnections", "gamma_delta_theta",
-    "is_crossconnection", "is_local_isomorphism", "linked_pair_semigroup", "recover_theta",
-    "VariantContext", "make_variant", "nonprincipal_cones", "phi", "reg_variant", "sandwich",
-    "variant_crossconnection",
+    "is_crossconnection", "is_local_isomorphism", "recover_theta", "VariantContext", "make_variant",
+    "nonprincipal_cones", "phi", "reg_variant", "sandwich", "variant_crossconnection",
 ]
 __version__ = "0.1.0"

@@ -2,10 +2,10 @@
 
 Every automorphism induces a pair of functors: one conjugates subspace
 morphisms, the other transports annihilator objects along the
-transpose. The linked-pair semigroup collects the pairs (alpha,
-theta^-1 alpha theta) under the slotwise product, read from the Cayley
-table: its table is Sing's exactly when the conjugation chi is a
-homomorphism. The classification census enumerates the dimension-preserving
+transpose. The duality chi(alpha) = theta^-1 alpha theta is read from
+the Cayley table by `chi_indices`; the linked pairs (alpha, chi(alpha))
+multiply slotwise like Sing exactly when chi is a homomorphism. The
+classification census enumerates the dimension-preserving
 object bijections at n = 2 and keeps those whose line action lifts
 projectively to an invertible map reproducing the bijection.
 """
@@ -20,7 +20,7 @@ from .errors import NotInduced, NotInvertible, TooLarge
 from .gf import Mat, inv_mod, invert, mat_to_text
 from .dual import extension
 from .normal_cones import category, hom_between
-from .semigroup import Endo, SemigroupTable, sing
+from .semigroup import Endo
 from .subspaces import (
     Morphism,
     Side,
@@ -231,31 +231,6 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
                     return ChiReport(False, checked, told)
                 checked += 1
     return ChiReport(True, checked, None)
-
-
-class LinkedSemigroup(NamedTuple):
-    table: SemigroupTable  # Sing's table on the pairs (a, theta^-1 a theta)
-    matches_sing: bool  # chi is a homomorphism, so the table is the pairs' slotwise table
-
-
-def linked_pair_semigroup(theta: Endo) -> LinkedSemigroup:
-    """The linked-pair semigroup of an automorphism, aligned with the singular order.
-
-    The slotwise product of the pairs of a and b is (ab, chi(a) chi(b)). It is
-    the pair of ab, at the position of ab, exactly when chi(ab) = chi(a) chi(b).
-    """
-    chi_of = chi_indices(theta)
-    u = ix.universe(theta.n, theta.p)
-    prod, s = u.products, u.singular
-    matches = all(chi_of[prod[a][b]] == prod[chi_of[a]][chi_of[b]] for a in s for b in s)
-    pairs = tuple((u.elements[a], u.elements[chi_of[a]]) for a in s)
-    return LinkedSemigroup(SemigroupTable(pairs, sing_table(theta.n, theta.p).table), matches)
-
-
-def sing_table(n: int, p: int) -> SemigroupTable:
-    """Sing's multiplication table in counting order, read from the Cayley table."""
-    u = ix.universe(n, p)
-    return SemigroupTable(sing(n, p), u.table(u.singular))
 
 
 NEEDS_TWO_LINES = "recovery needs at least two coordinate lines"

@@ -7,8 +7,9 @@ table by `index_h_sets`; a morphism g acts on it as the product with
 `extension(g)`. The M-set of a null space is its set of complements.
 Annihilators identify the dual of the subspace category with the
 category of proper subspaces of V*: `nat_trans` and `dual_morphisms`
-give its morphisms by sandwich carriers, and cones over it multiply
-opposite to the singular semigroup.
+give its morphisms by sandwich carriers. A cone over it is the index
+cone of a transposed element, so cones over it multiply opposite to the
+singular semigroup.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from typing import NamedTuple
 from .errors import NotIdempotent, NotInSandwich, NotSingular, ShapeError
 from .gf import Mat, all_matrices, projection
 from .indexed import Universe, lattice, universe
-from .normal_cones import cone_table
-from .semigroup import Endo, SemigroupTable, idempotent_from
+from .semigroup import Endo, idempotent_from
 from .subspaces import (
     ComplementMode,
     Morphism,
@@ -182,21 +182,3 @@ def build_normal_dual(n: int, p: int) -> NormalDual:
     incl = all(below[k1] >> k2 & 1 == below[i2] >> i1 & 1 for k1, i1 in pairs for k2, i2 in pairs)
     return NormalDual(hfs, tuple(zip(hfs, images)), injective, count_matches, incl)
 
-
-def dual_cone_table(n: int, p: int) -> SemigroupTable:
-    """Component-level cones over the dual category, one per singular map, composed by lookup.
-
-    The cone attached to alpha is the principal cone of its transpose
-    over the proper subspaces of V*, whose bases are those of V, so it is
-    the index cone of the transposed element; composing these reverses
-    the order of the matrix product.
-    """
-    u = universe(n, p)
-    return cone_table(u, [u.transpose[x] for x in u.singular])
-
-
-def dual_op_table(n: int, p: int) -> SemigroupTable:
-    """The same semigroup on transposed matrices under the plain product, read through the transpose."""
-    u = universe(n, p)
-    members = [u.transpose[x] for x in u.singular]
-    return SemigroupTable(tuple(u.elements[t] for t in members), u.table(members))

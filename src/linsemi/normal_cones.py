@@ -26,7 +26,8 @@ tables of `indexed`. On it the M-set (the objects of the vertex's
 dimension whose row images span the vertex, by the join table) and
 composition (gamma's row images through delta's row map at gamma's
 vertex, cached per component) are lookups, which the composition, M-set
-and cone-table checks use. The `Morphism` cones stay the definition for
+and cone-table checks use; `cone_table` returns positions, as
+`Universe.table` does. The `Morphism` cones stay the definition for
 the round trip, the idempotent law and the census.
 """
 from __future__ import annotations
@@ -38,8 +39,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import NotACone, NotClosed, NotSingular, ShapeError, TooLarge
 from .gf import Mat, all_matrices, kernel_basis, pivot_complement, projection
-from .indexed import Universe, universe
-from .semigroup import Endo, SemigroupTable
+from .indexed import Universe
+from .semigroup import Endo
 from .subspaces import Morphism, Side, Subspace, SubspaceFilter, canonical, enumerate_subspaces, inclusion
 
 CENSUS_BUDGET = 2000  # component families `cone_census` enumerates at most
@@ -298,8 +299,9 @@ def index_compose(u: Universe, gamma: IndexCone, delta: IndexCone) -> IndexCone:
     return IndexCone(vertex, tuple(map(extend.__getitem__, gamma.images)))
 
 
-def cone_table(u: Universe, members: Sequence[int]) -> SemigroupTable:
-    """The members' principal cones under composition, by lookup; NotClosed if a composite escapes.
+def cone_table(u: Universe, members: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][j] is the position of the composite of the members' principal cones i and j, by
+    lookup; NotClosed if a composite escapes.
 
     A composite reads delta only at gamma's vertex, so a row composes once per distinct component there.
     """
@@ -320,13 +322,7 @@ def cone_table(u: Universe, members: Sequence[int]) -> SemigroupTable:
             table.append(tuple(map(composites.__getitem__, slots)))
     except KeyError:
         raise NotClosed("a composite escapes the cones") from None
-    return SemigroupTable(cones, tuple(table))
-
-
-def build_cone_semigroup(n: int, p: int) -> SemigroupTable:
-    """Multiplication table of all principal cones under cone composition; its elements are the cones."""
-    u = universe(n, p)
-    return cone_table(u, u.singular)
+    return tuple(table)
 
 
 class ConeCensus(NamedTuple):

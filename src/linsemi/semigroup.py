@@ -2,9 +2,10 @@
 
 Green's relations are decided from images and kernels; a brute-force
 oracle built from principal ideals is provided so the two routes can be
-compared pair by pair. Multiplication tables are first-class values over
-an ordered element list; tables built over the same order are compared
-entry by entry, and no isomorphism search is offered.
+compared pair by pair. A multiplication table is a tuple of rows of
+positions in an ordered element list, the value `indexed.Universe.table`
+returns; tables built over the same order are compared entry by entry,
+and no isomorphism search is offered.
 """
 from __future__ import annotations
 
@@ -233,38 +234,13 @@ def regular_elements(elements: Sequence, product: Callable) -> tuple[list, dict]
     return regular, witness
 
 
-class SemigroupTable(NamedTuple):
-    """A finite multiplication table over an ordered element list."""
-
-    elements: tuple
-    table: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def mult_table(elements: Sequence, product: Callable) -> SemigroupTable:
-    """Build the table; raises NotClosed when a product escapes the element set."""
+def mult_table(elements: Sequence, product: Callable) -> tuple[tuple[int, ...], ...]:
+    """Entry [i][j] is the position of product(elements[i], elements[j]); NotClosed if it escapes."""
     elements = tuple(elements)
-    index = {}
-    for i, e in enumerate(elements):
-        if e in index:
-            raise ValueError(f"duplicate element at positions {index[e]} and {i}")
-        index[e] = i
-    rows = []
-    for a in elements:
-        row = []
-        for b in elements:
-            c = product(a, b)
-            if c not in index:
-                raise NotClosed(f"product of {a!r} and {b!r} escapes the set")
-            row.append(index[c])
-        rows.append(tuple(row))
-    return SemigroupTable(elements, tuple(rows))
-
-
-def transpose_table(t: SemigroupTable) -> SemigroupTable:
-    """The opposite table: same elements, product order reversed."""
-    n = t.order
-    return SemigroupTable(t.elements, tuple(tuple(t.table[j][i] for j in range(n)) for i in range(n)))
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("an element repeats")
+    try:
+        return tuple(tuple([index[product(a, b)] for b in elements]) for a in elements)
+    except KeyError:
+        raise NotClosed("a product escapes the elements") from None

@@ -153,7 +153,7 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     if injective:
         reg_table = mult_table(reg, lambda a, b: sandwich(a, b, ctx))
         pair_table = mult_table(pairs, lambda x, y: (x[0] @ y[0], x[1] @ y[1]))
-        matches = reg_table.table == pair_table.table
+        matches = reg_table == pair_table
     if theta.inverse() is not None:
         return VariantCxnReport(True, None, None, None, len(reg), injective, matches)
     r_objects, b_objects = restricted_objects(ctx)

@@ -209,8 +209,9 @@ def check_cone_census(p: int, n: int) -> Verdict:
 def check_cone_table(p: int, n: int) -> Verdict:
     if sg.sing_order(n, p) > 600:
         raise TooLarge("table build bounded to order 600")
-    table = nc.build_cone_semigroup(n, p)
-    return table.table == cx.sing_table(n, p).table, {"order": table.order}
+    u = ix.universe(n, p)
+    table = nc.cone_table(u, u.singular)
+    return table == u.table(u.singular), {"order": len(table)}
 
 
 def check_hfunctor_keys(p: int, n: int) -> Verdict:
@@ -252,17 +253,17 @@ def check_dual_objects(p: int, n: int) -> Verdict:
 
 
 def check_dual_tables(p: int, n: int) -> Verdict:
+    """Sing's transposes multiply by the opposite of Sing's table: as the cones over the dual
+    category, which are the index cones of the transposes, and as matrices."""
     if sg.sing_order(n, p) > 600:
         raise TooLarge("table build bounded to order 600")
-    sing_tab = cx.sing_table(n, p)
-    op_expected = sg.transpose_table(sing_tab).table
-    if n <= 2:
-        table = du.dual_cone_table(n, p)
-        if table.table != op_expected:
-            return False, "component-level dual cones"
-    op_table = du.dual_op_table(n, p)
-    ok = op_table.table == op_expected
-    return ok, {"order": op_table.order, "component_level": n <= 2}
+    u = ix.universe(n, p)
+    opposite = tuple(zip(*u.table(u.singular)))
+    transposed = [u.transpose[x] for x in u.singular]
+    if n <= 2 and nc.cone_table(u, transposed) != opposite:
+        return False, "component-level dual cones"
+    op_table = u.table(transposed)
+    return op_table == opposite, {"order": len(op_table), "component_level": n <= 2}
 
 
 def check_nat_trans(p: int, n: int) -> Verdict:
@@ -347,8 +348,16 @@ def theta_chi_naturality(theta: sg.Endo) -> Verdict:
 
 
 def theta_linked_semigroup(theta: sg.Endo) -> Verdict:
-    linked = cx.linked_pair_semigroup(theta)
-    return linked.matches_sing, {"order": linked.table.order}
+    """The linked-pair semigroup of an automorphism, aligned with the singular order.
+
+    The slotwise product of the pairs of a and b is (ab, chi(a) chi(b)). It is
+    the pair of ab, at the position of ab, exactly when chi(ab) = chi(a) chi(b).
+    """
+    u = ix.universe(theta.n, theta.p)
+    s, prod, chi_of = u.singular, u.products, cx.chi_indices(theta)
+    table = u.table(s)
+    ok = all(chi_of[s[k]] == prod[chi_of[a]][chi_of[b]] for a, row in zip(s, table) for b, k in zip(s, row))
+    return ok, {"order": len(table)}
 
 
 def theta_recover_roundtrip(theta: sg.Endo) -> Verdict:
@@ -381,9 +390,10 @@ def check_chi(p: int, n: int) -> Verdict:
 
 def check_linked_semigroups(p: int, n: int) -> Verdict:
     for theta in _gl_scope(p, n):
-        if not theta_linked_semigroup(theta)[0]:
+        ok, witness = theta_linked_semigroup(theta)
+        if not ok:
             return False, mat_to_text(theta.mat)
-    return True, {"order": sg.sing_order(n, p)}
+    return True, witness
 
 
 def check_scalar_invariance(p: int, n: int) -> Verdict:

@@ -2,9 +2,10 @@
 
 Every tolerance here is exact (these are finite algebraic computations),
 so each criterion asserts equality of the computed and expected values.
-Tables are compared entry by entry in counting order: the cone and dual
-cone tables are built over Sing's order, so equality with Sing's table
-(or its transpose) is the isomorphism the paper names. The table clause
+A table is the tuple of rows of positions that `Universe.table` returns,
+compared entry by entry in counting order: the cone and dual cone tables
+are built over Sing's order, so equality with Sing's table (or its
+transpose) is the isomorphism the paper names. The table clause
 of the duality suite runs at the orders the table machinery is specified
 for (up to the singular semigroup of GF(2)^3, order 344); at p = 3,
 n = 3 the non-table clauses still run.
@@ -18,6 +19,7 @@ from linsemi import normal_cones as nc
 from linsemi import semigroup as sg
 from linsemi import subspaces as sub
 from linsemi import variants as va
+from linsemi import verify
 from linsemi.cli import main
 from linsemi.gf import Mat
 from linsemi.subspaces import Side, SubspaceFilter
@@ -43,9 +45,8 @@ def test_criterion_1_green_oracle():
 def test_criterion_2_cone_theorem():
     census = nc.cone_census(2, 2)
     ok = census.valid_count == 10
-    table = nc.build_cone_semigroup(2, 2)
-    sing_table = cx.sing_table(2, 2)
-    ok = ok and table.table == sing_table.table
+    u = ix.universe(2, 2)
+    ok = ok and nc.cone_table(u, u.singular) == u.table(u.singular)
     ok = ok and all(nc.cone_to_map(nc.principal_cone(a)) == a for a in sg.sing(2, 2))
     report("criterion-2 cone census = 10, cone table = Sing table, roundtrip", ok)
 
@@ -66,12 +67,11 @@ def test_criterion_3_duality_suite():
             ok = ok and images == proper_dual
     # anti-isomorphism of the dual cone semigroup, at table scale
     for n, p in ((2, 2), (2, 3)):
-        table = du.dual_cone_table(n, p)
-        expected = sg.transpose_table(cx.sing_table(n, p))
-        ok = ok and table.table == expected.table
-    op_table = du.dual_op_table(3, 2)
-    expected = sg.transpose_table(cx.sing_table(3, 2))
-    ok = ok and op_table.table == expected.table
+        u = ix.universe(n, p)
+        transposed = [u.transpose[x] for x in u.singular]
+        ok = ok and nc.cone_table(u, transposed) == tuple(zip(*u.table(u.singular)))
+    u = ix.universe(3, 2)
+    ok = ok and u.table([u.transpose[x] for x in u.singular]) == tuple(zip(*u.table(u.singular)))
     # at (3, 3) the full table (order 8451) is beyond the specified table
     # scale; the anti-homomorphism is still exercised component-level on a
     # deterministic block of pairs
@@ -101,16 +101,14 @@ def test_criterion_5_crossconnections():
     for p in (2, 3):
         autos = sg.gl(2, p)
         ok = ok and len(autos) == (6 if p == 2 else 48)
-        singular = sg.sing(2, p)
+        u, singular = ix.universe(2, p), sg.sing(2, p)
         for theta in autos:
             gamma, delta = cx.gamma_delta_theta(theta)
             ok = ok and cx.is_crossconnection(gamma).ok
             ok = ok and cx.check_chi_naturality(theta, gamma, delta).ok
-            linked = cx.linked_pair_semigroup(theta)
-            ok = ok and linked.table.order == sg.sing_order(2, p)
-            ok = ok and linked.matches_sing
-            theta_inv = theta.inverse()  # the Endo route, independent of chi_indices
-            ok = ok and linked.table.elements == tuple((a, theta_inv @ a @ theta) for a in singular)
+            ok = ok and verify.theta_linked_semigroup(theta) == (True, {"order": sg.sing_order(2, p)})
+            chi_of, theta_inv = cx.chi_indices(theta), theta.inverse()  # the Endo route, independent of chi_indices
+            ok = ok and all(u.elements[chi_of[x]] == theta_inv @ a @ theta for x, a in zip(u.singular, singular))
     report("criterion-5 cross-connection suite over GL(2,2) and GL(2,3)", ok)
 
 

@@ -18,11 +18,10 @@ from linsemi.crossconn import (
     gamma_delta_theta,
     is_crossconnection,
     is_local_isomorphism,
-    linked_pair_semigroup,
     recover_theta,
 )
 from linsemi.normal_cones import category
-from linsemi.semigroup import Endo, gl, pgl_order, sing
+from linsemi.semigroup import Endo, gl, mult_table, pgl_order, sing
 from linsemi.normal_cones import hom_between
 from linsemi.subspaces import Morphism, Side, annihilator, canonical, transport_morphism, zero_subspace
 from linsemi.variants import make_variant, restricted_objects
@@ -191,45 +190,55 @@ class TestChiNaturality:
         json.dumps(check.to_json())
 
 
+def linked_pairs(theta):
+    """The pairs (a, chi(a)) over Sing in counting order, chi read from the Cayley table."""
+    u, chi_of = indexed.universe(theta.n, theta.p), crossconn.chi_indices(theta)
+    return [(u.elements[x], u.elements[chi_of[x]]) for x in u.singular]
+
+
+def break_chi_for(monkeypatch, target):
+    """Swap chi at the first two singular elements for target alone, breaking chi(ab) = chi(a) chi(b)."""
+    u, real = indexed.universe(2, 2), crossconn.chi_indices
+
+    def broken(theta):
+        chi_of = real(theta)
+        if theta == target:
+            a, b = u.singular[:2]
+            chi_of[a], chi_of[b] = chi_of[b], chi_of[a]
+        return chi_of
+
+    monkeypatch.setattr(crossconn, "chi_indices", broken)
+
+
 class TestLinkedSemigroup:
     def test_identity_is_diagonal(self):
-        linked = linked_pair_semigroup(Endo.identity(2, 2))
-        assert all(pr[0] == pr[1] for pr in linked.table.elements)
-        assert linked.matches_sing
+        identity = Endo.identity(2, 2)
+        assert all(a == b for a, b in linked_pairs(identity))
+        assert verify.theta_linked_semigroup(identity)[0]
 
     def test_swap_table(self):
-        linked = linked_pair_semigroup(SWAP)
-        assert linked.table.order == 10
-        assert linked.matches_sing
+        assert verify.theta_linked_semigroup(SWAP) == (True, {"order": 10})
         chi_map = conjugate(SWAP)
-        assert linked.table.elements == tuple((a, chi_map(a)) for a in sing(2, 2))
+        assert linked_pairs(SWAP) == [(a, chi_map(a)) for a in sing(2, 2)]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_batch_all_automorphisms(self, p):
         for theta in gl(2, p):
-            linked = linked_pair_semigroup(theta)
-            assert linked.matches_sing
+            assert verify.theta_linked_semigroup(theta)[0]
 
     def test_check_rejects_a_broken_homomorphism_for_one_theta(self, monkeypatch):
-        # Swapping chi at the first two singular elements for the last theta of GL(2, 2) breaks
-        # chi(ab) = chi(a) chi(b); the thetas before it pass, so the witness is that theta.
-        u, last, real = indexed.universe(2, 2), gl(2, 2)[-1], crossconn.chi_indices
-
-        def broken(theta):
-            chi_of = real(theta)
-            if theta == last:
-                a, b = u.singular[:2]
-                chi_of[a], chi_of[b] = chi_of[b], chi_of[a]
-            return chi_of
-
-        monkeypatch.setattr(crossconn, "chi_indices", broken)
+        # The thetas of GL(2, 2) before the last pass, so the witness is the last.
+        last = gl(2, 2)[-1]
+        break_chi_for(monkeypatch, last)
         check = verify.run_check("crossconn.linked-semigroup", verify.check_linked_semigroups, 2, 2)
         assert (check.passed, check.witness) == (False, mat_to_text(last.mat))
 
     def test_projection_to_first_is_isomorphism(self):
-        linked = linked_pair_semigroup(SWAP)
-        firsts = [pr[0] for pr in linked.table.elements]
-        assert firsts == list(sing(2, 2))
+        # The first slots are Sing in counting order, so the linked table is Sing's table,
+        # which the Cayley table and the Endo products give alike.
+        assert [a for a, _ in linked_pairs(SWAP)] == list(sing(2, 2))
+        u = indexed.universe(2, 2)
+        assert u.table(u.singular) == mult_table(sing(2, 2), lambda a, b: a @ b)
 
 
 class TestRecoverTheta:
@@ -279,7 +288,14 @@ class TestClassification:
     def test_every_member_linked_to_sing(self):
         census = classify_crossconnections(2, 2)
         for theta in census.thetas:
-            assert linked_pair_semigroup(theta).matches_sing
+            assert verify.theta_linked_semigroup(theta)[0]
+
+    def test_check_rejects_a_broken_homomorphism_for_one_census_theta(self, monkeypatch):
+        # The census members before the last pass, so the witness is the last one's theta.
+        last = classify_crossconnections(2, 2).thetas[-1]
+        break_chi_for(monkeypatch, last)
+        check = verify.run_check("crossconn.classification", verify.check_classification, 2, 2)
+        assert (check.passed, check.witness) == (False, mat_to_text(last.mat))
 
     def test_scalar_invariance_gf3(self):
         for theta in gl(2, 3):

@@ -1,16 +1,13 @@
 """H-functors, M-sets, dual morphisms and the annihilator category."""
 import pytest
 
-from linsemi import crossconn as cx
 from linsemi import dual, semigroup, verify
 from linsemi.errors import NotIdempotent, NotInSandwich, NotSingular
 from linsemi.gf import Mat
 from linsemi.dual import (
     HFunctor,
     build_normal_dual,
-    dual_cone_table,
     dual_morphisms,
-    dual_op_table,
     extension,
     functor_p_object,
     globalize,
@@ -19,8 +16,8 @@ from linsemi.dual import (
     nat_trans,
 )
 from linsemi.indexed import Universe, universe
-from linsemi.normal_cones import category, principal_cone
-from linsemi.semigroup import Endo, idempotent_from, idempotents, mult_table, sing, transpose_table
+from linsemi.normal_cones import category, cone_table, principal_cone
+from linsemi.semigroup import Endo, idempotent_from, idempotents, mult_table, sing
 from linsemi.subspaces import (
     ComplementMode,
     Side,
@@ -290,12 +287,14 @@ class TestFunctorP:
 class TestDualTables:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
     def test_component_level_anti_isomorphism(self, n, p):
-        table = dual_cone_table(n, p)
-        sing_table = mult_table(sing(n, p), lambda a, b: a @ b)
-        assert table.table == transpose_table(sing_table).table
+        # The cones over the dual category are the index cones of the transposes.
+        u = universe(n, p)
+        opposite = tuple(zip(*mult_table(sing(n, p), lambda a, b: a @ b)))
+        assert cone_table(u, [u.transpose[x] for x in u.singular]) == opposite
 
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
     def test_op_representation(self, n, p):
+        u = universe(n, p)
         sing_table = mult_table(sing(n, p), lambda a, b: a @ b)
-        assert cx.sing_table(n, p).table == sing_table.table
-        assert dual_op_table(n, p).table == transpose_table(sing_table).table
+        assert u.table(u.singular) == sing_table
+        assert u.table([u.transpose[x] for x in u.singular]) == tuple(zip(*sing_table))

@@ -13,7 +13,7 @@ from linsemi.dual import DualMorphism, HFunctor, nat_trans
 from linsemi.errors import ShapeError
 from linsemi.gf import Mat
 from linsemi.normal_cones import category, principal_cone
-from linsemi.semigroup import Endo, SemigroupTable
+from linsemi.semigroup import Endo
 from linsemi.subspaces import Morphism, canonical
 from linsemi.variants import make_variant
 
@@ -29,7 +29,6 @@ def records():
         "Subspace": LINE,
         "Morphism": Morphism.identity(LINE),
         "Endo": one,
-        "SemigroupTable": SemigroupTable((one,), ((0,),)),
         "SubspaceCategory": category(2, 2),
         "NormalCone": principal_cone(E11),
         "HFunctor": HFunctor(LINE),

@@ -20,7 +20,6 @@ from linsemi.semigroup import (
     sing,
     sing_order,
     singular_idempotent_count,
-    transpose_table,
 )
 from linsemi.subspaces import canonical, full_subspace, zero_subspace
 
@@ -164,12 +163,6 @@ class TestTables:
         with pytest.raises(NotClosed):
             mult_table([E11, endo([[0, 1], [1, 0]])], lambda a, b: a @ b)
 
-    def test_transpose_table(self):
-        t = mult_table(sing(2, 2), lambda a, b: a @ b)
-        op = transpose_table(t)
-        i, j = 3, 7
-        assert op.table[i][j] == t.table[j][i]
-
 
 def test_enumeration_bound_guard():
     from linsemi.errors import TooLarge
@@ -209,4 +202,19 @@ class TestBulkConstruction:
         monkeypatch.setattr(indexed.Universe, "elements", property(lambda u: seen.append("elements") or elements.func(u)))
         monkeypatch.setattr(Endo, "__post_init__", lambda e: seen.append("Endo") or check(e))
         assert all(c.passed for c in verify.run_all(2, 4))
+        assert seen == []
+
+    def test_the_table_checks_read_no_element_list(self, monkeypatch):
+        # The cone, dual and linked tables are position tables: none of them pairs with an Endo list.
+        from linsemi import semigroup, verify
+
+        thetas = gl(2, 2)  # built before the spy, since `gl` reads the element list
+        semigroup.sing.cache_clear()
+        indexed.universe.cache_clear()
+        seen = []
+        elements = indexed.Universe.elements
+        monkeypatch.setattr(indexed.Universe, "elements", property(lambda u: seen.append((u.p, u.n)) or elements.func(u)))
+        for p, n in [(2, 2), (3, 2)]:
+            assert verify.check_cone_table(p, n)[0] and verify.check_dual_tables(p, n)[0]
+        assert all(verify.theta_linked_semigroup(theta)[0] for theta in thetas)
         assert seen == []

@@ -158,6 +158,16 @@ class TestVariantCrossconnection:
         assert variant_crossconnection(make_variant(E11)).ok
         assert sizes == [5, 5]
 
+    def test_check_rejects_translates_that_multiply_otherwise(self, monkeypatch):
+        # Swapping the translate pairs of the first two regular elements keeps phi injective and the
+        # pairs closed, but relabels the pair table so that it is no longer the variant's table.
+        real = variants.phi
+        first, second = reg_variant(make_variant(E11))[0][:2]
+        swap = {first: second, second: first}
+        monkeypatch.setattr(variants, "phi", lambda a, ctx: real(swap.get(a, a), ctx))
+        check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
+        assert (check.passed, check.witness) == (False, {"reg_size": 5})
+
     def test_phi_image_lands_in_carriers(self):
         ctx = make_variant(E11)
         reg, _ = reg_variant(ctx)
