@@ -81,8 +81,8 @@ def gamma_delta_theta(theta: Endo) -> tuple[CrossConn, CrossConn]:
     if theta.inverse() is None:
         raise NotInvertible(MUST_BE_INVERTIBLE)
     n, p = theta.n, theta.p
-    delta = functor_from_global(theta.mat, category(n, p, Side.PRIMAL).objects)
-    gamma = functor_from_global(theta.mat.transpose(), category(n, p, Side.DUAL).objects)
+    delta = functor_from_global(theta, category(n, p, Side.PRIMAL).objects)
+    gamma = functor_from_global(Mat.transpose(theta), category(n, p, Side.DUAL).objects)
     return gamma, delta
 
 
@@ -278,19 +278,19 @@ def recover_theta(delta: CrossConn) -> Endo:
     if theta.inverse() is None:
         raise NotInduced("recovered map is singular")
     primal = category(n, p, Side.PRIMAL).objects
-    if {a: image_subspace(a, theta.mat) for a in primal} != dict(omap):
+    if {a: image_subspace(a, theta) for a in primal} != dict(omap):
         raise NotInduced("recovered map does not reproduce the object map")
     if delta.morphism_map:
-        if functor_from_global(theta.mat, primal).morphism_map != delta.morphism_map:
+        if functor_from_global(theta, primal).morphism_map != delta.morphism_map:
             raise NotInduced("recovered map does not reproduce the morphism map")
     return theta
 
 
 def canonical_scalar_rep(theta: Endo) -> Endo:
     """Scale so the first nonzero coordinate of the first row is one."""
-    for x in theta.mat.rows[0]:
+    for x in theta.rows[0]:
         if x:
-            return Endo(theta.mat.scale(inv_mod(x, theta.p)))
+            return Endo(theta.scale(inv_mod(x, theta.p)))
     raise NotInduced("first basis vector is killed; not an automorphism")
 
 

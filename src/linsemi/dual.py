@@ -68,7 +68,7 @@ def index_h_sets(u: Universe, e: int) -> tuple[frozenset[int], ...]:
 
 def globalize(alpha: Endo, f: Morphism) -> Endo:
     """The global composite of alpha with a partial map whose domain contains im(alpha)."""
-    coords = f.dom.coordinates(alpha.mat.rows)
+    coords = f.dom.coordinates(alpha.rows)
     if coords is None:
         raise ShapeError("image escapes the domain of the partial map")
     return Endo(coords @ f.mat @ f.cod.basis)
@@ -126,7 +126,7 @@ def nat_trans(u: Endo, e: Endo, f: Endo) -> DualMorphism:
         raise NotInSandwich("carrier fails u = f u e")
     dom = annihilator(e.kernel)
     cod = annihilator(f.kernel)
-    fmat = cod.coordinates((dom.basis @ u.mat.transpose()).rows)
+    fmat = cod.coordinates((dom.basis @ Mat.transpose(u)).rows)
     if fmat is None:
         raise NotInSandwich("carrier does not map the annihilator into the target")
     return DualMorphism(dom, cod, fmat, u)

@@ -278,18 +278,18 @@ def digit_value(digits: Sequence[int], base: int) -> int:
     return out
 
 
-def all_matrices(r: int, c: int, p: int) -> Iterator[Mat]:
-    """All r x c matrices over GF(p) in row-major counting order.
-
-    Every matrix of the batch is r x c with entries in range(p) by construction,
-    so nothing is checked per matrix: each is built by `tuple.__new__(Mat, ...)`,
-    what the record's generated `__new__` does, minus its Python frame.
-    """
+def matrix_fields(r: int, c: int, p: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int, int]]:
+    """The fields (rows, c, p) of every r x c matrix over GF(p), in row-major counting order, valid
+    by construction: a batch builder makes each record by one C-level `tuple.__new__(cls, fields)`."""
     enum_guard(r, c, p)
     # Row 0 is the most significant digit, so this is the flat counting order.
     rows = tuple(itertools.product(range(p), repeat=c))
-    fields = zip(itertools.product(rows, repeat=r), itertools.repeat(c), itertools.repeat(p))
-    yield from map(tuple.__new__, itertools.repeat(Mat), fields)
+    return zip(itertools.product(rows, repeat=r), itertools.repeat(c), itertools.repeat(p))
+
+
+def all_matrices(r: int, c: int, p: int) -> Iterator[Mat]:
+    """All r x c matrices over GF(p) in row-major counting order, each checked by construction."""
+    return map(tuple.__new__, itertools.repeat(Mat), matrix_fields(r, c, p))
 
 
 def parse_mat(text: str, p: int) -> Mat:

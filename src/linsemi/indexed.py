@@ -18,10 +18,11 @@ subspace s read as a primal subspace, one `annihilator` call per subspace.
 The lattice checks and `dual.build_normal_dual` read it, and a universe
 holds the same `subspaces`, `subspace_at`, `dims`, `below` and `ann`.
 
-`Universe.elements` (all p^(n^2) `Endo`s) is built only when read, never
-at (2, 4); every table is an `array` of typecode "I", 4 bytes an entry.
-
-The tables are built once per size, on first use:
+Every table is an `array` of typecode "I", 4 bytes an entry. `universe`
+builds `image`, `join`, `add` and `scale`; `kernel`, `transpose`,
+`idempotents`, `decompositions`, `products` and `elements` (all p^(n^2)
+`Endo`s) are each built on first read, so what reads only `image`, as
+`semigroup.sing` does, pays for none of them.
 
 - `join[s][v]` is the index of s + <v>, for every subspace s and every
   vector v: the members of s + <v> are a + c v over the members a of s
@@ -34,10 +35,9 @@ The tables are built once per size, on first use:
   compare every table entry with `row_basis`, `kernel_basis` and
   `Mat.transpose`.
 - `kernel[i]` uses the identity ker(M) = ann(image(M^T)): v @ M = 0
-  says exactly that v is orthogonal to every row of M^T. The lattice's
-  `ann` and the transpose table give every kernel without a row
-  reduction per element.
-- `transpose[i]` is the index of the transposed matrix.
+  says exactly that v is orthogonal to every row of M^T, so `ann` and
+  `transpose[i]`, the index of the transposed matrix, give every kernel
+  without a row reduction per element.
 - `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v;
   `combine(v, rows)` sums the given row vectors with the entries of
   vector v as coefficients.
@@ -131,8 +131,6 @@ class _UniverseFields(NamedTuple):
     subspaces: tuple[Subspace, ...]
     subspace_at: dict[Subspace, int]
     image: array
-    kernel: array
-    transpose: array
     below: tuple[int, ...]
     join: tuple[array, ...]
     ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
@@ -181,8 +179,8 @@ class Universe(_UniverseFields):
         """The singular indices in counting order, the order of `semigroup.sing`."""
         return array(INDEX, itertools.compress(itertools.count(), map(self.whole.__ne__, self.image)))
 
-    def index(self, e: semigroup.Endo | Mat) -> int:
-        return digit_value((e if isinstance(e, Mat) else e.mat).flat(), self.p)
+    def index(self, e: Mat) -> int:
+        return digit_value(e.flat(), self.p)
 
     def matrix(self, x: int) -> Mat:
         return Mat(tuple(self.vectors[r] for r in self.rows(x)), self.n, self.p)
@@ -190,6 +188,16 @@ class Universe(_UniverseFields):
     def contains(self, s: int, t: int) -> bool:
         """Whether subspace s contains subspace t."""
         return bool(self.below[s] >> t & 1)
+
+    @cached_property
+    def transpose(self) -> array:
+        """Entry i is the index of the transpose of element i."""
+        return _transpose_table(self.n, self.p)
+
+    @cached_property
+    def kernel(self) -> array:
+        """Entry i is the subspace index of the kernel of element i: ann(image(M^T))."""
+        return array(INDEX, map(self.ann.__getitem__, map(self.image.__getitem__, self.transpose)))
 
     @lru_cache(maxsize=None)
     def confined(self, top: int, bottom: int) -> tuple[int, ...]:
@@ -273,7 +281,7 @@ class Universe(_UniverseFields):
     @cached_property
     def products(self) -> tuple[memoryview, ...]:
         """Entry [a][b] is the index of a @ b; the q = p^(n^2) rows are views of one q^2 buffer."""
-        q = len(self.transpose)
+        q = len(self.image)
         if q * q > MAX_PRODUCTS:
             raise TooLarge(f"a Cayley table of {q}^2 products exceeds {MAX_PRODUCTS}")
         out = array(INDEX, [0]) * (q * q)
@@ -379,8 +387,5 @@ def universe(n: int, p: int) -> Universe:
     scale = tuple(array(INDEX, (digit_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
     join = _join_table(lat.members, add, scale)
     image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
-    transpose = _transpose_table(n, p)
-    at, below, ann = lat.subspace_at, lat.below, lat.ann
-    kernel = array(INDEX, (ann[image[t]] for t in transpose))
-    return Universe(n, p, lat.subspaces, at, image, kernel, transpose, below, join, ann, add, scale)
+    return Universe(n, p, lat.subspaces, lat.subspace_at, image, lat.below, join, lat.ann, add, scale)
 

@@ -1,7 +1,9 @@
 """The monoid of linear transformations of GF(p)^n and its singular part.
 
-Green's relations are decided from images and kernels; a brute-force
-oracle built from principal ideals is provided so the two routes can be
+An element is one `Endo` record, its own square `Mat`; `sing` and `gl`
+pick from `all_endos` by the universe's `image` table alone. Green's
+relations are decided from images and kernels; a brute-force oracle
+built from principal ideals is provided so the two routes can be
 compared pair by pair. A multiplication table is a tuple of rows of
 positions in an ordered element list, the value `indexed.Universe.table`
 returns; tables built over the same order are compared entry by entry,
@@ -15,41 +17,38 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import indexed
 from .errors import NotADirectSum, NotClosed, ShapeError
-from .gf import Mat, all_matrices, invert, kernel_basis, projection, row_basis
+from .gf import Mat, invert, kernel_basis, matrix_fields, projection, row_basis
 from .subspaces import Side, Subspace, gaussian_binomial
 
 
-class _EndoFields(NamedTuple):
-    mat: Mat
-
-
-class Endo(_EndoFields):
-    """A linear transformation of GF(p)^n acting on row vectors."""
+class Endo(Mat):
+    """A linear transformation of GF(p)^n acting on row vectors: its own square `Mat`, so
+    `Endo(m) == m` and both hash alike. Mat-level work calls `Mat.__matmul__` and
+    `Mat.transpose`, which build no Endo; `@` and `transpose` on Endos give Endos."""
 
     def __new__(cls, mat: Mat) -> "Endo":
-        self = tuple.__new__(cls, (mat,))
+        self = tuple.__new__(cls, mat)
         self.__post_init__()
         return self
 
     def __post_init__(self) -> None:
-        if not self.mat.is_square:
+        if not self.is_square:
             raise ShapeError("an endomorphism needs a square matrix")
+
+    def __getnewargs__(self) -> tuple[Mat]:  # pickle and copy rebuild through `Endo(mat)`
+        return (Mat(*self),)
 
     @property
     def n(self) -> int:
-        return self.mat.nrows
-
-    @property
-    def p(self) -> int:
-        return self.mat.p
+        return self.nrows
 
     @cached_property
     def kernel(self) -> Subspace:
-        return Subspace(self.n, self.p, Side.PRIMAL, kernel_basis(self.mat))
+        return Subspace(self.n, self.p, Side.PRIMAL, kernel_basis(self))
 
     @cached_property
     def image(self) -> Subspace:
-        return Subspace(self.n, self.p, Side.PRIMAL, row_basis(self.mat))
+        return Subspace(self.n, self.p, Side.PRIMAL, row_basis(self))
 
     @property
     def rank(self) -> int:
@@ -61,20 +60,17 @@ class Endo(_EndoFields):
 
     @property
     def is_idempotent(self) -> bool:
-        return self.mat @ self.mat == self.mat
+        return Mat.__matmul__(self, self) == self
 
     def __matmul__(self, other: "Endo") -> "Endo":
-        return Endo(self.mat @ other.mat)
+        return Endo(Mat.__matmul__(self, other))
 
     def transpose(self) -> "Endo":
-        return Endo(self.mat.transpose())
+        return Endo(Mat.transpose(self))
 
     def inverse(self) -> "Endo | None":
-        inv = invert(self.mat)
+        inv = invert(self)
         return None if inv is None else Endo(inv)
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        return self.mat.apply(v)
 
     @staticmethod
     def identity(n: int, p: int) -> "Endo":
@@ -87,28 +83,25 @@ class Endo(_EndoFields):
 
 @lru_cache(maxsize=None)
 def all_endos(n: int, p: int) -> tuple[Endo, ...]:
-    """Every n x n matrix over GF(p) in counting order.
+    """Every n x n matrix over GF(p) in counting order, one record per element.
 
-    `all_matrices(n, n, p)` yields square matrices only, so the shape test of
-    `Endo.__post_init__` holds for the whole batch, and each `Endo` is built by
-    `tuple.__new__(Endo, (m,))`, one C-level call per element. `Endo(m)` still
-    validates on every other call.
+    The fields are square by construction, so each `Endo` is one C-level
+    `tuple.__new__(Endo, fields)` with no `Mat` in between; `Endo(m)` validates.
     """
-    return tuple(map(tuple.__new__, itertools.repeat(Endo), zip(all_matrices(n, n, p))))
+    return tuple(map(tuple.__new__, itertools.repeat(Endo), matrix_fields(n, n, p)))
 
 
 @lru_cache(maxsize=None)
 def sing(n: int, p: int) -> tuple[Endo, ...]:
     """The singular (non-invertible) transformations, in counting order."""
     u = indexed.universe(n, p)
-    return tuple(map(u.elements.__getitem__, u.singular))
+    return tuple(itertools.compress(u.elements, map(u.whole.__ne__, u.image)))
 
 
 @lru_cache(maxsize=None)
 def gl(n: int, p: int) -> tuple[Endo, ...]:
     u = indexed.universe(n, p)
-    dims = u.dims
-    return tuple(e for e, s in zip(u.elements, u.image) if dims[s] == n)
+    return tuple(itertools.compress(u.elements, map(u.whole.__eq__, u.image)))
 
 
 def gl_order(n: int, p: int) -> int:

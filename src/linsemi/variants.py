@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 from .crossconn import CrossConn, FunctorVerdict, functor_from_global, is_local_isomorphism
 from .errors import NotInvertible
+from .gf import Mat
 from .indexed import universe
 from .semigroup import Endo, mult_table, regular_elements
 from .subspaces import (
@@ -157,10 +158,10 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     if theta.inverse() is not None:
         return VariantCxnReport(True, None, None, None, len(reg), injective, matches)
     r_objects, b_objects = restricted_objects(ctx)
-    delta = functor_from_global(theta.mat, r_objects)
+    delta = functor_from_global(theta, r_objects)
     delta_verdict, delta_onto = _restricted_verdict(delta)
     try:
-        gamma = functor_from_global(theta.mat.transpose(), b_objects)
+        gamma = functor_from_global(Mat.transpose(theta), b_objects)
     except NotInvertible:
         gamma_verdict = FunctorVerdict(False, "transpose collapses a dual object")
         gamma_onto = False

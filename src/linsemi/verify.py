@@ -164,7 +164,7 @@ def check_principal_roundtrip(p: int, n: int) -> Verdict:
     for alpha in sg.sing(n, p):
         cone = nc.principal_cone(alpha)
         if nc.cone_to_map(cone) != alpha:
-            return False, mat_to_text(alpha.mat)
+            return False, mat_to_text(alpha)
     return True, None
 
 
@@ -191,7 +191,7 @@ def check_idempotent_cones(p: int, n: int) -> Verdict:
         is_idem = nc.cone_compose(cone, cone) == cone
         vertex_identity = cone.component(cone.vertex) == sub.Morphism.identity(cone.vertex)
         if is_idem != vertex_identity:
-            return False, mat_to_text(alpha.mat)
+            return False, mat_to_text(alpha)
     return True, None
 
 
@@ -366,7 +366,7 @@ def theta_recover_roundtrip(theta: sg.Endo) -> Verdict:
         return True, {"not_applicable": cx.NEEDS_TWO_LINES}
     _, delta = cx.gamma_delta_theta(theta)
     recovered = cx.recover_theta(delta)
-    return recovered == cx.canonical_scalar_rep(theta), mat_to_text(recovered.mat)
+    return recovered == cx.canonical_scalar_rep(theta), mat_to_text(recovered)
 
 
 def check_gl_crossconnections(p: int, n: int) -> Verdict:
@@ -374,7 +374,7 @@ def check_gl_crossconnections(p: int, n: int) -> Verdict:
     for theta in autos:
         ok, failure = theta_crossconnection(theta)
         if not ok:
-            return False, (mat_to_text(theta.mat), failure)
+            return False, (mat_to_text(theta), failure)
     return True, {"automorphisms": len(autos)}
 
 
@@ -383,7 +383,7 @@ def check_chi(p: int, n: int) -> Verdict:
     for theta in _gl_scope(p, n):
         ok, witness = theta_chi_naturality(theta)
         if not ok:
-            return False, (mat_to_text(theta.mat), witness)
+            return False, (mat_to_text(theta), witness)
         total += witness["squares"]
     return True, {"squares": total}
 
@@ -392,7 +392,7 @@ def check_linked_semigroups(p: int, n: int) -> Verdict:
     for theta in _gl_scope(p, n):
         ok, witness = theta_linked_semigroup(theta)
         if not ok:
-            return False, mat_to_text(theta.mat)
+            return False, mat_to_text(theta)
     return True, witness
 
 
@@ -402,8 +402,8 @@ def check_scalar_invariance(p: int, n: int) -> Verdict:
         return True, {"note": "only the unit scalar exists"}
     for theta in autos:
         for c in range(2, p):
-            if cx.gamma_delta_theta(sg.Endo(theta.mat.scale(c))) != cx.gamma_delta_theta(theta):
-                return False, (mat_to_text(theta.mat), c)
+            if cx.gamma_delta_theta(sg.Endo(theta.scale(c))) != cx.gamma_delta_theta(theta):
+                return False, (mat_to_text(theta), c)
     return True, None
 
 
@@ -418,7 +418,7 @@ def check_classification(p: int, n: int) -> Verdict:
     for omap, theta in zip(census.bijections, census.thetas):
         _, delta = cx.gamma_delta_theta(theta)
         if delta.object_map != omap or not theta_linked_semigroup(theta)[0]:
-            return False, mat_to_text(theta.mat)
+            return False, mat_to_text(theta)
     return True, {"count": census.count}
 
 
@@ -473,10 +473,10 @@ def theta_variant_crossconnection(theta: sg.Endo) -> Verdict:
 def theta_nonprincipal_census(theta: sg.Endo) -> Verdict:
     """The image-side carrier holds a non-translate exactly when theta is singular and nonzero."""
     census = va.nonprincipal_cones(va.make_variant(theta))
-    expected_excess = theta.inverse() is None and any(theta.mat.flat())
+    expected_excess = theta.inverse() is None and any(theta.flat())
     witness = {"carrier": census.carrier_size, "principal": census.principal_size, "excess": len(census.excess)}
     if census.example is not None:
-        witness["example"] = mat_to_text(census.example.mat)
+        witness["example"] = mat_to_text(census.example)
     return (len(census.excess) >= 1) == expected_excess, witness
 
 
@@ -486,7 +486,7 @@ def check_variant_regularity(p: int, n: int) -> Verdict:
     thetas = _variant_thetas(p, n)
     for theta in thetas:
         if not theta_variant_reg(theta)[0]:
-            return False, mat_to_text(theta.mat)
+            return False, mat_to_text(theta)
     return True, {"thetas": len(thetas)}
 
 
@@ -507,11 +507,11 @@ def check_variant_phi(p: int, n: int) -> Verdict:
         for a, b in itertools.islice(itertools.product(range(q), repeat=2), cap):
             s = prod[right[a]][b]  # the sandwich a theta b
             if left[s] != prod[left[a]][left[b]] or right[s] != prod[right[a]][right[b]]:
-                return False, mat_to_text(theta.mat)
+                return False, mat_to_text(theta)
         capped = capped or q * q >= cap
         reg, _ = va.reg_indices(ctx)
         if len({(left[a], right[a]) for a in reg}) != len(reg):
-            return False, (mat_to_text(theta.mat), "not injective")
+            return False, (mat_to_text(theta), "not injective")
     return True, {"thetas": len(thetas), "capped": capped}
 
 
@@ -535,7 +535,8 @@ def check_variant_crossconnection(p: int, n: int) -> Verdict:
     if p ** (n * n) > 1000:
         raise TooLarge("regular-part search bounded to 1000 elements")
     ok, witness = theta_variant_crossconnection(sg.Endo(_e11(p, n)))
-    return ok, {"reg_size": witness["reg_size"]}
+    kept = ("reg_size",) if ok else ("reg_size", "invertible", "delta_failure", "gamma_failure", "iso_witness")
+    return ok, {key: witness[key] for key in kept if key in witness}
 
 
 def check_variant_nonprincipal(p: int, n: int) -> Verdict:
@@ -546,7 +547,7 @@ def check_variant_nonprincipal(p: int, n: int) -> Verdict:
         return ok, {"excess": witness["excess"]}
     for theta in _variant_thetas(p, n):
         if not theta_nonprincipal_census(theta)[0]:
-            return False, mat_to_text(theta.mat)
+            return False, mat_to_text(theta)
     return True, None
 
 

@@ -125,7 +125,7 @@ def test_criterion_6_classification():
         ok = ok and delta.object_map == omap
     for theta in sg.gl(2, 3):
         g1, d1 = cx.gamma_delta_theta(theta)
-        g2, d2 = cx.gamma_delta_theta(sg.Endo(theta.mat.scale(2)))
+        g2, d2 = cx.gamma_delta_theta(sg.Endo(theta.scale(2)))
         ok = ok and g1 == g2 and d1 == d2
     report("criterion-6 classification census 6 and 24, scalar invariance", ok)
 

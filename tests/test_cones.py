@@ -45,6 +45,7 @@ from linsemi.verify import (
     check_dual_tables,
     check_idempotent_cones,
     check_msets,
+    check_principal_roundtrip,
     run_check,
 )
 
@@ -170,7 +171,7 @@ class TestPrincipalCone:
         objects = category(2, 3, Side.PRIMAL).objects
         for alpha in sing(2, 3):
             for target in objects:
-                inside = [target.contains(image_subspace(a, alpha.mat)) for a in objects]
+                inside = [target.contains(image_subspace(a, alpha)) for a in objects]
                 want = tuple(restriction(alpha, a, target) if ok else None for a, ok in zip(objects, inside))
                 assert _restrictions(alpha, Side.PRIMAL, target) == want
 
@@ -179,6 +180,19 @@ class TestConeToMap:
     def test_roundtrip_all_sing(self):
         for alpha in sing(2, 2):
             assert cone_to_map(principal_cone(alpha)) == alpha
+
+    def test_roundtrip_check_fails_when_a_cone_maps_elsewhere(self, monkeypatch):
+        # A bare Mat with alpha's entries is alpha, so the check passes every cone but the
+        # one whose map is replaced by its transpose, and names that alpha.
+        real, moved = nc.cone_to_map, endo([[1, 1], [0, 0]])
+
+        def doctored(cone):
+            alpha = real(cone)
+            return alpha.transpose() if alpha == moved else Mat(*alpha)
+
+        monkeypatch.setattr(nc, "cone_to_map", doctored)
+        check = run_check("cones.principal-roundtrip", check_principal_roundtrip, 2, 2)
+        assert (check.passed, check.witness) == (False, "1,1;0,0")
 
     def test_zero_components(self):
         cone = principal_cone(Endo.zero(2, 2))

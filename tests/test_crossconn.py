@@ -73,7 +73,7 @@ class TestGammaDelta:
                 if a.is_zero:
                     continue  # its annihilator is the whole dual space
                 lhs = gamma.obj(annihilator(a))
-                rhs = annihilator(image_subspace(a, inv.mat))
+                rhs = annihilator(image_subspace(a, inv))
                 assert lhs == rhs
 
 
@@ -168,7 +168,7 @@ class TestChiNaturality:
         report = check_chi_naturality(theta1, *gamma_delta_theta(theta2))
         assert not report.ok
         assert report.failure[-1] == "duality is not a bijection"
-        witness = (mat_to_text(theta1.mat), report.failure)
+        witness = (mat_to_text(theta1), report.failure)
         json.dumps(verify.Check("crossconn.chi-naturality", False, witness).to_json())
 
     def test_failing_square_gives_text_witness(self, monkeypatch):
@@ -231,7 +231,7 @@ class TestLinkedSemigroup:
         last = gl(2, 2)[-1]
         break_chi_for(monkeypatch, last)
         check = verify.run_check("crossconn.linked-semigroup", verify.check_linked_semigroups, 2, 2)
-        assert (check.passed, check.witness) == (False, mat_to_text(last.mat))
+        assert (check.passed, check.witness) == (False, mat_to_text(last))
 
     def test_projection_to_first_is_isomorphism(self):
         # The first slots are Sing in counting order, so the linked table is Sing's table,
@@ -252,7 +252,7 @@ class TestRecoverTheta:
 
     def test_scalar_ambiguity_gf3(self):
         theta = endo([[1, 1], [1, 2]], 3)
-        double = Endo(theta.mat.scale(2))
+        double = Endo(theta.scale(2))
         _, d1 = gamma_delta_theta(theta)
         _, d2 = gamma_delta_theta(double)
         assert d1 == d2
@@ -295,12 +295,12 @@ class TestClassification:
         last = classify_crossconnections(2, 2).thetas[-1]
         break_chi_for(monkeypatch, last)
         check = verify.run_check("crossconn.classification", verify.check_classification, 2, 2)
-        assert (check.passed, check.witness) == (False, mat_to_text(last.mat))
+        assert (check.passed, check.witness) == (False, mat_to_text(last))
 
     def test_scalar_invariance_gf3(self):
         for theta in gl(2, 3):
             g1, d1 = gamma_delta_theta(theta)
-            g2, d2 = gamma_delta_theta(Endo(theta.mat.scale(2)))
+            g2, d2 = gamma_delta_theta(Endo(theta.scale(2)))
             assert g1 == g2 and d1 == d2
 
     def test_out_of_scope(self):
@@ -361,7 +361,7 @@ class TestRestrictedLocalIso:
         # theta = E11 at (2, 2): the restricted delta lives on {0, L}, L = <e1>.
         ctx = make_variant(endo([[1, 0], [0, 0]]))
         objects, _ = restricted_objects(ctx)
-        delta = functor_from_global(ctx.theta.mat, objects)
+        delta = functor_from_global(ctx.theta, objects)
         images = set(delta.object_map.values())
         assert is_local_isomorphism(objects, delta.object_map, delta.morphism_map, images).ok
         line = next(a for a in objects if a.dim == 1)
@@ -409,7 +409,7 @@ class TestTransportOncePerObject:
     def test_every_automorphism(self, p, side):
         objects = category(2, p, side).objects
         for theta in gl(2, p):
-            g = theta.mat if side is Side.PRIMAL else theta.mat.transpose()
+            g = theta if side is Side.PRIMAL else theta.transpose()
             self.assert_matches_reference(g, objects)
 
     @pytest.mark.parametrize("n,p,step", [(3, 2, 28), (2, 5, 80)])
@@ -417,17 +417,17 @@ class TestTransportOncePerObject:
         # Frames that differ from their inverses: 2 x 2 over GF(2), scalars over GF(5).
         objects = category(n, p, Side.PRIMAL).objects
         for theta in gl(n, p)[::step]:
-            self.assert_matches_reference(theta.mat, objects)
+            self.assert_matches_reference(theta, objects)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_restricted_delta_of_e11(self, p):
         ctx = make_variant(endo([[1, 0], [0, 0]], p))
-        self.assert_matches_reference(ctx.theta.mat, restricted_objects(ctx)[0])
+        self.assert_matches_reference(ctx.theta, restricted_objects(ctx)[0])
 
     def test_not_injective_raises(self):
         # E11 kills the second coordinate line.
         with pytest.raises(NotInvertible, match="not injective"):
-            functor_from_global(endo([[1, 0], [0, 0]]).mat, category(2, 2, Side.PRIMAL).objects)
+            functor_from_global(endo([[1, 0], [0, 0]]), category(2, 2, Side.PRIMAL).objects)
 
 
 def test_gl_batch_composes_each_pair_at_most_once(monkeypatch):

@@ -227,7 +227,7 @@ class TestNatTrans:
         cat = category(2, 2)
         for e in singular_idempotents(2, 2):
             for f in singular_idempotents(2, 2):
-                for u in sorted({f @ x @ e for x in sing(2, 2)}, key=lambda m: m.mat.flat()):
+                for u in sorted({f @ x @ e for x in sing(2, 2)}, key=lambda m: m.flat()):
                     dm = nat_trans(u, e, f)
                     for g in cat.all_morphisms():
                         for x in h_set_by_definition(e, g.dom):

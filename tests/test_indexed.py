@@ -28,9 +28,9 @@ def test_tables_match_gf(p, n):
     assert len(u.elements) == p ** (n * n)
     for i, e in enumerate(u.elements):
         assert u.index(e) == i
-        assert u.subspaces[u.image[i]].basis == row_basis(e.mat)
-        assert u.subspaces[u.kernel[i]].basis == kernel_basis(e.mat)
-        assert u.elements[u.transpose[i]].mat == e.mat.transpose()
+        assert u.subspaces[u.image[i]].basis == row_basis(e)
+        assert u.subspaces[u.kernel[i]].basis == kernel_basis(e)
+        assert u.elements[u.transpose[i]] == gf.Mat.transpose(e)
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 4)])
@@ -54,7 +54,7 @@ def test_join_table_matches_canonical(p, n):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (7, 2)])
 def test_idempotents_match_gf(p, n):
     u = indexed.universe(n, p)
-    assert u.idempotents.tolist() == [i for i, e in enumerate(u.elements) if e.mat @ e.mat == e.mat]
+    assert u.idempotents.tolist() == [i for i, e in enumerate(u.elements) if e @ e == e]
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -64,7 +64,7 @@ def test_decompositions_match_idempotent_from(p, n):
     by_index = sorted((u.subspace_at[a], u.subspace_at[w]) for a, w in pairs)
     assert by_index == sorted((k, w) for _, k, w in u.decompositions)
     for x, k, w in u.decompositions:
-        assert u.matrix(x) == semigroup.idempotent_from(u.subspaces[k], u.subspaces[w]).mat
+        assert u.matrix(x) == semigroup.idempotent_from(u.subspaces[k], u.subspaces[w])
 
 
 def test_idempotents_match_construction():
@@ -75,7 +75,7 @@ def test_idempotents_match_construction():
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
 def test_sing_and_gl_match_rank_filter(p, n):
-    ranks = [row_basis(e.mat).nrows for e in all_endos(n, p)]
+    ranks = [row_basis(e).nrows for e in all_endos(n, p)]
     assert sing(n, p) == tuple(e for e, r in zip(all_endos(n, p), ranks) if r < n)
     assert gl(n, p) == tuple(e for e, r in zip(all_endos(n, p), ranks) if r == n)
 
@@ -84,7 +84,7 @@ def _assert_products(u, thetas):
     for theta in thetas:
         right = u.right_products(u.index(theta))
         for a, e in enumerate(u.elements):
-            assert u.elements[right[a]].mat == e.mat @ theta.mat
+            assert u.elements[right[a]] == e @ theta
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
@@ -235,9 +235,11 @@ def test_product_images_match_right_products(p, n):
 
 def test_membership_check_reads_the_annihilator_table(monkeypatch):
     # theta = 0 comes first at (2, 2): its kernel law needs ann(0) = V to contain
-    # ker(0) = V. Making every subspace its own annihilator must fail it.
+    # ker(0) = V. Making every subspace its own annihilator must fail it; the
+    # kernels, which the universe reads off `ann` on first use, stay the true ones.
     real = indexed.universe(2, 2)
     tampered = real._replace(ann=array("I", range(len(real.subspaces))))
+    tampered.kernel = real.kernel
     monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
     assert check_variant_membership(2, 2) == (False, "0,0;0,0")
 
@@ -266,6 +268,34 @@ def test_lattice_checks_row_reduce_nothing_at_2_4(monkeypatch):
     assert check_idempotents(2, 4) == (True, {"count": 802})
     assert check_msets(2, 4) == (True, None)
     assert calls == []
+
+
+def test_sing_and_the_order_check_build_no_kernel_or_transpose_table(monkeypatch):
+    # Both read only `image`; `kernel` and `transpose` are built on first read.
+    u = indexed.universe.__wrapped__(4, 2)
+    monkeypatch.setattr(indexed, "universe", lambda n, p: u)
+    assert len(semigroup.sing.__wrapped__(4, 2)) == 45_376
+    assert check_sing_order(2, 4) == (True, {"order": 45_376})
+    assert {"kernel", "transpose"}.isdisjoint(vars(u))
+    assert u.kernel[0] == u.whole and {"kernel", "transpose"} <= set(vars(u))
+
+
+def test_products_build_no_transpose_table():
+    u = indexed.universe.__wrapped__(2, 2)
+    assert len(u.products) == 16
+    assert "transpose" not in vars(u)
+    assert len(u.transpose) == 16 and "transpose" in vars(u)
+
+
+def test_order_check_fails_on_a_doctored_image(monkeypatch):
+    # Element 0 is the zero map; recording its image as V leaves 9 singular elements, not 10.
+    real = indexed.universe(2, 2)
+    image = array("I", real.image)
+    image[0] = real.whole
+    tampered = real._replace(image=image)
+    monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
+    check = verify.run_check("semigroup.order-formula", check_sing_order, 2, 2)
+    assert (check.passed, check.witness) == (False, {"order": 9})
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,8 @@ def test_assigning_a_field_raises(name):
 @pytest.mark.parametrize("name", sorted(set(records()) - {"Universe"}))
 def test_equal_fields_give_equal_values(name):
     record = records()[name]
-    again = type(record)(*record)
+    # An Endo has Mat's fields and is built from the matrix that holds them.
+    again = Endo(Mat(*record)) if name == "Endo" else type(record)(*record)
     assert again == record and again is not record
     if name != "CrossConn":  # its maps are dicts, so it has no hash
         assert hash(again) == hash(record)

@@ -1,4 +1,7 @@
 """Green's relations, idempotents, regularity and multiplication tables."""
+import copy
+import gc
+import pickle
 from array import array
 
 import pytest
@@ -45,7 +48,8 @@ class TestGreen:
         b = next(x for x in real.singular if real.kernel[x] != real.kernel[a])
         kernel = array("I", real.kernel)
         kernel[a], kernel[b] = kernel[b], kernel[a]
-        tampered = real._replace(kernel=kernel)
+        tampered = real._replace()
+        tampered.kernel = kernel  # a table built on first read can be given in advance
         assert not index_green_report(tampered, tampered.singular).agrees
 
     def test_principal_ideals_read_the_cayley_table(self, monkeypatch):
@@ -81,7 +85,7 @@ class TestIdempotents:
         assert len(rank_one) == oracle == 6
 
     def test_matches_brute_force(self):
-        brute = {e for e in all_endos(2, 2) if e.mat @ e.mat == e.mat}
+        brute = {e for e in all_endos(2, 2) if e @ e == e}
         assert set(idempotents(2, 2)) == brute
 
     def test_decomposition(self):
@@ -179,12 +183,31 @@ class TestBulkConstruction:
     def test_all_endos_is_endo_of_each_matrix(self, p, n):
         built = all_endos(n, p)
         assert built == tuple(Endo(m) for m in all_matrices(n, n, p))
-        assert all(type(e) is Endo and type(e.mat) is Mat for e in built)
+        assert all(type(e) is Endo and isinstance(e, Mat) for e in built)
+
+    def test_one_tracked_record_per_element(self):
+        # An Endo is its own matrix: End(V) adds one GC-tracked object per element, not an Endo and a Mat.
+        gc.collect()
+        before = len(gc.get_objects())
+        built = all_endos.__wrapped__(3, 2)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 1.05 * len(built)
+
+    def test_an_endo_equals_its_matrix(self):
+        # Endo(m) is m with the square check passed: equal, hashed alike, and the same key.
+        m = Mat.make([[1, 1], [0, 1]], 2)
+        e = Endo(m)
+        assert e == m and hash(e) == hash(m) and {m: "m"}[e] == "m"
+        assert e.p == 2 and e.apply((1, 0)) == (1, 1)
+        assert type(e @ e) is Endo and e @ e == Mat.__matmul__(m, m)
+        assert type(e.transpose()) is Endo and e.transpose() == m.transpose()
+        again = pickle.loads(pickle.dumps(e))
+        assert type(again) is Endo and again == e and type(copy.copy(e)) is Endo
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
     def test_sing_is_the_rank_deficient_endos(self, p, n):
         singular = sing(n, p)
-        assert singular == tuple(e for e in all_endos(n, p) if gf.rank(e.mat) < n)
+        assert singular == tuple(e for e in all_endos(n, p) if gf.rank(e) < n)
         assert all(type(e) is Endo for e in singular)
 
     def test_endo_still_validates_its_shape(self):

@@ -160,13 +160,22 @@ class TestVariantCrossconnection:
 
     def test_check_rejects_translates_that_multiply_otherwise(self, monkeypatch):
         # Swapping the translate pairs of the first two regular elements keeps phi injective and the
-        # pairs closed, but relabels the pair table so that it is no longer the variant's table.
+        # pairs closed, but relabels the pair table so that it is no longer the variant's table. The
+        # witness keeps what names the failed part: both functors pass, and no iso_witness is given.
         real = variants.phi
         first, second = reg_variant(make_variant(E11))[0][:2]
         swap = {first: second, second: first}
         monkeypatch.setattr(variants, "phi", lambda a, ctx: real(swap.get(a, a), ctx))
         check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
-        assert (check.passed, check.witness) == (False, {"reg_size": 5})
+        assert (check.passed, check.witness) == (False, {"reg_size": 5, "invertible": False})
+
+    def test_check_names_the_functors_that_fail(self, monkeypatch):
+        # With both restricted functors failing and the tables intact, the witness says so.
+        monkeypatch.setattr(variants, "is_local_isomorphism", lambda *args: variants.FunctorVerdict(False, "doctored"))
+        check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
+        failed = {"delta_failure": "doctored", "gamma_failure": "doctored"}
+        want = {"reg_size": 5, "invertible": False, **failed, "iso_witness": [0, 1, 2, 3, 4]}
+        assert (check.passed, check.witness) == (False, want)
 
     def test_phi_image_lands_in_carriers(self):
         ctx = make_variant(E11)
@@ -192,7 +201,7 @@ class TestNonprincipal:
         assert census.carrier_size == 4
         assert census.principal_size == 3
         assert census.translates_in_carrier
-        assert [e.mat.rows for e in census.excess] == [((0, 0), (1, 0))]
+        assert [e.rows for e in census.excess] == [((0, 0), (1, 0))]
         assert census.example == endo([[0, 0], [1, 0]])
 
     def test_invertible_no_excess(self):
@@ -203,7 +212,7 @@ class TestNonprincipal:
         for theta in all_endos(2, 2):
             if theta.inverse() is not None:
                 continue
-            if all(x == 0 for x in theta.mat.flat()):
+            if all(x == 0 for x in theta.flat()):
                 continue
             census = nonprincipal_cones(make_variant(theta))
             assert len(census.excess) >= 1
