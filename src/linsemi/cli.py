@@ -84,7 +84,7 @@ def _registry_checks(args, group: str, defaults: bool) -> list[Check]:
     members = [(name, fn) for name, fn in verify.REGISTRY if name.startswith(group + ".")]
     chosen = [(name, fn) for name, fn in members if defaults and name not in OPT_IN]
     chosen += [(name, fn) for name, fn in members if name in OPT_IN and getattr(args, OPT_IN[name])]
-    return [verify.run_check(name, fn, args.p, args.n) for name, fn in chosen]
+    return [verify.run_registered(name, fn, args.p, args.n) for name, fn in chosen]
 
 
 def cmd_group(args) -> Report:

@@ -1,15 +1,12 @@
 """Named verification checks over a given field size, shared by the CLI.
 
-A check is a verdict function (p, n) -> (passed, witness), the witness
-small enough to print. A check that does not run past a bound raises
-TooLarge, and its message is the reason. Only `REGISTRY` names the
-checks. The `theta_*` verdicts judge one theta, for `crossconn --theta`
-and `variant`; a registry check that repeats such a rule loops over the
-verdict and keeps its own witness. `run_check` is the one place that
-turns a verdict into a Check record, for every subcommand: TooLarge
-becomes a skip, any other AlgebraError a failed check. The registry
-order is fixed and the checks run one after another in that order, so
-report output is deterministic.
+A check is a verdict function (p, n) -> (passed, witness), the witness small enough to print. Only
+`REGISTRY` names the checks, and `BUDGETS` alone decides where each runs, from closed forms, before
+anything is built. The `theta_*` verdicts judge one theta, for `crossconn --theta` and `variant`, under
+no budget; a registry check that repeats such a rule loops over the verdict and keeps its witness.
+`run_check` alone turns a verdict into a Check record: TooLarge, from a guard inside the library, becomes
+a skip, any other AlgebraError a failed check. Checks run one at a time in registry order, so reports
+are deterministic.
 """
 from __future__ import annotations
 
@@ -26,7 +23,7 @@ from . import semigroup as sg
 from . import subspaces as sub
 from . import variants as va
 from .errors import AlgebraError, TooLarge
-from .gf import Mat, all_matrices, mat_to_text
+from .gf import MAX_ENUM, Mat, all_matrices, mat_to_text
 from .subspaces import ComplementMode
 
 Verdict = tuple[bool, object]  # (passed, witness)
@@ -109,15 +106,13 @@ def check_sing_order(p: int, n: int) -> Verdict:
 
 
 def check_green_oracle(p: int, n: int) -> Verdict:
-    u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
-    if sg.sing_order(n, p) > 600:
-        raise TooLarge("ideal oracle bounded to order 600")
+    u = ix.universe(n, p)
     report = sg.index_green_report(u, u.singular)
     return report.agrees, report.counterexample
 
 
 def check_idempotents(p: int, n: int) -> Verdict:
-    u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
+    u = ix.universe(n, p)
     built = u.decompositions
     if [x for x, _, _ in built] != u.idempotents.tolist():  # both in counting order
         return False, {"built": len(built), "brute": len(u.idempotents)}
@@ -130,19 +125,14 @@ def check_idempotents(p: int, n: int) -> Verdict:
 
 
 def check_sing_regular(p: int, n: int) -> Verdict:
-    u = ix.universe(n, p)  # past MAX_ENUM its TooLarge is the skip reason
-    if sg.sing_order(n, p) > 600:
-        raise TooLarge("witness search bounded to order 600")
+    u = ix.universe(n, p)
     prod = u.products
     reg, _ = sg.regular_elements(u.singular, lambda a, b: prod[a][b])
     return len(reg) == len(u.singular), {"regular": len(reg)}
 
 
 def check_factorization(p: int, n: int) -> Verdict:
-    cat = nc.category(n, p)
-    if cat.morphism_count() > 20000:
-        raise TooLarge("morphism sweep bounded to 20000")
-    for f in cat.all_morphisms():
+    for f in nc.category(n, p).all_morphisms():
         fact = nc.normal_factorization(f)
         if fact.composite() != f:
             return False, {"dom": str(f.dom.basis)}
@@ -159,8 +149,6 @@ def check_factorization(p: int, n: int) -> Verdict:
 
 
 def check_principal_roundtrip(p: int, n: int) -> Verdict:
-    if sg.sing_order(n, p) > 2000:
-        raise TooLarge("cone sweep bounded to order 2000")
     for alpha in sg.sing(n, p):
         cone = nc.principal_cone(alpha)
         if nc.cone_to_map(cone) != alpha:
@@ -169,8 +157,6 @@ def check_principal_roundtrip(p: int, n: int) -> Verdict:
 
 
 def check_cone_homomorphism(p: int, n: int) -> Verdict:
-    if sg.sing_order(n, p) > 2000:
-        raise TooLarge("cone sweep bounded to order 2000")
     u = ix.universe(n, p)
     prod = u.products
     cones = {x: nc.index_cone(u, x) for x in u.singular}
@@ -184,8 +170,6 @@ def check_cone_homomorphism(p: int, n: int) -> Verdict:
 
 
 def check_idempotent_cones(p: int, n: int) -> Verdict:
-    if sg.sing_order(n, p) > 2000:
-        raise TooLarge("cone sweep bounded to order 2000")
     for alpha in sg.sing(n, p):
         cone = nc.principal_cone(alpha)
         is_idem = nc.cone_compose(cone, cone) == cone
@@ -196,27 +180,19 @@ def check_idempotent_cones(p: int, n: int) -> Verdict:
 
 
 def check_cone_census(p: int, n: int) -> Verdict:
-    try:
-        census = nc.cone_census(n, p)
-    except TooLarge:
-        raise TooLarge("beyond census budget") from None
-    expected = sg.sing_order(n, p)
+    census = nc.cone_census(n, p)
     principal = {nc.principal_cone(a) for a in sg.sing(n, p)}
-    ok = census.valid_count == expected and set(census.valid_cones) == principal
+    ok = census.valid_count == sg.sing_order(n, p) and set(census.valid_cones) == principal
     return ok, {"valid": census.valid_count, "inclusion_iso_only": census.inclusion_iso_only_count}
 
 
 def check_cone_table(p: int, n: int) -> Verdict:
-    if sg.sing_order(n, p) > 600:
-        raise TooLarge("table build bounded to order 600")
     u = ix.universe(n, p)
     table = nc.cone_table(u, u.singular)
     return table == u.table(u.singular), {"order": len(table)}
 
 
 def check_hfunctor_keys(p: int, n: int) -> Verdict:
-    if sg.sing_order(n, p) > 1000:
-        raise TooLarge("h-set enumeration bounded to order 1000")
     u = ix.universe(n, p)
     groups: dict[int, set[tuple[frozenset[int], ...]]] = {}  # kernel -> the H-sets of its idempotents
     for e, null, _ in u.decompositions:
@@ -229,8 +205,6 @@ def check_hfunctor_keys(p: int, n: int) -> Verdict:
 
 
 def check_msets(p: int, n: int) -> Verdict:
-    if sg.singular_idempotent_count(n, p) > 1000:
-        raise TooLarge("idempotent sweep bounded to 1000")
     u = ix.universe(n, p)
     by_comp: dict[int, set[int]] = {}  # kernel -> M-set by complements, as subspace indices
     for x in u.idempotents:
@@ -255,8 +229,6 @@ def check_dual_objects(p: int, n: int) -> Verdict:
 def check_dual_tables(p: int, n: int) -> Verdict:
     """Sing's transposes multiply by the opposite of Sing's table: as the cones over the dual
     category, which are the index cones of the transposes, and as matrices."""
-    if sg.sing_order(n, p) > 600:
-        raise TooLarge("table build bounded to order 600")
     u = ix.universe(n, p)
     opposite = tuple(zip(*u.table(u.singular)))
     transposed = [u.transpose[x] for x in u.singular]
@@ -276,8 +248,6 @@ def check_nat_trans(p: int, n: int) -> Verdict:
     associative: right products of `_end_generators` reach every element, and (x g) y = x (g y)
     for all x, y and each generator g. crossconn.chi-naturality relies on this second half.
     """
-    if sg.sing_order(n, p) > 600:
-        raise TooLarge("h-set enumeration bounded to order 600")
     u = ix.universe(n, p)
     prod = u.products
     idems = [x for x, null, _ in u.decompositions if null]  # kernel 0 is the identity
@@ -323,8 +293,6 @@ def _end_generators(p: int, n: int) -> tuple[Mat, ...]:
 
 
 def _gl_scope(p: int, n: int) -> tuple[sg.Endo, ...]:
-    if n != 2:
-        raise TooLarge("run at n = 2")
     autos = sg.gl(n, p)
     return autos if len(autos) <= 48 else autos[:6]  # all of GL(2, p) for p <= 3
 
@@ -397,10 +365,9 @@ def check_linked_semigroups(p: int, n: int) -> Verdict:
 
 
 def check_scalar_invariance(p: int, n: int) -> Verdict:
-    autos = _gl_scope(p, n)
     if p == 2:
         return True, {"note": "only the unit scalar exists"}
-    for theta in autos:
+    for theta in _gl_scope(p, n):
         for c in range(2, p):
             if cx.gamma_delta_theta(sg.Endo(theta.scale(c))) != cx.gamma_delta_theta(theta):
                 return False, (mat_to_text(theta), c)
@@ -408,10 +375,7 @@ def check_scalar_invariance(p: int, n: int) -> Verdict:
 
 
 def check_classification(p: int, n: int) -> Verdict:
-    try:
-        census = cx.classify_crossconnections(n, p)
-    except TooLarge:
-        raise TooLarge("census bounded to n = 2, p <= 3") from None
+    census = cx.classify_crossconnections(n, p)
     want = sg.pgl_order(n, p)
     if census.count != want:
         return False, {"count": census.count, "expected": want}
@@ -481,8 +445,6 @@ def theta_nonprincipal_census(theta: sg.Endo) -> Verdict:
 
 
 def check_variant_regularity(p: int, n: int) -> Verdict:
-    if p ** (n * n) > 1000:
-        raise TooLarge("regular-part search bounded to 1000 elements")
     thetas = _variant_thetas(p, n)
     for theta in thetas:
         if not theta_variant_reg(theta)[0]:
@@ -491,8 +453,6 @@ def check_variant_regularity(p: int, n: int) -> Verdict:
 
 
 def check_variant_phi(p: int, n: int) -> Verdict:
-    if p ** (n * n) > 1000:
-        raise TooLarge("regular-part search bounded to 1000 elements")
     thetas = _variant_thetas(p, n)
     u = ix.universe(n, p)
     prod = u.products
@@ -532,16 +492,12 @@ def check_variant_membership(p: int, n: int) -> Verdict:
 def check_variant_crossconnection(p: int, n: int) -> Verdict:
     if n == 1:  # the only singular theta is 0
         return theta_variant_crossconnection(sg.Endo(Mat.zeros(1, 1, p)))
-    if p ** (n * n) > 1000:
-        raise TooLarge("regular-part search bounded to 1000 elements")
     ok, witness = theta_variant_crossconnection(sg.Endo(_e11(p, n)))
     kept = ("reg_size",) if ok else ("reg_size", "invertible", "delta_failure", "gamma_failure", "iso_witness")
     return ok, {key: witness[key] for key in kept if key in witness}
 
 
 def check_variant_nonprincipal(p: int, n: int) -> Verdict:
-    if p ** (n * n) > 1000:
-        raise TooLarge("carrier search bounded to 1000 elements")
     if p ** (n * n) > 100:
         ok, witness = theta_nonprincipal_census(sg.Endo(_e11(p, n)))
         return ok, {"excess": witness["excess"]}
@@ -585,6 +541,39 @@ REGISTRY: tuple[tuple[str, Callable[[int, int], Verdict]], ...] = (
 )
 
 
+class Budget(NamedTuple):
+    """A registry check runs while cost(n, p), a closed form, is at most limit; with no limit, where it holds."""
+    label: str
+    cost: Callable[[int, int], int]
+    limit: int | None = None
+
+    def skip(self, p: int, n: int) -> str | None:
+        value = self.cost(n, p)
+        if self.limit is None:
+            return None if value else f"runs at {self.label}, not at p = {p}, n = {n}"
+        shown = f"= {value}" if value < 1 << 64 else f">= 2^{value.bit_length() - 1}"  # census counts stop there
+        return None if value <= self.limit else f"{self.label} {shown} > {self.limit}"
+
+
+# A check with no row runs at every size. The q^2 row picks the sizes any |Sing| bound from 385 to 8450 would.
+BUDGETS = {name: row for row, names in (
+    (Budget("universe q = p^(n^2)", lambda n, p: p ** (n * n), MAX_ENUM),
+     "semigroup.order-formula semigroup.idempotents variant.membership-laws"),
+    (Budget("Cayley table q^2", lambda n, p: p ** (2 * n * n), ix.MAX_PRODUCTS),
+     "semigroup.green-oracle semigroup.sing-regular cones.compose-homomorphism cones.table-isomorphic "
+     "dual.hfunctor-determined dual.table-op dual.naturality"),
+    (Budget("|Sing|", sg.sing_order, 2000), "cones.principal-roundtrip cones.idempotent-law"),
+    (Budget("morphisms", nc.morphism_count, 20000), "cones.factorization"),
+    (Budget("singular idempotents", sg.singular_idempotent_count, 1000), "dual.mset-characterizations"),
+    (Budget("sandwich search q = p^(n^2)", lambda n, p: p ** (n * n), 1000),
+     "variant.reg-closed variant.phi-homomorphism variant.crossconnection variant.nonprincipal-excess"),
+    (Budget("cone families", nc.census_families, nc.CENSUS_BUDGET), "cones.census"),
+    (Budget("n = 2", lambda n, p: n == 2),
+     "crossconn.gl-batch crossconn.chi-naturality crossconn.linked-semigroup crossconn.scalar-invariance"),
+    (Budget("n = 2 and p <= 3", lambda n, p: n == 2 and p <= 3), "crossconn.classification"),
+) for name in names.split()}
+
+
 def run_check(name: str, fn: Callable[..., Verdict], *args) -> Check:
     """The record of the verdict fn(*args): TooLarge makes it a skip, any other AlgebraError a failure."""
     try:
@@ -596,6 +585,12 @@ def run_check(name: str, fn: Callable[..., Verdict], *args) -> Check:
     return Check(name, passed, witness)
 
 
+def run_registered(name: str, fn: Callable[[int, int], Verdict], p: int, n: int) -> Check:
+    """The record of a registry check at (p, n), skipped without a call where its `BUDGETS` row says so."""
+    reason = name in BUDGETS and BUDGETS[name].skip(p, n)
+    return run_check(name, (lambda *_: (True, {"skipped": reason})) if reason else fn, p, n)
+
+
 def run_all(p: int, n: int) -> list[Check]:
     """Every registered check in registry order."""
-    return [run_check(name, fn, p, n) for name, fn in REGISTRY]
+    return [run_registered(name, fn, p, n) for name, fn in REGISTRY]

@@ -1,9 +1,11 @@
 """CLI behaviour: exit codes, report schema, determinism."""
 import json
+import re
 
 import pytest
 
 from linsemi import crossconn as cx
+from linsemi import verify
 from linsemi.cli import Report, emit, main
 from linsemi.verify import Check
 
@@ -217,16 +219,56 @@ def test_algebra_error_in_a_check_fails_it(monkeypatch, capsys):
 
 
 def test_subcommand_skips_as_verify_all_does(capsys):
-    # Past MAX_ENUM the semigroup checks skip with the enumeration limit;
+    # Past MAX_ENUM the semigroup checks skip by the universe's budget row;
     # the subcommand reports the same records instead of exiting 2.
     code, out = run(["semigroup", "--p", "2", "--n", "5", "--json"], capsys)
     assert code == 0
     group = json.loads(out)["checks"]
-    assert group[0]["witness"] == {"skipped": "33554432 matrices of shape 5x5 over GF(2) exceed limit 300000"}
+    assert group[0]["witness"] == {"skipped": "universe q = p^(n^2) = 33554432 > 300000"}
     code, out = run(["verify-all", "--p", "2", "--n", "5", "--json"], capsys)
     assert code == 0
     full = {c["name"]: c for c in json.loads(out)["checks"]}
     assert group == [full[c["name"]] for c in group]
+
+
+ALL_CHECKS = {name for name, _ in verify.REGISTRY}
+CROSSCONN = {name for name in ALL_CHECKS if name.startswith("crossconn.")}
+EVERYWHERE = {name for name in ALL_CHECKS if name.startswith("lattice.")} | {"dual.object-count"}
+SANDWICH = {"variant.reg-closed", "variant.phi-homomorphism", "variant.crossconnection", "variant.nonprincipal-excess"}
+# The checks that run at each accepted size, the same cells as when each check raised its own skip.
+# The lattice checks and dual.object-count have no budget row and run at every size.
+RUNS = {
+    **{(p, 1): ALL_CHECKS - CROSSCONN for p in (2, 3, 5, 7)},
+    (2, 2): ALL_CHECKS,
+    (3, 2): ALL_CHECKS,
+    (5, 2): ALL_CHECKS - {"cones.census", "crossconn.classification"},
+    (7, 2): ALL_CHECKS - {"cones.census", "crossconn.classification"} - SANDWICH,
+    (2, 3): ALL_CHECKS - CROSSCONN - {"cones.census"},
+    (3, 3): EVERYWHERE | {"semigroup.order-formula", "semigroup.idempotents", "cones.factorization",
+                          "dual.mset-characterizations", "variant.membership-laws"},
+    (2, 4): EVERYWHERE | {"semigroup.order-formula", "semigroup.idempotents", "dual.mset-characterizations",
+                          "variant.membership-laws"},
+    **{size: EVERYWHERE for size in [(5, 3), (7, 3), (3, 4), (5, 4), (7, 4), (2, 5), (3, 5), (5, 5), (7, 5)]},
+}
+SKIP_TEXT = re.compile(r".+ (= \d+|>= 2\^\d+) > \d+|runs at n = 2( and p <= 3)?, not at p = \d, n = \d")
+
+
+@pytest.mark.parametrize("p,n", sorted(RUNS))
+def test_budget_table_alone_decides_every_skip(p, n, monkeypatch):
+    # Nothing that builds a universe, lattice, category or element list may run; a check the table
+    # lets through is called and reports that it ran.
+    from linsemi import indexed, normal_cones, semigroup
+
+    def builds(*args):
+        pytest.fail("the budget table built something")
+
+    for module, attr in [(indexed, "universe"), (indexed, "lattice"), (normal_cones, "category"),
+                         (semigroup, "sing"), (semigroup, "all_endos")]:
+        monkeypatch.setattr(module, attr, builds)
+    checks = [verify.run_registered(name, lambda p, n: (False, "ran"), p, n) for name, _ in verify.REGISTRY]
+    assert {c.name for c in checks if c.witness == "ran"} == RUNS[p, n]
+    skips = [c.witness["skipped"] for c in checks if c.passed]
+    assert len(skips) == 30 - len(RUNS[p, n]) and all(SKIP_TEXT.fullmatch(text) for text in skips)
 
 
 def test_algebra_error_fails_the_check_under_a_subcommand(monkeypatch, capsys):

@@ -43,10 +43,12 @@ from linsemi.verify import (
     check_cone_homomorphism,
     check_cone_table,
     check_dual_tables,
+    check_factorization,
     check_idempotent_cones,
     check_msets,
     check_principal_roundtrip,
     run_check,
+    run_registered,
 )
 
 
@@ -102,10 +104,18 @@ class TestFactorization:
             # splitting: the inclusion into the domain followed by q is the identity
             assert inclusion(fact.q.cod, fact.q.dom).compose(fact.q) == Morphism.identity(fact.q.cod)
 
-    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+    def test_check_rejects_a_wrong_factorization_of_one_morphism(self, monkeypatch):
+        # The last morphism, a nonzero map between lines, is factored as the zero map between them.
+        last, real = category(2, 2).all_morphisms()[-1], nc.normal_factorization
+        zero = Morphism.zero(last.dom, last.cod)
+        monkeypatch.setattr(nc, "normal_factorization", lambda f: real(zero if f == last else f))
+        check = run_check("cones.factorization", check_factorization, 2, 2)
+        assert (check.passed, check.witness) == (False, {"dom": str(last.dom.basis)})
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2), (7, 2), (3, 3)])
     def test_morphism_count_closed_form(self, p, n):
-        cat = category(n, p)
-        assert cat.morphism_count() == len(cat.all_morphisms())
+        count = {(2, 2): 25, (3, 2): 57, (2, 3): 1303, (5, 2): 193, (7, 2): 465, (3, 3): 17291}[p, n]
+        assert nc.morphism_count(n, p) == len(category(n, p).all_morphisms()) == count
 
 
 class TestEpimorphicComponent:
@@ -268,17 +278,27 @@ class TestValidateAndCensus:
         census = cone_census(2, 3)
         assert census.valid_count == len(sing(2, 3)) == 33
 
+    @pytest.mark.parametrize("count_drop", [1, 0], ids=["count-and-cone", "cone-only"])
+    def test_check_rejects_a_census_missing_one_valid_cone(self, monkeypatch, count_drop):
+        # The first valid cone goes missing, from the count too or in the cones alone.
+        real = cone_census(2, 2)
+        missing = nc.ConeCensus(real.valid_count - count_drop, real.inclusion_iso_only_count, real.valid_cones[1:])
+        monkeypatch.setattr(nc, "cone_census", lambda n, p: missing)
+        check = run_check("cones.census", check_cone_census, 2, 2)
+        witness = {"valid": 10 - count_drop, "inclusion_iso_only": real.inclusion_iso_only_count}
+        assert (check.passed, check.witness) == (False, witness)
+
     def test_census_too_large(self):
         with pytest.raises(TooLarge):
             cone_census(3, 2)
 
     def test_census_budget_stops_before_a_huge_count(self):
-        # At (5, 4) the family count has more than 4300 digits; the message
-        # states the budget instead, and the registry check reports the skip.
+        # At (5, 4) the family count has more than 4300 digits, which str() refuses; the
+        # message states the budget instead, and the registry skip states 2^64 as a bound.
         with pytest.raises(TooLarge, match="more than 2000 families"):
             cone_census(4, 5)
-        check = run_check("cones.census", check_cone_census, 5, 4)
-        assert check.passed and check.witness == {"skipped": "beyond census budget"}
+        check = run_registered("cones.census", check_cone_census, 5, 4)
+        assert check.passed and check.witness == {"skipped": "cone families >= 2^64 > 2000"}
 
     def test_idempotent_cones_are_vertex_identities(self):
         for alpha in sing(2, 2):

@@ -297,6 +297,15 @@ class TestClassification:
         check = verify.run_check("crossconn.classification", verify.check_classification, 2, 2)
         assert (check.passed, check.witness) == (False, mat_to_text(last))
 
+    def test_scalar_invariance_check_rejects_one_doctored_scaled_theta(self, monkeypatch):
+        # 2 theta gets another automorphism's functors for the first theta alone; p = 2 has no scalar to test.
+        first, other = gl(2, 3)[0], gl(2, 3)[1]
+        real = crossconn.gamma_delta_theta
+        doctored = Endo(first.scale(2))
+        monkeypatch.setattr(crossconn, "gamma_delta_theta", lambda t: real(other if t == doctored else t))
+        check = verify.run_check("crossconn.scalar-invariance", verify.check_scalar_invariance, 3, 2)
+        assert (check.passed, check.witness) == (False, (mat_to_text(first), 2))
+
     def test_scalar_invariance_gf3(self):
         for theta in gl(2, 3):
             g1, d1 = gamma_delta_theta(theta)
@@ -428,6 +437,13 @@ class TestTransportOncePerObject:
         # E11 kills the second coordinate line.
         with pytest.raises(NotInvertible, match="not injective"):
             functor_from_global(endo([[1, 0], [0, 0]]), category(2, 2, Side.PRIMAL).objects)
+
+
+def test_gl_batch_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
+    target, real = gl(2, 2)[2], verify.theta_crossconnection
+    monkeypatch.setattr(verify, "theta_crossconnection", lambda t: (False, "doctored") if t == target else real(t))
+    check = verify.run_check("crossconn.gl-batch", verify.check_gl_crossconnections, 2, 2)
+    assert (check.passed, check.witness) == (False, (mat_to_text(target), "doctored"))
 
 
 def test_gl_batch_composes_each_pair_at_most_once(monkeypatch):

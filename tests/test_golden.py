@@ -1,24 +1,24 @@
 """Byte identity of the CLI reports against recorded digests.
 
-The `verify-all` digests at (2, 4) and (3, 3) are those of
-`perfbench/reference_digests.json`, taken from the reports of the seed
-implementation; both sizes skip the two naturality checks. The digests at
-(2, 2), (3, 2) and (2, 3) no longer equal that file's, which
-`perfbench/run.py` records only as provenance: they, (2, 1), (5, 2) and every
-subcommand report that carries `dual.naturality` or
-`crossconn.chi-naturality` were retaken when both checks were cut down to the
-claims they still test. `dual.naturality` now counts escape cases, names
-Light's associativity test, its generators and the elements they reach, and
-is never capped; `crossconn.chi-naturality` counts one identity per morphism
-and element and checks the same automorphisms as the other GL checks. The
-other subcommand digests were taken before the two local-isomorphism checkers
-were merged and the subcommands were made to read the check registry, except
-the variant report for theta = 0,0;1,0, retaken when its crossconnection check
-started to include the restricted gamma functor, and the rank-2 variant at
-(2, 3), taken before the pair-table route moved onto the Cayley table. A
-change to the report bytes has to update them on purpose. The (2, 5) digest
-was taken with the lattice checks still pairwise, before they read
-`indexed.lattice`, and is the same under every PYTHONHASHSEED tried.
+No `verify-all` digest equals `perfbench/reference_digests.json` any more;
+`perfbench/run.py` records that file only as provenance. The digests at
+(2, 2) and (3, 2), where nothing skips, were retaken when `dual.naturality`
+and `crossconn.chi-naturality` were cut down to the claims they still test:
+`dual.naturality` counts escape cases, names Light's associativity test, its
+generators and the elements they reach, and is never capped;
+`crossconn.chi-naturality` counts one identity per morphism and element and
+checks the same automorphisms as the other GL checks. The digests at
+(2, 1), (5, 2), (2, 3), (3, 3), (2, 4) and (2, 5) were retaken when the skip
+texts came to be written by `verify.BUDGETS`, one budget table, and name the
+cost, its value and the limit, or the rule and the observed p and n; the
+same checks skip as before, and no other byte changed. The subcommand digests
+were taken before the two local-isomorphism checkers were merged and the
+subcommands were made to read the check registry, except the variant report
+for theta = 0,0;1,0, retaken when its crossconnection check started to
+include the restricted gamma functor, the rank-2 variant at (2, 3), taken
+before the pair-table route moved onto the Cayley table, and every report
+that carries one of the two naturality checks, retaken with them. A change
+to the report bytes has to update them on purpose.
 """
 import hashlib
 
@@ -29,22 +29,22 @@ from linsemi.cli import main
 
 DIGESTS = {
     (2, 2): "59d7f700156b698fd1162c5bc78b4b21feda73b7603d554d2750fbbbc096a16a",
-    (2, 4): "1abf263def5d145bafb5e073be797cac235837fa578585b664c507d4879371e4",
+    (2, 4): "38b9852c716549ace10d30a06109cc314d7d8173f8d6bd9818927c5ed3fc4e5c",
     # p = 3 puts scalar multiples into the join recurrence and the squares.
-    (3, 3): "f6e2fa052cb2e93f41044305130f61d9e99e8a25830a44dfbbbdcfe4ef6dd550",
+    (3, 3): "cc67b7114262a8e30a10dd08fe9d31a9480838acaa28d642ef1440202cc79657",
     # Every check runs, on the Cayley table: about 10 s.
     (3, 2): "bb54b4ced3c1b73a8c91620d37f2f4c6df075982711853c2507f9eb1b950dbb1",
     # Cones compose by lookup here: about 3 s, with the compose-homomorphism cap.
-    (2, 3): "a7b67b503e8d3792db6f0e02de959ce447635387c955b39fe5c018a54031aead",
+    (2, 3): "f4478dcd24f9b766673cf7e646ccf32117bfd2f2fd615aadabbf18392d39b89c",
     # variant.crossconnection is not applicable at n = 1, where the only
     # singular theta is 0.
-    (2, 1): "f2c7d9b61a6fac405729523253870842be535caa6922f2f62b78ca92d2398498",
+    (2, 1): "f0984fba69f431cf01c87d11f8191b8b0c53e1922c554edb32bfc6b2fa4cda32",
     # green-oracle, sing-regular and hfunctor-determined run at (5, 2), which
     # no other digest here covers: about 2.5 s.
-    (5, 2): "126536ec94817879b8508e7b7a7426f9d5164f8b6451d65dac19ae85c6e226a6",
+    (5, 2): "d6276bde1adb5532deec06cfd622e056541db36ce34669809b38233ae2d8506e",
     # The lattice checks and dual.object-count are almost the whole run here,
     # over 374 subspaces, and 24 checks skip.
-    (2, 5): "55ce9f64d11ecd37625f0a9a09815fe1d97f0d85a3abe1f5f85864c4b72a1cf0",
+    (2, 5): "d5c59a8898fbe0676ed885580994a31a8d2e0b62a410f2755a90ed6c8c0abbb2",
 }
 
 # argv -> sha256 of the report; every subcommand in JSON, and the lattice

@@ -60,6 +60,13 @@ class TestRegVariant:
                     assert sandwich(a, b, ctx) in reg_set
 
 
+def test_reg_closed_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
+    real = verify.theta_variant_reg
+    monkeypatch.setattr(verify, "theta_variant_reg", lambda t: (False, None) if t == E11 else real(t))
+    check = verify.run_check("variant.reg-closed", verify.check_variant_regularity, 2, 2)
+    assert (check.passed, check.witness) == (False, "1,0;0,0")
+
+
 class TestPhi:
     def test_zero(self):
         ctx = make_variant(E11)
