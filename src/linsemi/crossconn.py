@@ -227,7 +227,7 @@ def check_chi_naturality(theta: Endo, gamma: CrossConn, delta: CrossConn) -> Chi
             chi_f, ext_g = chi_of[extension(f)], extension(delta.mor(f))
             for alpha in alphas[a]:
                 if prod[chi_of[alpha]][chi_f] != prod[chi_of[alpha]][ext_g]:
-                    told = (str(a.basis), str(b.basis), mat_to_text(f.mat), mat_to_text(u.matrix(alpha)))
+                    told = (str(a.basis), str(b.basis), mat_to_text(f.mat), mat_to_text(u.elements[alpha]))
                     return ChiReport(False, checked, told)
                 checked += 1
     return ChiReport(True, checked, None)

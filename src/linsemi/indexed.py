@@ -20,9 +20,10 @@ holds the same `subspaces`, `subspace_at`, `dims`, `below` and `ann`.
 
 Every table is an `array` of typecode "I", 4 bytes an entry. `universe`
 builds `image`, `join`, `add` and `scale`; `kernel`, `transpose`,
-`idempotents`, `decompositions`, `products` and `elements` (all p^(n^2)
-`Endo`s) are each built on first read, so what reads only `image`, as
-`semigroup.sing` does, pays for none of them.
+`idempotents`, `decompositions` and `products` wait for their first read.
+End(V), Sing(V) and GL(V) are `Elements` views over `range(q)`, `singular`
+and `invertible`, which read only `image`: an `Endo` is decoded when read
+and not kept, and a pass over a whole view builds its records in bulk.
 
 - `join[s][v]` is the index of s + <v>, for every subspace s and every
   vector v: the members of s + <v> are a + c v over the members a of s
@@ -82,7 +83,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import semigroup
 from .errors import NotClosed, TooLarge
-from .gf import Mat, digit_value, enum_guard
+from .gf import Mat, digit_value, enum_guard, matrix_fields
 from .subspaces import ComplementMode, Side, Subspace, annihilator, complement, enumerate_subspaces
 
 MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 23 MB
@@ -111,6 +112,33 @@ def _digit_sums(places: Sequence[Sequence[int]]) -> array:
     for place in places:
         out = array(INDEX, itertools.starmap(operator.add, itertools.product(out, place)))
     return out
+
+
+class Elements(Sequence):
+    """The `Endo`s of the ascending element indices `at`, built when read and not kept; equal to their tuple."""
+
+    def __init__(self, n: int, p: int, at: Sequence[int]):
+        self.n, self.p, self.at = n, p, at
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, i: int | slice) -> semigroup.Endo | tuple[semigroup.Endo, ...]:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        n, p, x = self.n, self.p, self.at[i]
+        flat = [x // p**k % p for k in reversed(range(n * n))]
+        return semigroup.Endo(Mat(tuple(tuple(flat[r : r + n]) for r in range(0, n * n, n)), n, p))
+
+    def __iter__(self) -> Iterator[semigroup.Endo]:
+        # One C-level `tuple.__new__` a record, square by construction; `compress` keeps those in `at`.
+        fields = matrix_fields(self.n, self.n, self.p)
+        if len(self.at) < self.p ** (self.n * self.n):
+            fields = itertools.compress(fields, map(set(self.at).__contains__, itertools.count()))
+        return map(tuple.__new__, itertools.repeat(semigroup.Endo), fields)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, (tuple, Elements)) and tuple(self) == tuple(other)
 
 
 class Lattice(NamedTuple):
@@ -154,7 +182,7 @@ class Universe(_UniverseFields):
     __hash__ = object.__hash__
 
     @cached_property
-    def elements(self) -> tuple[semigroup.Endo, ...]:
+    def elements(self) -> Elements:
         return semigroup.all_endos(self.n, self.p)
 
     @cached_property
@@ -179,11 +207,13 @@ class Universe(_UniverseFields):
         """The singular indices in counting order, the order of `semigroup.sing`."""
         return array(INDEX, itertools.compress(itertools.count(), map(self.whole.__ne__, self.image)))
 
+    @cached_property
+    def invertible(self) -> array:
+        """The invertible indices in counting order, the order of `semigroup.gl`."""
+        return array(INDEX, itertools.compress(itertools.count(), map(self.whole.__eq__, self.image)))
+
     def index(self, e: Mat) -> int:
         return digit_value(e.flat(), self.p)
-
-    def matrix(self, x: int) -> Mat:
-        return Mat(tuple(self.vectors[r] for r in self.rows(x)), self.n, self.p)
 
     def contains(self, s: int, t: int) -> bool:
         """Whether subspace s contains subspace t."""
@@ -197,7 +227,8 @@ class Universe(_UniverseFields):
     @cached_property
     def kernel(self) -> array:
         """Entry i is the subspace index of the kernel of element i: ann(image(M^T))."""
-        return array(INDEX, map(self.ann.__getitem__, map(self.image.__getitem__, self.transpose)))
+        ann, image = self.ann.tolist(), self.image.tolist()
+        return array(INDEX, [ann[image[t]] for t in self.transpose.tolist()])
 
     @lru_cache(maxsize=None)
     def confined(self, top: int, bottom: int) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 """The monoid of linear transformations of GF(p)^n and its singular part.
 
-An element is one `Endo` record, its own square `Mat`; `sing` and `gl`
-pick from `all_endos` by the universe's `image` table alone. Green's
+An element is one `Endo` record, its own square `Mat`; `all_endos`, `sing`
+and `gl` are `indexed.Elements` views that build a record when it is read. Green's
 relations are decided from images and kernels; a brute-force oracle
 built from principal ideals is provided so the two routes can be
 compared pair by pair. A multiplication table is a tuple of rows of
@@ -11,13 +11,12 @@ and no isomorphism search is offered.
 """
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from . import indexed
 from .errors import NotADirectSum, NotClosed, ShapeError
-from .gf import Mat, invert, kernel_basis, matrix_fields, projection, row_basis
+from .gf import Mat, enum_guard, invert, kernel_basis, projection, row_basis
 from .subspaces import Side, Subspace, gaussian_binomial
 
 
@@ -82,26 +81,21 @@ class Endo(Mat):
 
 
 @lru_cache(maxsize=None)
-def all_endos(n: int, p: int) -> tuple[Endo, ...]:
-    """Every n x n matrix over GF(p) in counting order, one record per element.
-
-    The fields are square by construction, so each `Endo` is one C-level
-    `tuple.__new__(Endo, fields)` with no `Mat` in between; `Endo(m)` validates.
-    """
-    return tuple(map(tuple.__new__, itertools.repeat(Endo), matrix_fields(n, n, p)))
+def all_endos(n: int, p: int) -> indexed.Elements:
+    """Every n x n matrix over GF(p) in counting order; no record is built until one is read."""
+    enum_guard(n, n, p)
+    return indexed.Elements(n, p, range(p ** (n * n)))
 
 
 @lru_cache(maxsize=None)
-def sing(n: int, p: int) -> tuple[Endo, ...]:
+def sing(n: int, p: int) -> indexed.Elements:
     """The singular (non-invertible) transformations, in counting order."""
-    u = indexed.universe(n, p)
-    return tuple(itertools.compress(u.elements, map(u.whole.__ne__, u.image)))
+    return indexed.Elements(n, p, indexed.universe(n, p).singular)
 
 
 @lru_cache(maxsize=None)
-def gl(n: int, p: int) -> tuple[Endo, ...]:
-    u = indexed.universe(n, p)
-    return tuple(itertools.compress(u.elements, map(u.whole.__eq__, u.image)))
+def gl(n: int, p: int) -> indexed.Elements:
+    return indexed.Elements(n, p, indexed.universe(n, p).invertible)
 
 
 def gl_order(n: int, p: int) -> int:
@@ -208,7 +202,7 @@ def idempotent_from(null: Subspace, image: Subspace) -> Endo:
 def idempotents(n: int, p: int) -> tuple[Endo, ...]:
     """All idempotent transformations, built from direct-sum decompositions, in counting order."""
     u = indexed.universe(n, p)
-    return tuple(Endo(u.matrix(x)) for x, _, _ in u.decompositions)
+    return tuple(u.elements[x] for x, _, _ in u.decompositions)
 
 
 def regular_elements(elements: Sequence, product: Callable) -> tuple[list, dict]:

@@ -197,9 +197,9 @@ def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):
     """
     if mode is ComplementMode.CANONICAL:
         return Subspace(a.n, a.p, a.side, pivot_complement(a.basis))
-    want = a.n - a.dim
-    spaces = enumerate_subspaces(a.n, a.p, SubspaceFilter.ALL, a.side)
-    return tuple(w for w in spaces if w.dim == want and a.members & w.members == 1)
+    want, spaces = a.n - a.dim, _all_subspaces(a.n, a.p, a.side)
+    start = sum(gaussian_binomial(a.n, k, a.p) for k in range(want))  # subspaces of one dimension are one slice
+    return tuple(w for w in spaces[start : start + gaussian_binomial(a.n, want, a.p)] if a.members & w.members == 1)
 
 
 @lru_cache(maxsize=None)

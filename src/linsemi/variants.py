@@ -195,5 +195,5 @@ def nonprincipal_cones(ctx: VariantContext) -> NonprincipalCensus:
     right = u.right_products(u.index(ctx.theta))  # entry a is a theta
     principal = {right[a] for a in reg_indices(ctx)[0]}
     inside = principal <= carrier
-    excess = tuple(Endo(u.matrix(x)) for x in sorted(carrier - principal))
+    excess = tuple(u.elements[x] for x in sorted(carrier - principal))
     return NonprincipalCensus(len(carrier), len(principal), inside, excess, excess[0] if excess else None)

@@ -120,7 +120,7 @@ def check_idempotents(p: int, n: int) -> Verdict:
         kernel, img = u.kernel[x], u.image[x]
         span = u.span(u.vector_at[v] for s in (kernel, img) for v in u.subspaces[s].basis.rows)  # kernel + image
         if u.dims[kernel] + u.dims[img] != n or span != u.whole or (kernel, img) != (null, image):
-            return False, mat_to_text(u.matrix(x))
+            return False, mat_to_text(u.elements[x])
     return True, {"count": len(built)}
 
 
@@ -163,7 +163,7 @@ def check_cone_homomorphism(p: int, n: int) -> Verdict:
     cap = 40000
     for a, b in itertools.islice(itertools.product(u.singular, repeat=2), cap):
         if nc.index_compose(u, cones[a], cones[b]) != cones[prod[a][b]]:
-            return False, (mat_to_text(u.matrix(a)), mat_to_text(u.matrix(b)))
+            return False, (mat_to_text(u.elements[a]), mat_to_text(u.elements[b]))
     if len(cones) ** 2 > cap:
         return True, {"pairs_checked": cap, "capped": True}
     return True, {"pairs_checked": len(cones) ** 2}
@@ -216,7 +216,7 @@ def check_msets(p: int, n: int) -> Verdict:
             by_comp[null] = {u.subspace_at[a] for a in du.m_set_complements(u.subspaces[null])}
         by_iso = nc.index_m_set(u, nc.index_cone(u, x))
         if by_iso != by_comp[null] or len(by_iso) != p ** (k * (n - k)):
-            return False, mat_to_text(u.matrix(x))
+            return False, mat_to_text(u.elements[x])
     return True, None
 
 
@@ -260,7 +260,7 @@ def check_nat_trans(p: int, n: int) -> Verdict:
             act = prod[c].__getitem__  # x -> c x
             for a in objects:  # c must send the h-set of e at A into the h-set of f at A
                 if not h_sets[a, u.kernel[f]].issuperset(map(act, h_sets[a, u.kernel[e]])):
-                    return False, (mat_to_text(u.matrix(c)), "escapes the h-set")
+                    return False, (mat_to_text(u.elements[c]), "escapes the h-set")
                 checked += 1
     gens = [u.index(g) for g in _end_generators(p, n)]
     reached, frontier = set(gens), gens
@@ -268,14 +268,14 @@ def check_nat_trans(p: int, n: int) -> Verdict:
         frontier = [y for y in {prod[x][g] for x in frontier for g in gens} if y not in reached]
         reached.update(frontier)
     scope = {"squares_checked": checked, "associativity": "Light's test",
-             "generators": [mat_to_text(u.matrix(g)) for g in gens], "reached": len(reached)}
+             "generators": [mat_to_text(u.elements[g]) for g in gens], "reached": len(reached)}
     if len(reached) != len(prod):
         return False, scope
     for g in gens:
         times_g = itemgetter(*prod[g])  # row x, read at g y for every y
         for x, row in enumerate(prod):
             if prod[row[g]] != array(ix.INDEX, times_g(row)):
-                return False, (mat_to_text(u.matrix(x)), mat_to_text(u.matrix(g)), "(x g) y != x (g y)")
+                return False, (mat_to_text(u.elements[x]), mat_to_text(u.elements[g]), "(x g) y != x (g y)")
     return True, scope
 
 

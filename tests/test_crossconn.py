@@ -446,6 +446,35 @@ def test_gl_batch_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
     assert (check.passed, check.witness) == (False, (mat_to_text(target), "doctored"))
 
 
+def _without_identity(functor, a):
+    """The functor with the identity of object a sent to the zero map of its image."""
+    image = functor.obj(a)
+    broken = {**functor.morphism_map, Morphism.identity(a): Morphism(image, image, Mat.zeros(a.dim, a.dim, a.p))}
+    return functor._replace(morphism_map=broken)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_theta_crossconnection_fails_when_a_functor_loses_an_identity(monkeypatch, side):
+    # The dual-side gamma fails with its own reason; the primal-side delta is named.
+    theta, real = SWAP, crossconn.gamma_delta_theta
+    gamma, delta = real(theta)
+    if side is Side.DUAL:
+        doctored, want = (_without_identity(gamma, category(2, 2, side).objects[-1]), delta), "identity not preserved"
+    else:
+        doctored, want = (gamma, _without_identity(delta, category(2, 2, side).objects[-1])), "delta"
+    monkeypatch.setattr(crossconn, "gamma_delta_theta", lambda t: doctored if t == theta else real(t))
+    assert verify.theta_crossconnection(theta) == (False, want)
+    assert verify.theta_crossconnection(gl(2, 2)[1]) == (True, None)
+
+
+def test_theta_recover_roundtrip_fails_on_another_automorphisms_delta(monkeypatch):
+    # Over GF(2) every scalar is 1, so the delta of `other` gives back `other` itself.
+    theta, other, real = SWAP, gl(2, 2)[1], crossconn.gamma_delta_theta
+    monkeypatch.setattr(crossconn, "gamma_delta_theta", lambda t: real(other))
+    assert verify.theta_recover_roundtrip(theta) == (False, mat_to_text(other))
+    assert verify.theta_recover_roundtrip(other) == (True, mat_to_text(other))
+
+
 def test_gl_batch_composes_each_pair_at_most_once(monkeypatch):
     # Composites come from one table per object triple, shared by every functor.
     crossconn._compose_table.cache_clear()  # an earlier test at (3,2) may have filled it

@@ -228,7 +228,7 @@ class TestDecomposition:
         u = universe(n, p)
         for x, k, w in u.decompositions:
             null, image = u.subspaces[k].basis, u.subspaces[w].basis
-            assert projection(null, image) @ image == u.matrix(x)
+            assert projection(null, image) @ image == u.elements[x]
 
 
 @pytest.mark.parametrize("r,c", [(0, 3), (3, 0), (1, 1), (2, 3)])

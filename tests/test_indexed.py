@@ -64,7 +64,7 @@ def test_decompositions_match_idempotent_from(p, n):
     by_index = sorted((u.subspace_at[a], u.subspace_at[w]) for a, w in pairs)
     assert by_index == sorted((k, w) for _, k, w in u.decompositions)
     for x, k, w in u.decompositions:
-        assert u.matrix(x) == semigroup.idempotent_from(u.subspaces[k], u.subspaces[w])
+        assert u.elements[x] == semigroup.idempotent_from(u.subspaces[k], u.subspaces[w])
 
 
 def test_idempotents_match_construction():

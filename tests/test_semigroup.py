@@ -1,7 +1,9 @@
 """Green's relations, idempotents, regularity and multiplication tables."""
 import copy
 import gc
+import os
 import pickle
+import sys
 from array import array
 
 import pytest
@@ -96,7 +98,7 @@ class TestIdempotents:
     def test_decompositions_are_the_built_idempotents(self, p, n):
         u = indexed.universe(n, p)
         assert [(e, e.kernel, e.image) for e in idempotents(n, p)] == [
-            (Endo(u.matrix(x)), u.subspaces[null], u.subspaces[image]) for x, null, image in u.decompositions
+            (u.elements[x], u.subspaces[null], u.subspaces[image]) for x, null, image in u.decompositions
         ]
 
     def test_check_rejects_swapped_decompositions(self, monkeypatch):
@@ -177,21 +179,55 @@ def test_enumeration_bound_guard():
 
 
 class TestBulkConstruction:
-    """`all_endos` and `sing` build their records without `Endo.__new__`; the values are those it builds."""
+    """`all_endos`, `sing` and `gl` are views that build records when read; a whole pass builds them
+    without `Endo.__new__`, and the values are those it builds."""
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
     def test_all_endos_is_endo_of_each_matrix(self, p, n):
         built = all_endos(n, p)
-        assert built == tuple(Endo(m) for m in all_matrices(n, n, p))
+        reference = tuple(Endo(m) for m in all_matrices(n, n, p))
+        assert tuple(built) == reference and built == reference and reference == built
         assert all(type(e) is Endo and isinstance(e, Mat) for e in built)
+        assert indexed.universe(n, p).elements is built
 
     def test_one_tracked_record_per_element(self):
-        # An Endo is its own matrix: End(V) adds one GC-tracked object per element, not an Endo and a Mat.
+        # A view holds no record; a pass makes one GC-tracked object per element, an Endo that is its own Mat.
+        indexed.universe(4, 2)
         gc.collect()
         before = len(gc.get_objects())
-        built = all_endos.__wrapped__(3, 2)
+        views = [build.__wrapped__(4, 2) for build in (all_endos, sing, gl)]
         gc.collect()
-        assert len(gc.get_objects()) - before <= 1.05 * len(built)
+        assert len(gc.get_objects()) - before <= 2 * len(views)
+        built = tuple(all_endos.__wrapped__(3, 2))
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 2 * len(views) + 1.05 * len(built)
+
+    @pytest.mark.parametrize("build", [all_endos, sing, gl])
+    def test_a_view_reads_like_its_tuple(self, build):
+        view = build(2, 3)
+        records = tuple(view)
+        assert len(view) == len(records) and list(view) == [view[i] for i in range(len(view))]
+        assert view[-1] == records[-1] and view[-len(view)] == records[0]
+        for cut in (slice(3, 9), slice(None, None, -7), slice(-5, None), slice(40, 2, -3)):
+            assert view[cut] == records[cut]
+        with pytest.raises(IndexError):
+            view[len(view)]
+        assert all(type(view[i]) is Endo for i in (0, -1))
+
+    def test_views_compare_as_their_records(self):
+        assert sing(2, 2) == tuple(e for e in all_endos(2, 2) if gf.rank(e) < 2) != gl(2, 2)
+        assert all_endos(2, 2) != list(all_endos(2, 2)) and all_endos(2, 2) != all_endos(2, 3)
+
+    @pytest.mark.parametrize("build", [all_endos, sing, gl])
+    def test_a_whole_pass_makes_no_python_call_per_element(self, build):
+        view, calls, package = build(3, 2), [], os.path.dirname(indexed.__file__)
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_filename.startswith(package)
+                       and calls.append(frame.f_code.co_name))
+        try:
+            records = list(view)
+        finally:
+            sys.setprofile(None)
+        assert len(records) == len(view) > 100 and len(calls) <= 4, calls
 
     def test_an_endo_equals_its_matrix(self):
         # Endo(m) is m with the square check passed: equal, hashed alike, and the same key.
@@ -231,7 +267,7 @@ class TestBulkConstruction:
         # The cone, dual and linked tables are position tables: none of them pairs with an Endo list.
         from linsemi import semigroup, verify
 
-        thetas = gl(2, 2)  # built before the spy, since `gl` reads the element list
+        thetas = gl(2, 2)
         semigroup.sing.cache_clear()
         indexed.universe.cache_clear()
         seen = []

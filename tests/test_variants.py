@@ -107,9 +107,9 @@ class TestVariantCategories:
         u = universe(2, 2)
         tr, tb = carriers(ctx)
         assert len(tr) == 4
-        assert all(row in ((0, 0), (1, 0)) for x in tr for row in u.matrix(x).rows)
+        assert all(row in ((0, 0), (1, 0)) for x in tr for row in u.elements[x].rows)
         assert len(tb) == 4
-        assert all(u.matrix(x).rows[1] == (0, 0) for x in tb)
+        assert all(u.elements[x].rows[1] == (0, 0) for x in tb)
 
     def test_e11_objects(self):
         r_objects, b_objects = restricted_objects(make_variant(E11))
