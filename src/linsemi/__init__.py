@@ -23,7 +23,6 @@ from .errors import (
 )
 from .gf import Mat, invert, is_prime, kernel_basis, mat_to_text, parse_mat, rank, row_basis, rref
 from .subspaces import (
-    ComplementMode,
     Morphism,
     Side,
     Subspace,
@@ -87,7 +86,7 @@ __all__ = [
     "AlgebraError", "ModulusMismatch", "NotACone", "NotADirectSum", "NotClosed", "NotIdempotent",
     "NotInSandwich", "NotIncluded", "NotInduced", "NotInvertible", "NotSingular", "ShapeError",
     "TooLarge", "Mat", "invert", "is_prime", "kernel_basis", "mat_to_text", "parse_mat", "rank",
-    "row_basis", "rref", "ComplementMode", "Morphism", "Side", "Subspace", "SubspaceFilter",
+    "row_basis", "rref", "Morphism", "Side", "Subspace", "SubspaceFilter",
     "annihilator", "canonical", "complement", "enumerate_subspaces", "gaussian_binomial",
     "inclusion", "retraction", "Endo", "all_endos", "gl", "idempotent_from", "idempotents",
     "mult_table", "regular_elements", "sing", "sing_order", "Factorization", "NormalCone",

@@ -4,12 +4,12 @@ An H-functor is its null space: for every idempotent e with that kernel,
 its value at a subspace A is the set of singular maps x with e x = x
 (kernel above the null space) and image inside A, read from the Cayley
 table by `index_h_sets`; a morphism g acts on it as the product with
-`extension(g)`. The M-set of a null space is its set of complements.
-Annihilators identify the dual of the subspace category with the
-category of proper subspaces of V*: `nat_trans` and `dual_morphisms`
-give its morphisms by sandwich carriers. A cone over it is the index
-cone of a transposed element, so cones over it multiply opposite to the
-singular semigroup.
+`extension(g)`. The M-set of a null space is its set of complements,
+`indexed.Lattice.complements` by index. Annihilators identify the dual
+of the subspace category with the category of proper subspaces of V*:
+`nat_trans` and `dual_morphisms` give its morphisms by sandwich
+carriers. A cone over it is the index cone of a transposed element, so
+cones over it multiply opposite to the singular semigroup.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .gf import Mat, all_matrices, projection
 from .indexed import Universe, lattice, universe
 from .semigroup import Endo, idempotent_from
 from .subspaces import (
-    ComplementMode,
     Morphism,
     Side,
     Subspace,
@@ -81,12 +80,7 @@ def extension(f: Morphism) -> int:
     For every x with image inside f.dom, x followed by f is x E, the lookup `products[x][E]`.
     """
     u = universe(f.dom.n, f.dom.p)
-    return u.index(globalize(idempotent_from(complement(f.dom, ComplementMode.CANONICAL), f.dom), f))
-
-
-def m_set_complements(key: Subspace) -> frozenset[Subspace]:
-    """Proper subspaces A with A (+) key = V: every complement of a nonzero key (the zero key's is V)."""
-    return frozenset() if key.is_zero else frozenset(complement(key, ComplementMode.ALL))
+    return u.index(globalize(idempotent_from(complement(f.dom), f.dom), f))
 
 
 class DualMorphism(NamedTuple):
@@ -142,8 +136,8 @@ def dual_morphisms(y: Subspace, z: Subspace) -> tuple[DualMorphism, ...]:
     """
     null_e = annihilator(y)
     null_f = annihilator(z)
-    im_e = complement(null_e, ComplementMode.CANONICAL)
-    im_f = complement(null_f, ComplementMode.CANONICAL)
+    im_e = complement(null_e)
+    im_f = complement(null_f)
     e = idempotent_from(null_e, im_e)
     f = idempotent_from(null_f, im_f)
     glue = projection(null_f.basis, im_f.basis)
@@ -168,17 +162,14 @@ def build_normal_dual(n: int, p: int) -> NormalDual:
     """Materialize the dual: H-functors keyed by nonzero null spaces, mapped by annihilator.
 
     Inclusions are read from the containment masks of `indexed.lattice`: key k1 contains key k2
-    exactly when the image of k2 contains the image of k1.
+    exactly when the image of k2 contains the image of k1, one mask comparison per key.
     """
-    keys = enumerate_subspaces(n, p, SubspaceFilter.NONZERO)
-    hfs = tuple(map(HFunctor, keys))
+    hfs = tuple(map(HFunctor, enumerate_subspaces(n, p, SubspaceFilter.NONZERO)))
     images = [functor_p_object(h) for h in hfs]
     injective = len(set(images)) == len(images)
-    dual_objects = set(enumerate_subspaces(n, p, SubspaceFilter.PROPER, Side.DUAL))
-    count_matches = set(images) == dual_objects
+    count_matches = set(images) == set(enumerate_subspaces(n, p, SubspaceFilter.PROPER, Side.DUAL))
     lat = lattice(n, p)
-    at, below = lat.subspace_at, lat.below
-    pairs = [(at[h.key], at[Subspace(n, p, Side.PRIMAL, im.basis)]) for h, im in zip(hfs, images)]
-    incl = all(below[k1] >> k2 & 1 == below[i2] >> i1 & 1 for k1, i1 in pairs for k2, i2 in pairs)
-    return NormalDual(hfs, tuple(zip(hfs, images)), injective, count_matches, incl)
+    at = lat.subspace_at
+    incl = lat.unreversed_pair({at[h.key]: at[Subspace(n, p, Side.PRIMAL, im.basis)] for h, im in zip(hfs, images)})
+    return NormalDual(hfs, tuple(zip(hfs, images)), injective, count_matches, incl is None)
 

@@ -283,8 +283,13 @@ def matrix_fields(r: int, c: int, p: int) -> Iterator[tuple[tuple[tuple[int, ...
     by construction: a batch builder makes each record by one C-level `tuple.__new__(cls, fields)`."""
     enum_guard(r, c, p)
     # Row 0 is the most significant digit, so this is the flat counting order.
-    rows = tuple(itertools.product(range(p), repeat=c))
-    return zip(itertools.product(rows, repeat=r), itertools.repeat(c), itertools.repeat(p))
+    return zip(itertools.product(row_vectors(c, p), repeat=r), itertools.repeat(c), itertools.repeat(p))
+
+
+@lru_cache(maxsize=None)
+def row_vectors(c: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Every row of length c over GF(p) in counting order: the row tuples every bulk-built matrix shares."""
+    return tuple(itertools.product(range(p), repeat=c))
 
 
 def all_matrices(r: int, c: int, p: int) -> Iterator[Mat]:

@@ -15,8 +15,11 @@ its transpose `above[t]`, the AND of the masks of the subspaces holding
 each basis row of t, built with one step per containment pair, not one
 per pair of subspaces; and `ann[s]`, the index of the annihilator of
 subspace s read as a primal subspace, one `annihilator` call per subspace.
-The lattice checks and `dual.build_normal_dual` read it, and a universe
-holds the same `subspaces`, `subspace_at`, `dims`, `below` and `ann`.
+It answers by index which subspaces complement s, `complements(s)`, and
+whether a map of subspaces reverses containment, `unreversed_pair(f)`.
+The lattice checks, `dual.build_normal_dual` and `decompositions` read
+it, and a universe holds the same `subspaces`, `subspace_at`, `dims`,
+`below` and `ann`.
 
 Every table is an `array` of typecode "I", 4 bytes an entry. `universe`
 builds `image`, `join`, `add` and `scale`; `kernel`, `transpose`,
@@ -78,13 +81,14 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from functools import cached_property, lru_cache
+from bisect import bisect_left, bisect_right
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import semigroup
 from .errors import NotClosed, TooLarge
-from .gf import Mat, digit_value, enum_guard, matrix_fields
-from .subspaces import ComplementMode, Side, Subspace, annihilator, complement, enumerate_subspaces
+from .gf import Mat, digit_value, enum_guard, matrix_fields, row_vectors
+from .subspaces import Side, Subspace, annihilator, enumerate_subspaces
 
 MAX_PRODUCTS = 6_000_000  # (7,2) has 2401^2 = 5 764 801 products, 23 MB
 INDEX = "I"  # the typecode of every table
@@ -126,9 +130,9 @@ class Elements(Sequence):
     def __getitem__(self, i: int | slice) -> semigroup.Endo | tuple[semigroup.Endo, ...]:
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        n, p, x = self.n, self.p, self.at[i]
-        flat = [x // p**k % p for k in reversed(range(n * n))]
-        return semigroup.Endo(Mat(tuple(tuple(flat[r : r + n]) for r in range(0, n * n, n)), n, p))
+        n, x, rows = self.n, self.at[i], row_vectors(self.n, self.p)  # the bulk route's row tuples
+        q = len(rows)
+        return semigroup.Endo(Mat(tuple(rows[x // q ** (n - 1 - j) % q] for j in range(n)), n, self.p))
 
     def __iter__(self) -> Iterator[semigroup.Endo]:
         # One C-level `tuple.__new__` a record, square by construction; `compress` keeps those in `at`.
@@ -152,12 +156,38 @@ class Lattice(NamedTuple):
     above: tuple[int, ...]  # bit s of entry t is set when subspace s contains subspace t: `below` transposed
     ann: array  # entry s is the index of the annihilator of subspace s, read as a primal subspace
 
+    def complements(self, s: int) -> list[int]:
+        """The complements t of s (s + t = V, s ^ t = 0) in enumeration order. They have dimension n - dims[s],
+        one slice since subspaces come dimension-major, and hold no line of s: the subspaces holding a line
+        l are the bits of `above[l]`, so the complements are the slice bits that the OR of those leaves clear."""
+        dims = self.dims
+        want, lines = dims[-1] - dims[s], (1 << bisect_right(dims, 1)) - 2  # V is last; lines follow 0
+        lo, hi = bisect_left(dims, want), bisect_right(dims, want)
+        meets = reduce(operator.or_, map(self.above.__getitem__, set_bits(self.below[s] & lines)), 0)
+        window = format((meets >> lo) & ((1 << (hi - lo)) - 1), f"0{hi - lo}b")  # bit lo + i is char -1 - i
+        return list(itertools.compress(range(lo, hi), map("0".__eq__, reversed(window))))
+
+    def unreversed_pair(self, f: dict[int, int]) -> tuple[int, int] | None:
+        """The first (s, t) of f's domain, s then t in index order, where "t contains s" and "f(s) contains
+        f(t)" disagree, or None: `above[s]` must equal the OR of `pre[x]`, the mask of the t that f sends to
+        x, over the x below f(s), one step per containment pair; the lowest differing bit is the first t."""
+        pre, domain = [0] * len(self.members), 0
+        for s, x in f.items():
+            pre[x] |= 1 << s
+            domain |= 1 << s
+        for s, x in f.items():
+            reached = reduce(operator.or_, map(pre.__getitem__, set_bits(self.below[x])), 0)
+            if differ := (self.above[s] & domain) ^ reached:
+                return s, (differ & -differ).bit_length() - 1
+        return None
+
 
 class _UniverseFields(NamedTuple):
     n: int
     p: int
     subspaces: tuple[Subspace, ...]
     subspace_at: dict[Subspace, int]
+    dims: array
     image: array
     below: tuple[int, ...]
     join: tuple[array, ...]
@@ -192,10 +222,6 @@ class Universe(_UniverseFields):
     @cached_property
     def vector_at(self) -> dict[tuple[int, ...], int]:  # the inverse of `vectors`
         return {v: i for i, v in enumerate(self.vectors)}
-
-    @cached_property
-    def dims(self) -> array:
-        return lattice(self.n, self.p).dims
 
     @property
     def whole(self) -> int:
@@ -297,11 +323,11 @@ class Universe(_UniverseFields):
     def decompositions(self) -> tuple[tuple[int, int, int], ...]:
         """(x, k, w) for every complementary pair of subspaces k, w, sorted by x: the
         idempotent x has kernel k and image w."""
-        q, add, out = len(self.vectors), self.add, []
-        members = [[v for v, s in enumerate(row) if s == i] for i, row in enumerate(self.join)]
+        q, add, lat, out = len(self.vectors), self.add, lattice(self.n, self.p), []
+        members = [list(set_bits(mask)) for mask in lat.members]
         units = [q // self.p ** (j + 1) for j in range(self.n)]
-        for k, null in enumerate(self.subspaces):
-            for w in map(self.subspace_at.__getitem__, complement(null, ComplementMode.ALL)):
+        for k in range(len(members)):
+            for w in lat.complements(k):
                 target = [0] * q
                 for b in members[w]:
                     for a in members[k]:
@@ -418,5 +444,5 @@ def universe(n: int, p: int) -> Universe:
     scale = tuple(array(INDEX, (digit_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
     join = _join_table(lat.members, add, scale)
     image = _digit_fold([join.__getitem__] * n)  # from the zero subspace 0, join one row a round
-    return Universe(n, p, lat.subspaces, lat.subspace_at, image, lat.below, join, lat.ann, add, scale)
+    return Universe(n, p, lat.subspaces, lat.subspace_at, lat.dims, image, lat.below, join, lat.ann, add, scale)
 

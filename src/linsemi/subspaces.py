@@ -14,7 +14,8 @@ and one lookup, and a vector outside the subspace is simply absent.
 Containment compares two bitmasks of member vectors, cached per subspace.
 Tables over a whole lattice, built once per size with no `enum_guard`
 (member bitmasks, dimensions, containment masks and annihilators by
-index), belong to `indexed.lattice`; the lattice checks read them.
+index) and every complement of a subspace belong to `indexed.lattice`;
+the lattice checks read them.
 """
 from __future__ import annotations
 
@@ -44,11 +45,6 @@ class SubspaceFilter(Enum):
     ALL = "all"
     PROPER = "proper"
     NONZERO = "nonzero"
-
-
-class ComplementMode(Enum):
-    CANONICAL = "canonical"
-    ALL = "all"
 
 
 class _SubspaceFields(NamedTuple):
@@ -187,19 +183,10 @@ def _all_subspaces(n: int, p: int, side: Side) -> tuple[Subspace, ...]:
     return tuple(Subspace(n, p, side, b) for layer in layers for b in layer)
 
 
-def complement(a: Subspace, mode: ComplementMode = ComplementMode.CANONICAL):
-    """Complement(s) W with a + W = V and a ^ W = 0.
-
-    CANONICAL returns the span of the standard basis vectors at the
-    non-pivot coordinates of a; ALL returns every complement, in
-    enumeration order: the W of dimension n - dim a whose member bitmask
-    meets a's in the zero vector alone.
-    """
-    if mode is ComplementMode.CANONICAL:
-        return Subspace(a.n, a.p, a.side, pivot_complement(a.basis))
-    want, spaces = a.n - a.dim, _all_subspaces(a.n, a.p, a.side)
-    start = sum(gaussian_binomial(a.n, k, a.p) for k in range(want))  # subspaces of one dimension are one slice
-    return tuple(w for w in spaces[start : start + gaussian_binomial(a.n, want, a.p)] if a.members & w.members == 1)
+def complement(a: Subspace) -> Subspace:
+    """The canonical complement W of a, with a + W = V and a ^ W = 0: the span of the standard basis
+    vectors at the non-pivot coordinates of a. `indexed.Lattice.complements` lists every complement."""
+    return Subspace(a.n, a.p, a.side, pivot_complement(a.basis))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from .gf import Mat
 from .indexed import universe
 from .semigroup import Endo, mult_table, regular_elements
 from .subspaces import (
-    ComplementMode,
     Subspace,
     SubspaceFilter,
     annihilator,
@@ -60,7 +59,7 @@ def make_variant(theta: Endo) -> VariantContext:
     if is_direct_sum(theta.kernel, theta.image):
         w = theta.image
     else:
-        w = complement(theta.kernel, ComplementMode.CANONICAL)
+        w = complement(theta.kernel)
     return VariantContext(theta, w)
 
 

@@ -24,7 +24,6 @@ from . import subspaces as sub
 from . import variants as va
 from .errors import AlgebraError, TooLarge
 from .gf import MAX_ENUM, Mat, all_matrices, mat_to_text
-from .subspaces import ComplementMode
 
 Verdict = tuple[bool, object]  # (passed, witness)
 
@@ -46,17 +45,15 @@ def check_subspace_counts(p: int, n: int) -> Verdict:
 
 
 def check_complement_counts(p: int, n: int) -> Verdict:
-    """Route 1 counts `complement(a, ALL)`, a meet by member bitmask; route 2 tests each found w
-    by a + w = V, that is ann(a) ^ ann(w) = 0: the members of the two annihilators share only 0."""
+    """Route 1 counts `Lattice.complements(s)`, a meet by member bitmask; route 2 tests each found t
+    by s + t = V, that is ann(s) ^ ann(t) = 0: the members of the two annihilators share only 0."""
     lat = ix.lattice(n, p)
-    at, dims, ann, members = lat.subspace_at, lat.dims, lat.ann, lat.members
+    dims, ann_members = lat.dims, [lat.members[x] for x in lat.ann]
     for s, a in enumerate(lat.subspaces):
-        found = sub.complement(a, ComplementMode.ALL)
-        if len(found) != p ** (dims[s] * (n - dims[s])):
+        k, found = dims[s], lat.complements(s)
+        meets = set(map(ann_members[s].__and__, map(ann_members.__getitem__, found)))
+        if len(found) != p ** (k * (n - k)) or {dims[t] for t in found} - {n - k} or meets - {1}:
             return False, {"subspace": str(a.basis)}
-        for t in map(at.__getitem__, found):
-            if dims[s] + dims[t] != n or members[ann[s]] & members[ann[t]] != 1:
-                return False, {"subspace": str(a.basis)}
     return True, None
 
 
@@ -72,13 +69,10 @@ def check_annihilator_involution(p: int, n: int) -> Verdict:
 def check_annihilator_antitone(p: int, n: int) -> Verdict:
     """b contains a exactly when ann(a) contains ann(b), read from the containment masks."""
     lat = ix.lattice(n, p)
-    spaces, below, ann = lat.subspaces, lat.below, lat.ann
-    for s, a in enumerate(spaces):
-        inside_ann_a = below[ann[s]]
-        for t, b in enumerate(spaces):
-            if below[t] >> s & 1 != inside_ann_a >> ann[t] & 1:
-                return False, {"a": str(a.basis), "b": str(b.basis)}
-    return True, None
+    pair = lat.unreversed_pair(dict(enumerate(lat.ann)))
+    if pair is None:
+        return True, None
+    return False, dict(zip("ab", (str(lat.subspaces[s].basis) for s in pair)))
 
 
 def check_inclusion_splitting(p: int, n: int) -> Verdict:
@@ -205,17 +199,15 @@ def check_hfunctor_keys(p: int, n: int) -> Verdict:
 
 
 def check_msets(p: int, n: int) -> Verdict:
-    u = ix.universe(n, p)
-    by_comp: dict[int, set[int]] = {}  # kernel -> M-set by complements, as subspace indices
+    """Each singular idempotent's M-set, where its cone is an isomorphism, is its kernel's complements."""
+    u, lat = ix.universe(n, p), ix.lattice(n, p)
     for x in u.idempotents:
         null = u.kernel[x]
         k = u.dims[null]
         if k == 0:  # the identity, the one invertible idempotent
             continue
-        if null not in by_comp:
-            by_comp[null] = {u.subspace_at[a] for a in du.m_set_complements(u.subspaces[null])}
         by_iso = nc.index_m_set(u, nc.index_cone(u, x))
-        if by_iso != by_comp[null] or len(by_iso) != p ** (k * (n - k)):
+        if by_iso != set(lat.complements(null)) or len(by_iso) != p ** (k * (n - k)):
             return False, mat_to_text(u.elements[x])
     return True, None
 

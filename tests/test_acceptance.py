@@ -87,10 +87,11 @@ def test_criterion_3_duality_suite():
 def test_criterion_4_msets():
     ok = True
     for n in (2, 3):
+        lat = ix.lattice(n, 2)
         for e in (e for e in sg.idempotents(n, 2) if not e.kernel.is_zero):
             cone = nc.principal_cone(e)
             by_iso = {a for a, c in zip(nc.category(n, 2).objects, cone.components) if c.is_iso}
-            by_complement = du.m_set_complements(e.kernel)
+            by_complement = {lat.subspaces[t] for t in lat.complements(lat.subspace_at[e.kernel])}
             k = e.kernel.dim
             ok = ok and by_iso == by_complement and len(by_iso) == 2 ** (k * (n - k))
     report("criterion-4 M-set characterizations agree with size p^(k(n-k))", ok)

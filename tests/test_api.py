@@ -4,7 +4,7 @@ import types
 import linsemi
 
 PUBLIC = """
-    AlgebraError ComplementMode CrossConn DualMorphism Endo Factorization HFunctor Mat
+    AlgebraError CrossConn DualMorphism Endo Factorization HFunctor Mat
     ModulusMismatch Morphism NormalCone NotACone NotADirectSum NotClosed NotIdempotent NotInSandwich
     NotIncluded NotInduced NotInvertible NotSingular ShapeError Side Subspace SubspaceFilter
     TooLarge VariantContext all_endos annihilator build_normal_dual canonical check_chi_naturality

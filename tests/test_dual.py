@@ -1,7 +1,7 @@
 """H-functors, M-sets, dual morphisms and the annihilator category."""
 import pytest
 
-from linsemi import dual, semigroup, verify
+from linsemi import dual, indexed, semigroup, verify
 from linsemi.errors import NotIdempotent, NotInSandwich, NotSingular
 from linsemi.gf import Mat
 from linsemi.dual import (
@@ -12,14 +12,12 @@ from linsemi.dual import (
     functor_p_object,
     globalize,
     index_h_sets,
-    m_set_complements,
     nat_trans,
 )
 from linsemi.indexed import Universe, universe
 from linsemi.normal_cones import category, cone_table, principal_cone
 from linsemi.semigroup import Endo, idempotent_from, idempotents, mult_table, sing
 from linsemi.subspaces import (
-    ComplementMode,
     Side,
     SubspaceFilter,
     annihilator,
@@ -53,6 +51,12 @@ def h_set(e, a):
 def h_set_by_definition(e, a):
     """H(e; A) by definition: the singular x with ker x >= ker e and im x <= A."""
     return {x for x in sing(e.n, e.p) if x.kernel.contains(e.kernel) and a.contains(x.image)}
+
+
+def m_set(key):
+    """The M-set of a null space by complements: its proper complements, read from the lattice index."""
+    lat = indexed.lattice(key.n, key.p)
+    return {lat.subspaces[t] for t in lat.complements(lat.subspace_at[key]) if lat.dims[t] < key.n}
 
 
 def iso_components(cone):
@@ -137,19 +141,19 @@ class TestMSet:
         cone = principal_cone(E11)
         want = {canonical([[1, 0]], 2, 2), canonical([[1, 1]], 2, 2)}
         assert iso_components(cone) == want
-        assert m_set_complements(E11.kernel) == want
+        assert m_set(E11.kernel) == want
 
     def test_zero_map_mset_is_zero_object(self):
         cone = principal_cone(Endo.zero(2, 2))
         assert iso_components(cone) == {zero_subspace(2, 2)}
-        assert m_set_complements(Endo.zero(2, 2).kernel) == {zero_subspace(2, 2)}
+        assert m_set(Endo.zero(2, 2).kernel) == {zero_subspace(2, 2)}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_size_formula(self, n):
         for e in singular_idempotents(n, 2):
             k = e.kernel.dim
             got = iso_components(principal_cone(e))
-            assert got == m_set_complements(e.kernel)
+            assert got == m_set(e.kernel)
             assert len(got) == 2 ** (k * (n - k))
 
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
@@ -157,13 +161,18 @@ class TestMSet:
         # Every key, the zero key (no proper complement) and V (complement 0) included.
         proper = enumerate_subspaces(n, p, SubspaceFilter.PROPER)
         for key in enumerate_subspaces(n, p):
-            assert m_set_complements(key) == {a for a in proper if is_direct_sum(a, key)}
+            assert m_set(key) == {a for a in proper if is_direct_sum(a, key)}
 
     def test_check_rejects_a_dropped_complement(self, monkeypatch):
         # Drop <e2>, the canonical complement of <e1>: the M-sets of E22, the first idempotent with
         # kernel <e1>, disagree, as its cone is still an isomorphism on <e2>.
-        real, key = dual.m_set_complements, E22.kernel
-        monkeypatch.setattr(dual, "m_set_complements", lambda k: real(k) - {complement(k)} if k == key else real(k))
+        lat, real = indexed.lattice(2, 2), indexed.Lattice.complements
+        key, dropped = (lat.subspace_at[a] for a in (E22.kernel, complement(E22.kernel)))
+
+        def fewer(lat, s):
+            return [t for t in real(lat, s) if (s, t) != (key, dropped)]
+
+        monkeypatch.setattr(indexed.Lattice, "complements", fewer)
         check = verify.run_check("dual.mset-characterizations", verify.check_msets, 2, 2)
         assert (check.passed, check.witness) == (False, "0,0;0,1")
 
@@ -248,7 +257,7 @@ class TestDualMorphisms:
         dual_objs = [s for s in enumerate_subspaces(2, 2, SubspaceFilter.PROPER, Side.DUAL) if s.dim == 1]
         y, z = dual_objs[0], dual_objs[1]
         null = annihilator(y)
-        e = idempotent_from(null, complement(null, ComplementMode.CANONICAL))
+        e = idempotent_from(null, complement(null))
         for d1 in dual_morphisms(y, z):
             for d2 in dual_morphisms(z, y):
                 comp = d1.compose(d2)

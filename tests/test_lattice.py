@@ -1,9 +1,10 @@
 """The lattice checks and `indexed.lattice`, the index of the subspace lattice they read.
 
-The doctored-input tests change one function of `subspaces` that every route
-of a check reads, in every linsemi module that binds it, and pin the failing
-verdict and its witness. Each of them builds its own lattice index, from the
-doctored function, and drops it afterwards.
+The doctored-input tests change one function that every route of a check
+reads, a function of `subspaces` in every linsemi module that binds it or
+`indexed.Lattice.complements`, and pin the failing verdict and its witness.
+Each of them builds its own lattice index, from the doctored function, and
+drops it afterwards.
 """
 import sys
 from functools import lru_cache
@@ -12,7 +13,7 @@ import pytest
 
 from linsemi import dual, gf, indexed, subspaces, verify
 from linsemi.gf import Mat
-from linsemi.subspaces import ComplementMode, Subspace, annihilator, enumerate_subspaces
+from linsemi.subspaces import Subspace, annihilator, enumerate_subspaces
 
 
 def _put(monkeypatch, home, name, fake):
@@ -35,27 +36,27 @@ def test_subspace_counts_compare_with_the_gaussian_binomials(rebind):
     assert verify.check_subspace_counts(2, 2) == (False, {"per_dim": [1, 3, 1]})
 
 
-def test_complement_counts_compare_each_count(rebind):
+def test_complement_counts_compare_each_count(rebind, monkeypatch):
     # Route 1: the line <(0, 1)> loses one of its two complements.
-    real = subspaces.complement
+    real = indexed.Lattice.complements
 
-    def fewer(a, mode=ComplementMode.CANONICAL):
-        found = real(a, mode)
-        return found[:-1] if mode is ComplementMode.ALL and a.dim == 1 else found
+    def fewer(lat, s):
+        found = real(lat, s)
+        return found[:-1] if lat.dims[s] == 1 else found
 
-    rebind("complement", fewer)
+    monkeypatch.setattr(indexed.Lattice, "complements", fewer)
     assert verify.check_complement_counts(2, 2) == (False, {"subspace": "0,1"})
 
 
-def test_complement_counts_test_each_complement(rebind):
+def test_complement_counts_test_each_complement(rebind, monkeypatch):
     # Route 2: the count is right, but the first complement of <(0, 1)> is the line itself.
-    real = subspaces.complement
+    real = indexed.Lattice.complements
 
-    def itself(a, mode=ComplementMode.CANONICAL):
-        found = real(a, mode)
-        return (a, *found[1:]) if mode is ComplementMode.ALL and a.dim == 1 else found
+    def itself(lat, s):
+        found = real(lat, s)
+        return [s, *found[1:]] if lat.dims[s] == 1 else found
 
-    rebind("complement", itself)
+    monkeypatch.setattr(indexed.Lattice, "complements", itself)
     assert verify.check_complement_counts(2, 2) == (False, {"subspace": "0,1"})
 
 
@@ -154,3 +155,26 @@ def test_inclusion_splitting_builds_one_inclusion_per_matrix_at_2_4(monkeypatch)
     monkeypatch.setattr(subspaces, "inclusion", lambda a, b: calls.append((a, b)) or real(a, b))
     assert verify.check_inclusion_splitting(2, 4) == (True, None)
     assert len(calls) == 91
+
+
+def _first_unreversed_by_pairs(lat, f):
+    """The definition `Lattice.unreversed_pair` states, pair by pair: s, then t, in index order."""
+    for s, x in f.items():
+        for t, y in f.items():
+            if lat.below[t] >> s & 1 != lat.below[x] >> y & 1:
+                return s, t
+    return None
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+def test_unreversed_pair_is_the_pair_test(p, n):
+    lat = indexed.lattice(n, p)
+    size = len(lat.subspaces)
+    ann = dict(enumerate(lat.ann))
+    nonzero = {s: x for s, x in ann.items() if s}
+    swapped = {**ann, 1: ann[2], 2: ann[1]}
+    identity, constant = {s: s for s in range(size)}, {s: 0 for s in range(size)}
+    maps = [ann, nonzero, swapped, identity, constant, {size - 1: 0, 0: size - 1}]
+    found = [lat.unreversed_pair(f) for f in maps]
+    assert found == [_first_unreversed_by_pairs(lat, f) for f in maps]
+    assert found[:2] == [None, None] and found[3] == (0, 1) and found[5] is None

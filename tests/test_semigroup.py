@@ -79,11 +79,9 @@ class TestIdempotents:
 
     def test_rank_one_count_matches_pair_oracle(self):
         # lines as images, complements as kernels: 3 * 2 over GF(2)^2
-        from linsemi.subspaces import ComplementMode, complement, enumerate_subspaces
-
+        lat = indexed.lattice(2, 2)
         rank_one = [e for e in idempotents(2, 2) if e.rank == 1]
-        lines = [s for s in enumerate_subspaces(2, 2) if s.dim == 1]
-        oracle = sum(len(complement(w, ComplementMode.ALL)) for w in lines)
+        oracle = sum(len(lat.complements(s)) for s, w in enumerate(lat.subspaces) if w.dim == 1)
         assert len(rank_one) == oracle == 6
 
     def test_matches_brute_force(self):
@@ -201,6 +199,14 @@ class TestBulkConstruction:
         built = tuple(all_endos.__wrapped__(3, 2))
         gc.collect()
         assert len(gc.get_objects()) - before <= 2 * len(views) + 1.05 * len(built)
+        # Read by index, a record shares the row tuples of the bulk route, and is again one object.
+        view = all_endos.__wrapped__(3, 2)
+        gc.collect()
+        before = len(gc.get_objects())
+        read = tuple(map(view.__getitem__, range(len(view))))
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 1.05 * len(read)
+        assert read == built
 
     @pytest.mark.parametrize("build", [all_endos, sing, gl])
     def test_a_view_reads_like_its_tuple(self, build):

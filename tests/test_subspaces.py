@@ -9,7 +9,6 @@ from linsemi.errors import NotIncluded, ShapeError
 from linsemi.gf import Mat, rank, rref
 from linsemi.normal_cones import category
 from linsemi.subspaces import (
-    ComplementMode,
     Morphism,
     Side,
     Subspace,
@@ -141,13 +140,15 @@ class TestEnumeration:
 
 class TestComplement:
     def test_all_complements_of_line(self):
-        a = canonical([[0, 1]], 2, 2)
-        found = complement(a, ComplementMode.ALL)
-        assert {w.basis.rows for w in found} == {((1, 0),), ((1, 1),)}
+        lat = indexed.lattice(2, 2)
+        found = lat.complements(lat.subspace_at[canonical([[0, 1]], 2, 2)])
+        assert {lat.subspaces[w].basis.rows for w in found} == {((1, 0),), ((1, 1),)}
         assert len(found) == 2 ** (1 * 1)
 
     def test_zero_complement_is_full(self):
-        assert complement(zero_subspace(2, 2), ComplementMode.ALL) == (full_subspace(2, 2),)
+        lat = indexed.lattice(2, 2)
+        assert lat.complements(0) == [lat.subspace_at[full_subspace(2, 2)]]
+        assert lat.complements(len(lat.subspaces) - 1) == [lat.subspace_at[zero_subspace(2, 2)]]
 
     def test_canonical_uses_nonpivots(self):
         a = canonical([[1, 0]], 2, 2)
@@ -155,10 +156,11 @@ class TestComplement:
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_complement_counts(self, n, p):
-        for a in enumerate_subspaces(n, p):
-            found = complement(a, ComplementMode.ALL)
+        lat = indexed.lattice(n, p)
+        for s, a in enumerate(lat.subspaces):
+            found = lat.complements(s)
             assert len(found) == p ** (a.dim * (n - a.dim))
-            for w in found:
+            for w in map(lat.subspaces.__getitem__, found):
                 assert is_direct_sum(a, w)
                 # By vectors: only zero is shared, and the sums x + y cover V.
                 assert set(a.vectors()) & set(w.vectors()) == {(0,) * n}
@@ -167,10 +169,20 @@ class TestComplement:
 
     @pytest.mark.parametrize("p,n", [(3, 2), (2, 3), (2, 4)])
     def test_bitmask_complements_match_rank_filter(self, p, n):
-        spaces = enumerate_subspaces(n, p)
-        for a in spaces:
-            by_rank = tuple(w for w in spaces if w.dim == n - a.dim and rank(a.basis.vstack(w.basis)) == n)
-            assert complement(a, ComplementMode.ALL) == by_rank
+        lat = indexed.lattice(n, p)
+        spaces = lat.subspaces
+        for s, a in enumerate(spaces):
+            by_rank = [t for t, w in enumerate(spaces) if a.dim + w.dim == n == rank(a.basis.vstack(w.basis))]
+            assert lat.complements(s) == by_rank
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 3), (2, 5), (5, 3)])
+    def test_lattice_complements_are_the_member_meets(self, p, n):
+        # The line route (the slice bits no `above[l]` covers) equals the definition by member bitmask.
+        lat = indexed.lattice(n, p)
+        members, dims = lat.members, lat.dims
+        for s in range(len(members)):
+            want = [t for t in range(len(members)) if dims[t] == n - dims[s] and members[s] & members[t] == 1]
+            assert lat.complements(s) == want
 
     def test_canonical_is_a_complement(self):
         for a in enumerate_subspaces(3, 3):
@@ -325,7 +337,7 @@ class TestRrefKernelImage:
 
 
 def test_one_subspace_tuple_per_size():
-    # Every filter, the universe, the category and the complements share one set of objects.
+    # Every filter, the universe, the category and the lattice index share one set of objects.
     spaces = enumerate_subspaces(3, 2)
     u = indexed.universe(3, 2)
 
@@ -336,5 +348,4 @@ def test_one_subspace_tuple_per_size():
     assert same(u.subspaces, spaces)
     assert same(category(3, 2).objects, spaces[:-1])
     assert same(enumerate_subspaces(3, 2, SubspaceFilter.NONZERO), spaces[1:])
-    for a in spaces:
-        assert all(w is spaces[u.subspace_at[w]] for w in complement(a, ComplementMode.ALL))
+    assert indexed.lattice(3, 2).subspaces is spaces
