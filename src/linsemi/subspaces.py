@@ -6,22 +6,20 @@ coordinate row vectors w acting by v -> v . w, which makes the dual
 space concrete: DUAL-side subspaces live in the same coordinate model
 and the annihilator is a kernel computation.
 
-Coordinates are read from a table: for each distinct RREF basis, a dict
-from every one of its p^dim vectors to its coordinates, built once on
-first use and cached on the basis. A table costs p^dim vector-matrix
-products, once per distinct basis; a query is then one reduction mod p
-and one lookup, and a vector outside the subspace is simply absent.
-Containment compares two bitmasks of member vectors, cached per subspace.
-Tables over a whole lattice, built once per size with no `enum_guard`
-(member bitmasks, dimensions, containment masks and annihilators by
-index) and every complement of a subspace belong to `indexed.lattice`;
-the lattice checks read them.
+Each distinct RREF basis has one record, built on first use and cached on the basis: its pivot
+columns and the bitmask of its p^dim member vectors. A vector is in the subspace when its bit is
+set; its coordinates are then its entries at the pivot columns, since row i is the only basis row
+with a nonzero entry at pivot column i. Containment compares two member bitmasks. Tables over a
+whole lattice, built once per size with no `enum_guard` (member bitmasks, dimensions, containment
+masks and annihilators by index) and every complement of a subspace belong to `indexed.lattice`; the
+lattice checks read them.
 """
 from __future__ import annotations
 
 import itertools
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotIncluded, NotInvertible, ShapeError, TooLarge
@@ -66,11 +64,13 @@ class Subspace(_SubspaceFields):
         return self.dim == 0
 
     def coords_of(self, v: Sequence[int]) -> tuple[int, ...] | None:
-        """Coordinates of v in the canonical basis, or None when v is outside."""
-        v = tuple(x % self.p for x in v)
+        """Coordinates of v in the canonical basis, its entries at the pivots, or None when v is outside."""
+        p = self.p
+        v = tuple([x % p for x in v])  # a list comprehension builds faster than a generator
         if len(v) != self.n:
             raise ShapeError(f"vector of length {len(v)} in ambient dimension {self.n}")
-        return _coordinate_table(self.basis).get(v)
+        at_pivots, members = _span(self.basis)
+        return at_pivots(v) if members >> digit_value(v, p) & 1 else None
 
     def coordinates(self, vectors: Iterable[Sequence[int]]) -> Mat | None:
         """The matrix whose row i is coords_of(vectors[i]), or None when one vector is outside."""
@@ -85,29 +85,29 @@ class Subspace(_SubspaceFields):
         self._match(other)
         return not other.members & ~self.members
 
-    @cached_property
+    @property
     def members(self) -> int:
         """Bit v is set for every vector of the subspace, v read as a base-p number."""
-        return sum(1 << digit_value(v, self.p) for v in self.vectors())
+        return _span(self.basis)[1]
 
     def _match(self, other: "Subspace") -> None:
         if (self.n, self.p, self.side) != (other.n, other.p, other.side):
             raise ShapeError("subspaces live in different ambient spaces")
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        """All p^dim vectors of the subspace, coordinates in counting order."""
-        return iter(_coordinate_table(self.basis))
+        """All p^dim vectors of the subspace, generated with their coordinates in counting order."""
+        return map(self.basis.apply, itertools.product(range(self.p), repeat=self.dim))
 
 
 @lru_cache(maxsize=None)
-def _coordinate_table(basis: Mat) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Every vector spanned by the rows of basis, mapped to its coordinates.
-
-    Keys are inserted in counting order of the coordinates, which `vectors` relies on.
-    """
-    return {
-        basis.apply(coords): coords for coords in itertools.product(range(basis.p), repeat=basis.nrows)
-    }
+def _span(basis: Mat) -> tuple[itemgetter, int]:
+    """The one record of an RREF basis that `coords_of`, `members` and `contains` read: the getter of a
+    vector's entries at the pivot columns, as a tuple, and the bitmask of the spanned vectors."""
+    p, spanned = basis.p, map(basis.apply, itertools.product(range(basis.p), repeat=basis.nrows))
+    pivots = [row.index(1) for row in basis.rows]  # an RREF row leads with 1
+    lo = pivots[0] if pivots else 0  # itemgetter gives a bare entry for one index; a slice gives a tuple
+    at_pivots = itemgetter(*pivots) if len(pivots) > 1 else itemgetter(slice(lo, lo + len(pivots)))
+    return at_pivots, sum(1 << digit_value(v, p) for v in spanned)
 
 
 def canonical(vectors: Sequence[Sequence[int]], n: int, p: int, side: Side = Side.PRIMAL) -> Subspace:

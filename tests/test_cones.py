@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from linsemi import dual, indexed
 from linsemi import normal_cones as nc
 from linsemi.errors import NotACone, NotSingular, TooLarge
-from linsemi.gf import Mat, solve_left
+from linsemi.gf import Mat, row_basis, solve_left
 from linsemi.normal_cones import (
     NormalCone,
     _basis_rows,
@@ -101,6 +101,7 @@ class TestFactorization:
             fact = normal_factorization(f)
             assert fact.composite() == f
             assert fact.u.is_iso
+            assert row_basis(fact.u.dom.basis) == fact.u.dom.basis  # the middle object holds its RREF basis
             # splitting: the inclusion into the domain followed by q is the identity
             assert inclusion(fact.q.cod, fact.q.dom).compose(fact.q) == Morphism.identity(fact.q.cod)
 

@@ -48,6 +48,8 @@ DIGESTS = {
     # p = 5 scalars enter the lattice, and only the lattice checks and
     # dual.object-count do real work; 24 checks skip: about 1.6 s.
     (5, 4): "62152ce480de79773950ae1356f29984500cc29eac6eeccd7cd09445d3703653",
+    # p = 3 and n = 5 bases fill the lattice, 2 664 subspaces: about 1.3 s.
+    (3, 5): "481bbd048b406cdebb61b93bda47329259111bc05b41cc8fbba1f642d14a1f2e",
 }
 
 # argv -> sha256 of the report; every subcommand in JSON, and the lattice

@@ -30,6 +30,7 @@ def test_tables_match_gf(p, n):
         assert u.index(e) == i
         assert u.subspaces[u.image[i]].basis == row_basis(e)
         assert u.subspaces[u.kernel[i]].basis == kernel_basis(e)
+        assert row_basis(e.kernel.basis) == e.kernel.basis and row_basis(e.image.basis) == e.image.basis
         assert u.elements[u.transpose[i]] == gf.Mat.transpose(e)
 
 

@@ -6,6 +6,7 @@ reads, a function of `subspaces` in every linsemi module that binds it or
 Each of them builds its own lattice index, from the doctored function, and
 drops it afterwards.
 """
+import itertools
 import sys
 from functools import lru_cache
 
@@ -98,8 +99,11 @@ def test_lattice_tables_equal_their_definitions(p, n):
     spaces = enumerate_subspaces(n, p)
     assert lat.subspaces is spaces
     assert list(lat.dims) == [a.dim for a in spaces]
+    vectors = list(itertools.product(range(p), repeat=n))
     for s, a in enumerate(spaces):
-        assert lat.members[s] == sum(1 << gf.digit_value(v, p) for v in a.vectors())
+        # v is in a exactly when adding it to a's basis keeps the rank.
+        inside = [v for v in vectors if gf.rank(a.basis.vstack(Mat.make([v], p))) == a.dim]
+        assert lat.members[s] == sum(1 << gf.digit_value(v, p) for v in inside)
         assert lat.below[s] == sum(1 << t for t, b in enumerate(spaces) if a.contains(b))
         assert lat.above[s] == sum(1 << t for t, b in enumerate(spaces) if b.contains(a))
         assert spaces[lat.ann[s]].basis == annihilator(a).basis

@@ -6,7 +6,7 @@ import pytest
 
 from linsemi import indexed
 from linsemi.errors import NotIncluded, ShapeError
-from linsemi.gf import Mat, rank, rref
+from linsemi.gf import Mat, rank, row_basis, rref
 from linsemi.normal_cones import category
 from linsemi.subspaces import (
     Morphism,
@@ -63,11 +63,9 @@ class TestCanonical:
             canonical([[1, 0, 0]], 2, 2)
 
 
-def pivot_coords(s: Subspace, v) -> tuple | None:
-    """Independent oracle: read v at the pivot columns, keep it if it rebuilds v."""
-    v = tuple(x % s.p for x in v)
-    coords = tuple(v[c] for c in rref(s.basis).pivots)
-    return coords if s.basis.apply(coords) == v else None
+def coordinate_table(s: Subspace) -> dict:
+    """Independent oracle: every vector the basis spans, mapped to the coefficients that give it."""
+    return {s.basis.apply(c): c for c in itertools.product(range(s.p), repeat=s.dim)}
 
 
 class TestCoordsOf:
@@ -75,16 +73,18 @@ class TestCoordsOf:
     @pytest.mark.parametrize("n,p", [(3, 2), (2, 3), (2, 7)])
     def test_matches_pivot_reading(self, n, p, side):
         vectors = list(itertools.product(range(p), repeat=n))
-        for s in enumerate_subspaces(n, p, SubspaceFilter.ALL, side):
-            inside = 0
+        spaces = enumerate_subspaces(n, p, SubspaceFilter.ALL, side)
+        # Every subspace the library builds holds its RREF basis, which reading at the pivots relies on.
+        for s in (*spaces, *map(complement, spaces), *map(annihilator, spaces)):
+            assert row_basis(s.basis) == s.basis
+            table = coordinate_table(s)
+            assert len(table) == p**s.dim
             for v in vectors:
-                want = pivot_coords(s, v)
+                want = table.get(v)
                 assert s.coords_of(v) == want
                 # unreduced and negative representatives of the same vector
                 assert s.coords_of([x + p * (i + 1) for i, x in enumerate(v)]) == want
                 assert s.coords_of([x - p for x in v]) == want
-                inside += want is not None
-            assert inside == p**s.dim
 
     def test_wrong_length(self):
         for s in (canonical([[1, 0, 1]], 3, 2), zero_subspace(3, 2), full_subspace(3, 2)):
