@@ -76,9 +76,6 @@ from .variants import (
     VariantContext,
     make_variant,
     nonprincipal_cones,
-    phi,
-    reg_variant,
-    sandwich,
     variant_crossconnection,
 )
 
@@ -94,6 +91,6 @@ __all__ = [
     "principal_cone", "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "nat_trans",
     "CrossConn", "check_chi_naturality", "classify_crossconnections", "gamma_delta_theta",
     "is_crossconnection", "is_local_isomorphism", "recover_theta", "VariantContext", "make_variant",
-    "nonprincipal_cones", "phi", "reg_variant", "sandwich", "variant_crossconnection",
+    "nonprincipal_cones", "variant_crossconnection",
 ]
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ and no isomorphism search is offered.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -107,6 +108,13 @@ def gl_order(n: int, p: int) -> int:
 
 def sing_order(n: int, p: int) -> int:
     return p ** (n * n) - gl_order(n, p)
+
+
+def variant_reg_order(n: int, p: int, r: int) -> int:
+    """|Reg| of End(V)^theta for theta of rank r: the sum over k <= r of N(r, k) p^(2k(n-r)), with
+    N(r, k) = [r, k]_p prod_{i<k} (p^r - p^i) the r x r matrices of rank k (Dolinka & East 2018)."""
+    of_rank = (gaussian_binomial(r, k, p) * math.prod(p**r - p**i for i in range(k)) for k in range(r + 1))
+    return sum(count * p ** (2 * k * (n - r)) for k, count in enumerate(of_rank))
 
 
 def singular_idempotent_count(n: int, p: int) -> int:

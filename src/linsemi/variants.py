@@ -6,20 +6,20 @@ subsemigroup; pairing each with its two theta-translates embeds it into
 a product of carrier semigroups cut out by the chosen complement of the
 null space. When theta is singular the image-side carrier strictly
 exceeds the translates coming from regular elements, which is the
-non-principal cone count reported here. Carriers, regular part and census
-are element indices read from `indexed.Universe`; only `variant_crossconnection`
-multiplies `Endo`s, as the second route to the variant and pair tables.
+non-principal cone count reported here. Every value here is an element
+index read from `indexed.Universe`; no `Endo` is multiplied. The regular part
+is the a with rank(theta a theta) = rank(a) (Dolinka & East, Semigroup Forum
+96, 2018), counted in closed form by `semigroup.variant_reg_order`.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .crossconn import CrossConn, FunctorVerdict, functor_from_global, is_local_isomorphism
 from .errors import NotInvertible
 from .gf import Mat
 from .indexed import universe
-from .semigroup import Endo, mult_table, regular_elements
+from .semigroup import Endo, mult_table
 from .subspaces import (
     Subspace,
     SubspaceFilter,
@@ -56,36 +56,24 @@ def make_variant(theta: Endo) -> VariantContext:
     checkable, and the image works exactly when rank(theta^2) equals
     rank(theta).
     """
-    if is_direct_sum(theta.kernel, theta.image):
-        w = theta.image
-    else:
-        w = complement(theta.kernel)
-    return VariantContext(theta, w)
+    return VariantContext(theta, theta.image if is_direct_sum(theta.kernel, theta.image) else complement(theta.kernel))
 
 
-def sandwich(a: Endo, b: Endo, ctx: VariantContext) -> Endo:
-    return a @ ctx.theta @ b
-
-
-def sandwich_index(ctx: VariantContext) -> Callable[[int, int], int]:
+def sandwich(ctx: VariantContext) -> Callable[[int, int], int]:
     """The sandwich product on element indices: a theta b is (a theta) b, one table lookup."""
     u = universe(ctx.n, ctx.p)
     prod, right = u.products, u.right_products(u.index(ctx.theta))
     return lambda a, b: prod[right[a]][b]
 
 
-@lru_cache(maxsize=None)
-def reg_indices(ctx: VariantContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Indices of the regular elements of the variant, and of their first witnesses."""
-    reg, witness = regular_elements(range(ctx.p ** (ctx.n * ctx.n)), sandwich_index(ctx))
-    return tuple(reg), tuple(witness.values())
-
-
-def reg_variant(ctx: VariantContext) -> tuple[tuple[Endo, ...], tuple[tuple[Endo, Endo], ...]]:
-    """Regular elements of the variant, with their first witnesses."""
-    elements = universe(ctx.n, ctx.p).elements
-    reg, witnesses = reg_indices(ctx)
-    return tuple(elements[a] for a in reg), tuple((elements[a], elements[b]) for a, b in zip(reg, witnesses))
+def reg_indices(ctx: VariantContext) -> tuple[int, ...]:
+    """The regular elements in counting order, the a with rank(theta a theta) = rank(a): theta a theta is the
+    transpose of (a theta)^T theta^T, read from the right products by theta and theta^T and the transposes."""
+    u = universe(ctx.n, ctx.p)
+    t = u.index(ctx.theta)
+    right, back, transpose = u.right_products(t), u.right_products(u.transpose[t]), u.transpose
+    rank = [u.dims[s] for s in u.image]
+    return tuple(a for a, at in enumerate(right) if rank[back[transpose[at]]] == rank[a])
 
 
 def carriers(ctx: VariantContext) -> tuple[list[int], list[int]]:
@@ -97,9 +85,12 @@ def carriers(ctx: VariantContext) -> tuple[list[int], list[int]]:
     return image_side, [x for x, k in enumerate(u.kernel) if u.contains(k, null)]
 
 
-def phi(a: Endo, ctx: VariantContext) -> tuple[Endo, Endo]:
-    """The pair of translates (theta . a, a . theta)."""
-    return ctx.theta @ a, a @ ctx.theta
+def phi(ctx: VariantContext, xs: Iterable[int]) -> list[tuple[int, int]]:
+    """phi(a) = (theta a, a theta) for each index a of xs: row theta of the Cayley table, right products by theta."""
+    u = universe(ctx.n, ctx.p)
+    t = u.index(ctx.theta)
+    left, right = u.products[t], u.right_products(t)
+    return [(left[a], right[a]) for a in xs]
 
 
 def restricted_objects(ctx: VariantContext) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
@@ -124,9 +115,7 @@ class VariantCxnReport(NamedTuple):
     def ok(self) -> bool:
         """phi is injective and matches the table; for singular theta both
         functors are local isomorphisms and neither is onto."""
-        functors = self.invertible or (
-            self.delta_verdict.ok and self.gamma_verdict.ok and self.proper_not_surjective
-        )
+        functors = self.invertible or (self.delta_verdict.ok and self.gamma_verdict.ok and self.proper_not_surjective)
         return bool(self.phi_injective and self.phi_table_matches and functors)
 
 
@@ -143,17 +132,15 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     For a singular sandwich element the two functors are checked to be
     local isomorphisms that are not object-surjective; in every case the
     translate pairs of the regular part are checked to multiply exactly
-    like the variant product.
+    like the variant product. Both tables are Cayley-table lookups, so
+    their agreement is an associativity identity of that table.
     """
-    theta = ctx.theta
-    reg, _ = reg_variant(ctx)
-    pairs = tuple(phi(a, ctx) for a in reg)
-    injective = len(set(pairs)) == len(pairs)
-    matches = False
-    if injective:
-        reg_table = mult_table(reg, lambda a, b: sandwich(a, b, ctx))
-        pair_table = mult_table(pairs, lambda x, y: (x[0] @ y[0], x[1] @ y[1]))
-        matches = reg_table == pair_table
+    theta, reg, prod = ctx.theta, reg_indices(ctx), universe(ctx.n, ctx.p).products
+    pairs = phi(ctx, reg)
+    injective = len(set(pairs)) == len(pairs)  # the pair table needs distinct pairs
+    matches = injective and mult_table(reg, sandwich(ctx)) == mult_table(
+        pairs, lambda x, y: (prod[x[0]][y[0]], prod[x[1]][y[1]])
+    )
     if theta.inverse() is not None:
         return VariantCxnReport(True, None, None, None, len(reg), injective, matches)
     r_objects, b_objects = restricted_objects(ctx)
@@ -167,9 +154,7 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     else:
         gamma_verdict, gamma_onto = _restricted_verdict(gamma)
     not_surjective = not delta_onto and not gamma_onto
-    return VariantCxnReport(
-        False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches
-    )
+    return VariantCxnReport(False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches)
 
 
 class NonprincipalCensus(NamedTuple):
@@ -192,7 +177,7 @@ def nonprincipal_cones(ctx: VariantContext) -> NonprincipalCensus:
     u = universe(ctx.n, ctx.p)
     carrier = set(carriers(ctx)[0])
     right = u.right_products(u.index(ctx.theta))  # entry a is a theta
-    principal = {right[a] for a in reg_indices(ctx)[0]}
+    principal = {right[a] for a in reg_indices(ctx)}
     inside = principal <= carrier
     excess = tuple(u.elements[x] for x in sorted(carrier - principal))
     return NonprincipalCensus(len(carrier), len(principal), inside, excess, excess[0] if excess else None)

@@ -233,10 +233,10 @@ def test_subcommand_skips_as_verify_all_does(capsys):
 
 ALL_CHECKS = {name for name, _ in verify.REGISTRY}
 CROSSCONN = {name for name in ALL_CHECKS if name.startswith("crossconn.")}
-EVERYWHERE = {name for name in ALL_CHECKS if name.startswith("lattice.")} | {"dual.object-count"}
+LATTICE = {name for name in ALL_CHECKS if name.startswith("lattice.")} | {"dual.object-count"}
 SANDWICH = {"variant.reg-closed", "variant.phi-homomorphism", "variant.crossconnection", "variant.nonprincipal-excess"}
 # The checks that run at each accepted size, the same cells as when each check raised its own skip.
-# The lattice checks and dual.object-count have no budget row and run at every size.
+# The lattice checks and dual.object-count run wherever the lattice's containment masks fit, all but (7, 5).
 RUNS = {
     **{(p, 1): ALL_CHECKS - CROSSCONN for p in (2, 3, 5, 7)},
     (2, 2): ALL_CHECKS,
@@ -244,11 +244,12 @@ RUNS = {
     (5, 2): ALL_CHECKS - {"cones.census", "crossconn.classification"},
     (7, 2): ALL_CHECKS - {"cones.census", "crossconn.classification"} - SANDWICH,
     (2, 3): ALL_CHECKS - CROSSCONN - {"cones.census"},
-    (3, 3): EVERYWHERE | {"semigroup.order-formula", "semigroup.idempotents", "cones.factorization",
+    (3, 3): LATTICE | {"semigroup.order-formula", "semigroup.idempotents", "cones.factorization",
                           "dual.mset-characterizations", "variant.membership-laws"},
-    (2, 4): EVERYWHERE | {"semigroup.order-formula", "semigroup.idempotents", "dual.mset-characterizations",
+    (2, 4): LATTICE | {"semigroup.order-formula", "semigroup.idempotents", "dual.mset-characterizations",
                           "variant.membership-laws"},
-    **{size: EVERYWHERE for size in [(5, 3), (7, 3), (3, 4), (5, 4), (7, 4), (2, 5), (3, 5), (5, 5), (7, 5)]},
+    **{size: LATTICE for size in [(5, 3), (7, 3), (3, 4), (5, 4), (7, 4), (2, 5), (3, 5), (5, 5)]},
+    (7, 5): set(),
 }
 SKIP_TEXT = re.compile(r".+ (= \d+|>= 2\^\d+) > \d+|runs at n = 2( and p <= 3)?, not at p = \d, n = \d")
 

@@ -17,8 +17,10 @@ subcommands were made to read the check registry, except the variant report
 for theta = 0,0;1,0, retaken when its crossconnection check started to
 include the restricted gamma functor, the rank-2 variant at (2, 3), taken
 before the pair-table route moved onto the Cayley table, and every report
-that carries one of the two naturality checks, retaken with them. A change
-to the report bytes has to update them on purpose.
+that carries one of the two naturality checks, retaken with them. The (7, 5)
+digest was first taken when the lattice checks and dual.object-count got their
+|L|^2 budget row; before it, the run died building the lattice's containment
+masks, with no report. A change to the report bytes has to update them on purpose.
 """
 import hashlib
 
@@ -50,6 +52,8 @@ DIGESTS = {
     (5, 4): "62152ce480de79773950ae1356f29984500cc29eac6eeccd7cd09445d3703653",
     # p = 3 and n = 5 bases fill the lattice, 2 664 subspaces: about 1.3 s.
     (3, 5): "481bbd048b406cdebb61b93bda47329259111bc05b41cc8fbba1f642d14a1f2e",
+    # Every check skips, the lattice checks and dual.object-count on |L|^2, before anything is built.
+    (7, 5): "7e98d34aecc45912c46a876ed02cb1368019abd755ba57d9246fa164ed0319f9",
 }
 
 # argv -> sha256 of the report; every subcommand in JSON, and the lattice

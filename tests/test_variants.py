@@ -1,17 +1,21 @@
-"""Sandwich products, the regular part, translate pairs and restricted categories."""
+"""Sandwich products, the regular part, translate pairs and restricted categories.
+
+The library reads element indices; the references here multiply `Endo`s, a @ theta @ b for the
+sandwich product and (theta @ a, a @ theta) for the translates, so the two routes stay independent.
+"""
 import pytest
 
-from linsemi import variants, verify
+from linsemi import indexed, variants, verify
 from linsemi.errors import NotClosed
 from linsemi.gf import Mat
 from linsemi.indexed import universe
-from linsemi.semigroup import Endo, all_endos, regular_elements
+from linsemi.semigroup import Endo, all_endos, mult_table, regular_elements, variant_reg_order
 from linsemi.variants import (
     carriers,
     make_variant,
     nonprincipal_cones,
     phi,
-    reg_variant,
+    reg_indices,
     restricted_objects,
     sandwich,
     variant_crossconnection,
@@ -22,7 +26,22 @@ def endo(rows, p=2):
     return Endo(Mat.make(rows, p))
 
 
+def endo_sandwich(a, b, theta):
+    return a @ theta @ b
+
+
+def endo_phi(a, theta):
+    return theta @ a, a @ theta
+
+
+def reg_variant(theta):
+    """The regular part by the rank test, as `Endo`s."""
+    elements = universe(theta.n, theta.p).elements
+    return [elements[a] for a in reg_indices(make_variant(theta))]
+
+
 E11 = endo([[1, 0], [0, 0]])
+THETA3 = Endo(Mat.make([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 2))
 REG_E11 = {
     endo([[0, 0], [0, 0]]),
     endo([[1, 0], [0, 0]]),
@@ -34,30 +53,35 @@ REG_E11 = {
 
 class TestRegVariant:
     def test_identity_theta_gives_everything(self):
-        ctx = make_variant(Endo.identity(2, 2))
-        reg, _ = reg_variant(ctx)
-        assert len(reg) == 16
+        assert reg_indices(make_variant(Endo.identity(2, 2))) == tuple(range(16))
 
     def test_e11_regular_part(self):
-        ctx = make_variant(E11)
-        reg, witnesses = reg_variant(ctx)
+        reg = reg_variant(E11)
         assert set(reg) == REG_E11
-        for a, b in witnesses:
-            assert sandwich(sandwich(a, b, ctx), a, ctx) == a
+        for a in all_endos(2, 2):  # a witness b with a theta b theta a = a exists exactly on the part
+            assert any(endo_sandwich(endo_sandwich(a, b, E11), a, E11) == a for b in all_endos(2, 2)) == (a in REG_E11)
 
     def test_zero_theta(self):
-        ctx = make_variant(Endo.zero(2, 2))
-        reg, _ = reg_variant(ctx)
-        assert set(reg) == {Endo.zero(2, 2)}
+        assert reg_variant(Endo.zero(2, 2)) == [Endo.zero(2, 2)]
 
     def test_closure_under_sandwich_all_thetas(self):
         for theta in all_endos(2, 2):
-            ctx = make_variant(theta)
-            reg, _ = reg_variant(ctx)
+            reg = reg_variant(theta)
             reg_set = set(reg)
             for a in reg:
                 for b in reg:
-                    assert sandwich(a, b, ctx) in reg_set
+                    assert endo_sandwich(a, b, theta) in reg_set
+
+
+# Every theta when there are at most 100, else the four of `_variant_mats`.
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_rank_test_agrees_with_the_witness_search(p, n):
+    u = universe(n, p)
+    for theta in verify._variant_thetas(p, n):
+        ctx = make_variant(theta)
+        reg = reg_indices(ctx)
+        assert list(reg) == regular_elements(range(len(u.image)), sandwich(ctx))[0], theta
+        assert len(reg) == variant_reg_order(n, p, theta.rank), theta
 
 
 def test_reg_closed_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
@@ -67,31 +91,60 @@ def test_reg_closed_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
     assert (check.passed, check.witness) == (False, "1,0;0,0")
 
 
+def test_reg_closed_fails_on_a_closed_part_of_the_wrong_size(monkeypatch):
+    # All of End(V) is closed under any sandwich product; only the closed form for rank 1 rejects it.
+    monkeypatch.setattr(variants, "reg_indices", lambda ctx: tuple(range(16)))
+    assert verify.theta_variant_reg(E11) == (False, {"reg_size": 16, "closed_form": 5})
+
+
+def test_reg_closed_fails_when_the_rank_test_misreads_a_rank(monkeypatch):
+    # For theta = 0,1;0,0 the rank test reads (a theta)^T theta^T from the column of right products by
+    # theta^T = 0,0;1,0. Reading its entry 0 as 0,0;0,1, of rank 1, drops the zero map from the regular part
+    # and adds the three rank-one a with a theta = 0: 7 elements, not the closed form's 5.
+    real = indexed.Universe.right_products
+
+    def doctored(self, t):
+        out = real(self, t)
+        if (self.n, self.p, t) == (2, 2, self.index(endo([[0, 0], [1, 0]]))):
+            out[0] = self.index(endo([[0, 0], [0, 1]]))
+        return out
+
+    monkeypatch.setattr(indexed.Universe, "right_products", doctored)
+    check = verify.run_check("theta_variant_reg", verify.theta_variant_reg, endo([[0, 1], [0, 0]]))
+    assert (check.passed, check.witness) == (False, {"reg_size": 7, "closed_form": 5})
+
+
 class TestPhi:
     def test_zero(self):
-        ctx = make_variant(E11)
-        pair = phi(Endo.zero(2, 2), ctx)
-        assert pair[0] == pair[1] == Endo.zero(2, 2)
+        assert phi(make_variant(E11), [0]) == [(0, 0)]
 
     def test_worked_example(self):
-        ctx = make_variant(E11)
-        pair = phi(endo([[1, 1], [1, 1]]), ctx)
-        assert pair[0] == endo([[1, 1], [0, 0]])
-        assert pair[1] == endo([[1, 0], [1, 0]])
+        u = universe(2, 2)
+        a = endo([[1, 1], [1, 1]])
+        [pair] = phi(make_variant(E11), [u.index(a)])
+        assert pair == (u.index(endo([[1, 1], [0, 0]])), u.index(endo([[1, 0], [1, 0]])))
+        assert tuple(map(u.elements.__getitem__, pair)) == endo_phi(a, E11)
 
     def test_injective_on_regular_part_only(self):
         ctx = make_variant(E11)
-        reg, _ = reg_variant(ctx)
-        assert len({phi(a, ctx) for a in reg}) == len(reg) == 5
-        assert len({phi(a, ctx) for a in all_endos(2, 2)}) < 16
+        reg = reg_indices(ctx)
+        assert len(set(phi(ctx, reg))) == len(reg) == 5
+        assert len(set(phi(ctx, range(16)))) < 16
 
     def test_homomorphism_all_thetas(self):
+        u = universe(2, 2)
+        elements = u.elements
         for theta in all_endos(2, 2):
             ctx = make_variant(theta)
-            for a in all_endos(2, 2):
-                for b in all_endos(2, 2):
-                    (xa, ya), (xb, yb) = phi(a, ctx), phi(b, ctx)
-                    assert phi(sandwich(a, b, ctx), ctx) == (xa @ xb, ya @ yb)
+            pairs, product = phi(ctx, range(16)), sandwich(ctx)
+            for a, ea in enumerate(elements):
+                assert tuple(map(elements.__getitem__, pairs[a])) == endo_phi(ea, theta)
+                for b, eb in enumerate(elements):
+                    assert elements[product(a, b)] == endo_sandwich(ea, eb, theta)
+                    (xa, ya), (xb, yb) = endo_phi(ea, theta), endo_phi(eb, theta)
+                    assert endo_phi(endo_sandwich(ea, eb, theta), theta) == (xa @ xb, ya @ yb)
+                    (ia, ja), (ib, jb) = pairs[a], pairs[b]
+                    assert pairs[product(a, b)] == (u.products[ia][ib], u.products[ja][jb])
 
     def test_membership_laws(self):
         for theta in all_endos(2, 2):
@@ -168,13 +221,40 @@ class TestVariantCrossconnection:
     def test_check_rejects_translates_that_multiply_otherwise(self, monkeypatch):
         # Swapping the translate pairs of the first two regular elements keeps phi injective and the
         # pairs closed, but relabels the pair table so that it is no longer the variant's table. The
-        # witness keeps what names the failed part: both functors pass, and no iso_witness is given.
+        # witness keeps what names the failed parts: both functors pass, no iso_witness is given, and
+        # the zero map's pair is no longer its Endo products.
         real = variants.phi
-        first, second = reg_variant(make_variant(E11))[0][:2]
-        swap = {first: second, second: first}
-        monkeypatch.setattr(variants, "phi", lambda a, ctx: real(swap.get(a, a), ctx))
+
+        def swapped(ctx, xs):
+            pairs = real(ctx, xs)
+            pairs[0], pairs[1] = pairs[1], pairs[0]
+            return pairs
+
+        monkeypatch.setattr(variants, "phi", swapped)
+        check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
+        assert (check.passed, check.witness) == (False, {"reg_size": 5, "invertible": False, "phi_failure": "0,0;0,0"})
+
+    def test_check_rejects_a_variant_table_that_multiplies_otherwise(self, monkeypatch):
+        # The sandwich product relabelled by swapping the first two regular elements, 0 and E11, gives a
+        # closed variant table that is no longer the pair table; the pairs are still the Endo products.
+        real = variants.sandwich
+
+        def relabelled(ctx):
+            product, (first, second) = real(ctx), variants.reg_indices(ctx)[:2]
+            swap = {first: second, second: first}
+            return lambda a, b: swap.get(c := product(swap.get(a, a), swap.get(b, b)), c)
+
+        monkeypatch.setattr(variants, "sandwich", relabelled)
         check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
         assert (check.passed, check.witness) == (False, {"reg_size": 5, "invertible": False})
+
+    def test_check_rejects_pairs_that_are_not_the_endo_products(self, monkeypatch):
+        # Reversed Endo products swap theta a and a theta, which differ first at a = 1,0;1,0. The two tables
+        # read only indices, so they still agree, and the witness names the pair alone.
+        monkeypatch.setattr(Endo, "__matmul__", lambda a, b: Endo(Mat.__matmul__(b, a)))
+        check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
+        want = {"reg_size": 5, "invertible": False, "phi_failure": "1,0;1,0", "iso_witness": [0, 1, 2, 3, 4]}
+        assert (check.passed, check.witness) == (False, want)
 
     def test_check_names_the_functors_that_fail(self, monkeypatch):
         # With both restricted functors failing and the tables intact, the witness says so.
@@ -186,17 +266,25 @@ class TestVariantCrossconnection:
 
     def test_phi_image_lands_in_carriers(self):
         ctx = make_variant(E11)
-        reg, _ = reg_variant(ctx)
         u = universe(2, 2)
-        tr, tb = ({u.elements[x] for x in carrier} for carrier in carriers(ctx))
-        for a in reg:
-            pair = phi(a, ctx)
-            assert pair[1] in tr  # image-side coordinate a . theta
-            assert pair[0] in tb  # kernel-side coordinate theta . a
+        tr, tb = map(set, carriers(ctx))
+        for a in reg_indices(ctx):
+            [(left, right)] = phi(ctx, [a])
+            assert (u.elements[left], u.elements[right]) == endo_phi(u.elements[a], E11)
+            assert right in tr  # image-side coordinate a . theta
+            assert left in tb  # kernel-side coordinate theta . a
+
+    @pytest.mark.parametrize("theta", [E11, Endo.identity(2, 2), THETA3], ids=["E11", "identity", "rank-one-3d"])
+    def test_tables_match_the_endo_route(self, theta):
+        # The old second route, by `Endo` products: the variant table of the regular part is its pair table.
+        reg = reg_variant(theta)
+        pairs = [endo_phi(a, theta) for a in reg]
+        reg_table = mult_table(reg, lambda a, b: endo_sandwich(a, b, theta))
+        assert reg_table == mult_table(pairs, lambda x, y: (x[0] @ y[0], x[1] @ y[1]))
+        assert variant_crossconnection(make_variant(theta)).phi_table_matches
 
     def test_rank_one_3d_spot_check(self):
-        theta = Endo(Mat.make([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 2))
-        report = variant_crossconnection(make_variant(theta))
+        report = variant_crossconnection(make_variant(THETA3))
         assert report.delta_verdict.ok and report.gamma_verdict.ok
         assert report.proper_not_surjective
         assert report.phi_injective and report.phi_table_matches
@@ -227,6 +315,6 @@ class TestNonprincipal:
     def test_census_fails_when_every_element_counts_as_regular(self, monkeypatch):
         # With every element regular, every a theta is a translate, so E11's carrier has no excess.
         q = 16
-        monkeypatch.setattr(variants, "reg_indices", lambda ctx: (tuple(range(q)), tuple(range(q))))
+        monkeypatch.setattr(variants, "reg_indices", lambda ctx: tuple(range(q)))
         assert verify.theta_nonprincipal_census(E11) == (False, {"carrier": 4, "principal": 4, "excess": 0})
         assert verify.check_variant_nonprincipal(2, 2) == (False, "0,0;0,1")
