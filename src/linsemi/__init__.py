@@ -76,6 +76,8 @@ from .variants import (
     VariantContext,
     make_variant,
     nonprincipal_cones,
+    phi,
+    sandwich,
     variant_crossconnection,
 )
 
@@ -91,6 +93,6 @@ __all__ = [
     "principal_cone", "validate_cone", "DualMorphism", "HFunctor", "build_normal_dual", "nat_trans",
     "CrossConn", "check_chi_naturality", "classify_crossconnections", "gamma_delta_theta",
     "is_crossconnection", "is_local_isomorphism", "recover_theta", "VariantContext", "make_variant",
-    "nonprincipal_cones", "variant_crossconnection",
+    "nonprincipal_cones", "phi", "sandwich", "variant_crossconnection",
 ]
 __version__ = "0.1.0"

@@ -6,14 +6,15 @@ subsemigroup; pairing each with its two theta-translates embeds it into
 a product of carrier semigroups cut out by the chosen complement of the
 null space. When theta is singular the image-side carrier strictly
 exceeds the translates coming from regular elements, which is the
-non-principal cone count reported here. Every value here is an element
-index read from `indexed.Universe`; no `Endo` is multiplied. The regular part
-is the a with rank(theta a theta) = rank(a) (Dolinka & East, Semigroup Forum
-96, 2018), counted in closed form by `semigroup.variant_reg_order`.
+non-principal cone count reported here. Carriers, regular part and census
+are element indices read from `indexed.Universe`; only `variant_crossconnection`
+multiplies `Endo`s, as the second route to the variant and pair tables. The
+regular part is the a with rank(theta a theta) = rank(a) (Dolinka & East,
+Semigroup Forum 96, 2018), counted in closed form by `semigroup.variant_reg_order`.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .crossconn import CrossConn, FunctorVerdict, functor_from_global, is_local_isomorphism
 from .errors import NotInvertible
@@ -56,10 +57,18 @@ def make_variant(theta: Endo) -> VariantContext:
     checkable, and the image works exactly when rank(theta^2) equals
     rank(theta).
     """
-    return VariantContext(theta, theta.image if is_direct_sum(theta.kernel, theta.image) else complement(theta.kernel))
+    if is_direct_sum(theta.kernel, theta.image):
+        w = theta.image
+    else:
+        w = complement(theta.kernel)
+    return VariantContext(theta, w)
 
 
-def sandwich(ctx: VariantContext) -> Callable[[int, int], int]:
+def sandwich(a: Endo, b: Endo, ctx: VariantContext) -> Endo:
+    return a @ ctx.theta @ b
+
+
+def sandwich_index(ctx: VariantContext) -> Callable[[int, int], int]:
     """The sandwich product on element indices: a theta b is (a theta) b, one table lookup."""
     u = universe(ctx.n, ctx.p)
     prod, right = u.products, u.right_products(u.index(ctx.theta))
@@ -85,12 +94,9 @@ def carriers(ctx: VariantContext) -> tuple[list[int], list[int]]:
     return image_side, [x for x, k in enumerate(u.kernel) if u.contains(k, null)]
 
 
-def phi(ctx: VariantContext, xs: Iterable[int]) -> list[tuple[int, int]]:
-    """phi(a) = (theta a, a theta) for each index a of xs: row theta of the Cayley table, right products by theta."""
-    u = universe(ctx.n, ctx.p)
-    t = u.index(ctx.theta)
-    left, right = u.products[t], u.right_products(t)
-    return [(left[a], right[a]) for a in xs]
+def phi(a: Endo, ctx: VariantContext) -> tuple[Endo, Endo]:
+    """The pair of translates (theta . a, a . theta)."""
+    return ctx.theta @ a, a @ ctx.theta
 
 
 def restricted_objects(ctx: VariantContext) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
@@ -115,7 +121,9 @@ class VariantCxnReport(NamedTuple):
     def ok(self) -> bool:
         """phi is injective and matches the table; for singular theta both
         functors are local isomorphisms and neither is onto."""
-        functors = self.invertible or (self.delta_verdict.ok and self.gamma_verdict.ok and self.proper_not_surjective)
+        functors = self.invertible or (
+            self.delta_verdict.ok and self.gamma_verdict.ok and self.proper_not_surjective
+        )
         return bool(self.phi_injective and self.phi_table_matches and functors)
 
 
@@ -132,15 +140,17 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     For a singular sandwich element the two functors are checked to be
     local isomorphisms that are not object-surjective; in every case the
     translate pairs of the regular part are checked to multiply exactly
-    like the variant product. Both tables are Cayley-table lookups, so
-    their agreement is an associativity identity of that table.
+    like the variant product.
     """
-    theta, reg, prod = ctx.theta, reg_indices(ctx), universe(ctx.n, ctx.p).products
-    pairs = phi(ctx, reg)
-    injective = len(set(pairs)) == len(pairs)  # the pair table needs distinct pairs
-    matches = injective and mult_table(reg, sandwich(ctx)) == mult_table(
-        pairs, lambda x, y: (prod[x[0]][y[0]], prod[x[1]][y[1]])
-    )
+    theta = ctx.theta
+    reg = [universe(ctx.n, ctx.p).elements[a] for a in reg_indices(ctx)]
+    pairs = tuple(phi(a, ctx) for a in reg)
+    injective = len(set(pairs)) == len(pairs)
+    matches = False
+    if injective:
+        reg_table = mult_table(reg, lambda a, b: sandwich(a, b, ctx))
+        pair_table = mult_table(pairs, lambda x, y: (x[0] @ y[0], x[1] @ y[1]))
+        matches = reg_table == pair_table
     if theta.inverse() is not None:
         return VariantCxnReport(True, None, None, None, len(reg), injective, matches)
     r_objects, b_objects = restricted_objects(ctx)
@@ -154,7 +164,9 @@ def variant_crossconnection(ctx: VariantContext) -> VariantCxnReport:
     else:
         gamma_verdict, gamma_onto = _restricted_verdict(gamma)
     not_surjective = not delta_onto and not gamma_onto
-    return VariantCxnReport(False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches)
+    return VariantCxnReport(
+        False, delta_verdict, gamma_verdict, not_surjective, len(reg), injective, matches
+    )
 
 
 class NonprincipalCensus(NamedTuple):

@@ -403,7 +403,7 @@ def theta_variant_reg(theta: sg.Endo) -> Verdict:
     """The regular part, by the rank test, is closed under the sandwich product, and its size is
     `semigroup.variant_reg_order` for the rank of theta."""
     ctx = va.make_variant(theta)
-    sandwich = va.sandwich(ctx)
+    sandwich = va.sandwich_index(ctx)
     reg = va.reg_indices(ctx)
     closed = set(reg).issuperset(sandwich(a, b) for a in reg for b in reg)
     want = sg.variant_reg_order(theta.n, theta.p, theta.rank)
@@ -412,23 +412,21 @@ def theta_variant_reg(theta: sg.Endo) -> Verdict:
 
 
 def theta_variant_crossconnection(theta: sg.Endo) -> Verdict:
-    """The report of `variants.variant_crossconnection`, whose two tables read the Cayley table, and phi by
-    `Endo` products: each regular a has the pair (theta a, a theta) that `variants.phi` looks up."""
     if theta.n == 1 and theta.inverse() is None:
         return True, {"not_applicable": "the only singular theta at n = 1 is 0"}
     ctx = va.make_variant(theta)
     cxn = va.variant_crossconnection(ctx)
-    e, reg = sg.all_endos(theta.n, theta.p), va.reg_indices(ctx)
-    stray = [e[a] for a, (x, y) in zip(reg, va.phi(ctx, reg)) if (e[x], e[y]) != (theta @ e[a], e[a] @ theta)]
-    witness = {"reg_size": cxn.reg_size, "invertible": cxn.invertible, "carrier_sizes": [*map(len, va.carriers(ctx))]}
+    witness = {
+        "reg_size": cxn.reg_size,
+        "invertible": cxn.invertible,
+        "carrier_sizes": list(map(len, va.carriers(ctx))),
+    }
     if not cxn.invertible:
         verdicts = (("delta", cxn.delta_verdict), ("gamma", cxn.gamma_verdict))
         witness.update({f"{side}_failure": v.failure for side, v in verdicts if not v.ok})
-    if stray:
-        witness["phi_failure"] = mat_to_text(stray[0])
     if cxn.phi_table_matches:  # the identity carries the variant table onto the pair table
         witness["iso_witness"] = list(range(cxn.reg_size))
-    return cxn.ok and not stray, witness
+    return cxn.ok, witness
 
 
 def theta_nonprincipal_census(theta: sg.Endo) -> Verdict:
@@ -455,6 +453,7 @@ def check_variant_phi(p: int, n: int) -> Verdict:
     prod = u.products
     q = len(prod)  # the number of elements
     cap = 40000
+    capped = False
     for theta in thetas:
         ctx = va.make_variant(theta)
         t = u.index(theta)
@@ -464,10 +463,11 @@ def check_variant_phi(p: int, n: int) -> Verdict:
             s = prod[right[a]][b]  # the sandwich a theta b
             if left[s] != prod[left[a]][left[b]] or right[s] != prod[right[a]][right[b]]:
                 return False, mat_to_text(theta)
+        capped = capped or q * q >= cap
         reg = va.reg_indices(ctx)
         if len({(left[a], right[a]) for a in reg}) != len(reg):
             return False, (mat_to_text(theta), "not injective")
-    return True, {"thetas": len(thetas), "capped": q * q >= cap}
+    return True, {"thetas": len(thetas), "capped": capped}
 
 
 def check_variant_membership(p: int, n: int) -> Verdict:
@@ -487,8 +487,9 @@ def check_variant_membership(p: int, n: int) -> Verdict:
 def check_variant_crossconnection(p: int, n: int) -> Verdict:
     if n == 1:  # the only singular theta is 0
         return theta_variant_crossconnection(sg.Endo(Mat.zeros(1, 1, p)))
-    ok, witness = theta_variant_crossconnection(sg.Endo(_e11(p, n)))  # a failure keeps all but the carrier sizes
-    return ok, {key: value for key, value in witness.items() if key == "reg_size" or not ok and key != "carrier_sizes"}
+    ok, witness = theta_variant_crossconnection(sg.Endo(_e11(p, n)))
+    kept = ("reg_size",) if ok else ("reg_size", "invertible", "delta_failure", "gamma_failure", "iso_witness")
+    return ok, {key: witness[key] for key in kept if key in witness}
 
 
 def check_variant_nonprincipal(p: int, n: int) -> Verdict:

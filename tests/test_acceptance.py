@@ -132,12 +132,8 @@ def test_criterion_6_classification():
 
 
 def test_criterion_7_variants():
-    # The library reads indices; the products here are `Endo` products, the independent route.
     def reg_variant(ctx):
         return [sg.all_endos(ctx.n, ctx.p)[a] for a in va.reg_indices(ctx)]
-
-    def phi(a, theta):
-        return theta @ a, a @ theta
 
     e11 = endo([[1, 0], [0, 0]])
     ctx = va.make_variant(e11)
@@ -151,8 +147,8 @@ def test_criterion_7_variants():
     }
     ok = set(reg) == expected
     reg_set = set(reg)
-    ok = ok and all(a @ e11 @ b in reg_set for a in reg for b in reg)
-    pairs = [phi(a, e11) for a in reg]
+    ok = ok and all(va.sandwich(a, b, ctx) in reg_set for a in reg for b in reg)
+    pairs = [va.phi(a, ctx) for a in reg]
     ok = ok and len(set(pairs)) == len(reg)
     cxn = va.variant_crossconnection(ctx)
     ok = ok and cxn.phi_table_matches and cxn.phi_injective
@@ -160,14 +156,15 @@ def test_criterion_7_variants():
     ok = ok and len(census.excess) >= 1
     # closure and translate-pair checks across every sandwich element
     for theta in sg.all_endos(2, 2):
-        treg = reg_variant(va.make_variant(theta))
+        tctx = va.make_variant(theta)
+        treg = reg_variant(tctx)
         treg_set = set(treg)
-        ok = ok and all(a @ theta @ b in treg_set for a in treg for b in treg)
-        ok = ok and len({phi(a, theta) for a in treg}) == len(treg)
+        ok = ok and all(va.sandwich(a, b, tctx) in treg_set for a in treg for b in treg)
+        ok = ok and len({va.phi(a, tctx) for a in treg}) == len(treg)
         for a in sg.all_endos(2, 2):
             for b in sg.all_endos(2, 2):
-                (xa, ya), (xb, yb) = phi(a, theta), phi(b, theta)
-                if phi(a @ theta @ b, theta) != (xa @ xb, ya @ yb):
+                (xa, ya), (xb, yb) = va.phi(a, tctx), va.phi(b, tctx)
+                if va.phi(va.sandwich(a, b, tctx), tctx) != (xa @ xb, ya @ yb):
                     ok = False
                     break
     # one rank-one sandwich element in dimension 3
@@ -175,7 +172,7 @@ def test_criterion_7_variants():
     ctx3 = va.make_variant(theta3)
     reg3 = reg_variant(ctx3)
     reg3_set = set(reg3)
-    ok = ok and all(a @ theta3 @ b in reg3_set for a in reg3 for b in reg3)
+    ok = ok and all(va.sandwich(a, b, ctx3) in reg3_set for a in reg3 for b in reg3)
     cxn3 = va.variant_crossconnection(ctx3)
     ok = ok and cxn3.phi_injective and cxn3.phi_table_matches
     report("criterion-7 variant suite (theta = E11, all 16 thetas, one 3d theta)", ok)

@@ -11,9 +11,9 @@ PUBLIC = """
     classify_crossconnections complement cone_census cone_compose cone_to_map enumerate_subspaces
     epimorphic_component gamma_delta_theta gaussian_binomial gl idempotent_from idempotents
     inclusion invert is_crossconnection is_local_isomorphism is_prime kernel_basis make_variant
-    mat_to_text mult_table nat_trans nonprincipal_cones normal_factorization parse_mat
+    mat_to_text mult_table nat_trans nonprincipal_cones normal_factorization parse_mat phi
     principal_cone rank recover_theta regular_elements retraction row_basis rref
-    sing sing_order validate_cone variant_crossconnection
+    sandwich sing sing_order validate_cone variant_crossconnection
 """.split()
 
 

@@ -316,7 +316,7 @@ def test_sing_tables_make_no_endo_product(monkeypatch, name):
 
 
 def test_only_the_variant_second_route_multiplies_endos(monkeypatch):
-    # The variant cross-connection confirms its translate pairs by Endo products; every other check reads indices.
+    # The variant cross-connection keeps its Endo tables as a second route; every other check reads indices.
     current, callers = [None], set()
     matmul = Endo.__matmul__
     monkeypatch.setattr(Endo, "__matmul__", lambda a, b: callers.add(current[0]) or matmul(a, b))

@@ -1,15 +1,11 @@
-"""Sandwich products, the regular part, translate pairs and restricted categories.
-
-The library reads element indices; the references here multiply `Endo`s, a @ theta @ b for the
-sandwich product and (theta @ a, a @ theta) for the translates, so the two routes stay independent.
-"""
+"""Sandwich products, the regular part, translate pairs and restricted categories."""
 import pytest
 
 from linsemi import indexed, variants, verify
 from linsemi.errors import NotClosed
 from linsemi.gf import Mat
 from linsemi.indexed import universe
-from linsemi.semigroup import Endo, all_endos, mult_table, regular_elements, variant_reg_order
+from linsemi.semigroup import Endo, all_endos, regular_elements, variant_reg_order
 from linsemi.variants import (
     carriers,
     make_variant,
@@ -18,6 +14,7 @@ from linsemi.variants import (
     reg_indices,
     restricted_objects,
     sandwich,
+    sandwich_index,
     variant_crossconnection,
 )
 
@@ -26,22 +23,13 @@ def endo(rows, p=2):
     return Endo(Mat.make(rows, p))
 
 
-def endo_sandwich(a, b, theta):
-    return a @ theta @ b
-
-
-def endo_phi(a, theta):
-    return theta @ a, a @ theta
-
-
-def reg_variant(theta):
+def reg_variant(ctx):
     """The regular part by the rank test, as `Endo`s."""
-    elements = universe(theta.n, theta.p).elements
-    return [elements[a] for a in reg_indices(make_variant(theta))]
+    elements = universe(ctx.n, ctx.p).elements
+    return [elements[a] for a in reg_indices(ctx)]
 
 
 E11 = endo([[1, 0], [0, 0]])
-THETA3 = Endo(Mat.make([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 2))
 REG_E11 = {
     endo([[0, 0], [0, 0]]),
     endo([[1, 0], [0, 0]]),
@@ -56,21 +44,29 @@ class TestRegVariant:
         assert reg_indices(make_variant(Endo.identity(2, 2))) == tuple(range(16))
 
     def test_e11_regular_part(self):
-        reg = reg_variant(E11)
-        assert set(reg) == REG_E11
+        ctx = make_variant(E11)
+        assert set(reg_variant(ctx)) == REG_E11
         for a in all_endos(2, 2):  # a witness b with a theta b theta a = a exists exactly on the part
-            assert any(endo_sandwich(endo_sandwich(a, b, E11), a, E11) == a for b in all_endos(2, 2)) == (a in REG_E11)
+            assert any(sandwich(sandwich(a, b, ctx), a, ctx) == a for b in all_endos(2, 2)) == (a in REG_E11)
 
     def test_zero_theta(self):
-        assert reg_variant(Endo.zero(2, 2)) == [Endo.zero(2, 2)]
+        assert reg_variant(make_variant(Endo.zero(2, 2))) == [Endo.zero(2, 2)]
 
     def test_closure_under_sandwich_all_thetas(self):
         for theta in all_endos(2, 2):
-            reg = reg_variant(theta)
+            ctx = make_variant(theta)
+            reg = reg_variant(ctx)
             reg_set = set(reg)
             for a in reg:
                 for b in reg:
-                    assert endo_sandwich(a, b, theta) in reg_set
+                    assert sandwich(a, b, ctx) in reg_set
+
+
+def test_reg_closed_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
+    real = verify.theta_variant_reg
+    monkeypatch.setattr(verify, "theta_variant_reg", lambda t: (False, None) if t == E11 else real(t))
+    check = verify.run_check("variant.reg-closed", verify.check_variant_regularity, 2, 2)
+    assert (check.passed, check.witness) == (False, "1,0;0,0")
 
 
 # Every theta when there are at most 100, else the four of `_variant_mats`.
@@ -80,15 +76,8 @@ def test_rank_test_agrees_with_the_witness_search(p, n):
     for theta in verify._variant_thetas(p, n):
         ctx = make_variant(theta)
         reg = reg_indices(ctx)
-        assert list(reg) == regular_elements(range(len(u.image)), sandwich(ctx))[0], theta
+        assert list(reg) == regular_elements(range(len(u.image)), sandwich_index(ctx))[0], theta
         assert len(reg) == variant_reg_order(n, p, theta.rank), theta
-
-
-def test_reg_closed_fails_with_the_one_theta_whose_verdict_fails(monkeypatch):
-    real = verify.theta_variant_reg
-    monkeypatch.setattr(verify, "theta_variant_reg", lambda t: (False, None) if t == E11 else real(t))
-    check = verify.run_check("variant.reg-closed", verify.check_variant_regularity, 2, 2)
-    assert (check.passed, check.witness) == (False, "1,0;0,0")
 
 
 def test_reg_closed_fails_on_a_closed_part_of_the_wrong_size(monkeypatch):
@@ -116,35 +105,32 @@ def test_reg_closed_fails_when_the_rank_test_misreads_a_rank(monkeypatch):
 
 class TestPhi:
     def test_zero(self):
-        assert phi(make_variant(E11), [0]) == [(0, 0)]
+        ctx = make_variant(E11)
+        pair = phi(Endo.zero(2, 2), ctx)
+        assert pair[0] == pair[1] == Endo.zero(2, 2)
 
     def test_worked_example(self):
-        u = universe(2, 2)
-        a = endo([[1, 1], [1, 1]])
-        [pair] = phi(make_variant(E11), [u.index(a)])
-        assert pair == (u.index(endo([[1, 1], [0, 0]])), u.index(endo([[1, 0], [1, 0]])))
-        assert tuple(map(u.elements.__getitem__, pair)) == endo_phi(a, E11)
+        ctx = make_variant(E11)
+        pair = phi(endo([[1, 1], [1, 1]]), ctx)
+        assert pair[0] == endo([[1, 1], [0, 0]])
+        assert pair[1] == endo([[1, 0], [1, 0]])
 
     def test_injective_on_regular_part_only(self):
         ctx = make_variant(E11)
-        reg = reg_indices(ctx)
-        assert len(set(phi(ctx, reg))) == len(reg) == 5
-        assert len(set(phi(ctx, range(16)))) < 16
+        reg = reg_variant(ctx)
+        assert len({phi(a, ctx) for a in reg}) == len(reg) == 5
+        assert len({phi(a, ctx) for a in all_endos(2, 2)}) < 16
 
     def test_homomorphism_all_thetas(self):
-        u = universe(2, 2)
-        elements = u.elements
+        elements = universe(2, 2).elements
         for theta in all_endos(2, 2):
             ctx = make_variant(theta)
-            pairs, product = phi(ctx, range(16)), sandwich(ctx)
-            for a, ea in enumerate(elements):
-                assert tuple(map(elements.__getitem__, pairs[a])) == endo_phi(ea, theta)
-                for b, eb in enumerate(elements):
-                    assert elements[product(a, b)] == endo_sandwich(ea, eb, theta)
-                    (xa, ya), (xb, yb) = endo_phi(ea, theta), endo_phi(eb, theta)
-                    assert endo_phi(endo_sandwich(ea, eb, theta), theta) == (xa @ xb, ya @ yb)
-                    (ia, ja), (ib, jb) = pairs[a], pairs[b]
-                    assert pairs[product(a, b)] == (u.products[ia][ib], u.products[ja][jb])
+            product = sandwich_index(ctx)
+            for i, a in enumerate(elements):
+                for j, b in enumerate(elements):
+                    assert elements[product(i, j)] == sandwich(a, b, ctx)
+                    (xa, ya), (xb, yb) = phi(a, ctx), phi(b, ctx)
+                    assert phi(sandwich(a, b, ctx), ctx) == (xa @ xb, ya @ yb)
 
     def test_membership_laws(self):
         for theta in all_endos(2, 2):
@@ -221,40 +207,28 @@ class TestVariantCrossconnection:
     def test_check_rejects_translates_that_multiply_otherwise(self, monkeypatch):
         # Swapping the translate pairs of the first two regular elements keeps phi injective and the
         # pairs closed, but relabels the pair table so that it is no longer the variant's table. The
-        # witness keeps what names the failed parts: both functors pass, no iso_witness is given, and
-        # the zero map's pair is no longer its Endo products.
+        # witness keeps what names the failed part: both functors pass, and no iso_witness is given.
         real = variants.phi
-
-        def swapped(ctx, xs):
-            pairs = real(ctx, xs)
-            pairs[0], pairs[1] = pairs[1], pairs[0]
-            return pairs
-
-        monkeypatch.setattr(variants, "phi", swapped)
+        first, second = reg_variant(make_variant(E11))[:2]
+        swap = {first: second, second: first}
+        monkeypatch.setattr(variants, "phi", lambda a, ctx: real(swap.get(a, a), ctx))
         check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
-        assert (check.passed, check.witness) == (False, {"reg_size": 5, "invertible": False, "phi_failure": "0,0;0,0"})
+        assert (check.passed, check.witness) == (False, {"reg_size": 5, "invertible": False})
 
     def test_check_rejects_a_variant_table_that_multiplies_otherwise(self, monkeypatch):
         # The sandwich product relabelled by swapping the first two regular elements, 0 and E11, gives a
-        # closed variant table that is no longer the pair table; the pairs are still the Endo products.
+        # closed variant table that is no longer the pair table; the translate pairs are untouched.
         real = variants.sandwich
+        first, second = reg_variant(make_variant(E11))[:2]
+        swap = {first: second, second: first}
 
-        def relabelled(ctx):
-            product, (first, second) = real(ctx), variants.reg_indices(ctx)[:2]
-            swap = {first: second, second: first}
-            return lambda a, b: swap.get(c := product(swap.get(a, a), swap.get(b, b)), c)
+        def relabelled(a, b, ctx):
+            c = real(swap.get(a, a), swap.get(b, b), ctx)
+            return swap.get(c, c)
 
         monkeypatch.setattr(variants, "sandwich", relabelled)
         check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
         assert (check.passed, check.witness) == (False, {"reg_size": 5, "invertible": False})
-
-    def test_check_rejects_pairs_that_are_not_the_endo_products(self, monkeypatch):
-        # Reversed Endo products swap theta a and a theta, which differ first at a = 1,0;1,0. The two tables
-        # read only indices, so they still agree, and the witness names the pair alone.
-        monkeypatch.setattr(Endo, "__matmul__", lambda a, b: Endo(Mat.__matmul__(b, a)))
-        check = verify.run_check("variant.crossconnection", verify.check_variant_crossconnection, 2, 2)
-        want = {"reg_size": 5, "invertible": False, "phi_failure": "1,0;1,0", "iso_witness": [0, 1, 2, 3, 4]}
-        assert (check.passed, check.witness) == (False, want)
 
     def test_check_names_the_functors_that_fail(self, monkeypatch):
         # With both restricted functors failing and the tables intact, the witness says so.
@@ -266,25 +240,17 @@ class TestVariantCrossconnection:
 
     def test_phi_image_lands_in_carriers(self):
         ctx = make_variant(E11)
+        reg = reg_variant(ctx)
         u = universe(2, 2)
-        tr, tb = map(set, carriers(ctx))
-        for a in reg_indices(ctx):
-            [(left, right)] = phi(ctx, [a])
-            assert (u.elements[left], u.elements[right]) == endo_phi(u.elements[a], E11)
-            assert right in tr  # image-side coordinate a . theta
-            assert left in tb  # kernel-side coordinate theta . a
-
-    @pytest.mark.parametrize("theta", [E11, Endo.identity(2, 2), THETA3], ids=["E11", "identity", "rank-one-3d"])
-    def test_tables_match_the_endo_route(self, theta):
-        # The old second route, by `Endo` products: the variant table of the regular part is its pair table.
-        reg = reg_variant(theta)
-        pairs = [endo_phi(a, theta) for a in reg]
-        reg_table = mult_table(reg, lambda a, b: endo_sandwich(a, b, theta))
-        assert reg_table == mult_table(pairs, lambda x, y: (x[0] @ y[0], x[1] @ y[1]))
-        assert variant_crossconnection(make_variant(theta)).phi_table_matches
+        tr, tb = ({u.elements[x] for x in carrier} for carrier in carriers(ctx))
+        for a in reg:
+            pair = phi(a, ctx)
+            assert pair[1] in tr  # image-side coordinate a . theta
+            assert pair[0] in tb  # kernel-side coordinate theta . a
 
     def test_rank_one_3d_spot_check(self):
-        report = variant_crossconnection(make_variant(THETA3))
+        theta = Endo(Mat.make([[1, 0, 0], [0, 0, 0], [0, 0, 0]], 2))
+        report = variant_crossconnection(make_variant(theta))
         assert report.delta_verdict.ok and report.gamma_verdict.ok
         assert report.proper_not_surjective
         assert report.phi_injective and report.phi_table_matches
