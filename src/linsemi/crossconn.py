@@ -2,7 +2,9 @@
 
 Every automorphism induces a pair of functors: one conjugates subspace
 morphisms, the other transports annihilator objects along the
-transpose. The duality chi(alpha) = theta^-1 alpha theta is read from
+transpose. The local-isomorphism check reads a morphism's position in
+its hom-set as the counting-order index of its matrix, and composites
+from one table of matrix products per triple of dimensions. The duality chi(alpha) = theta^-1 alpha theta is read from
 the Cayley table by `chi_indices`; the linked pairs (alpha, chi(alpha))
 multiply slotwise like Sing exactly when chi is a homomorphism. The
 classification census enumerates the dimension-preserving
@@ -17,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import indexed as ix
 from .errors import NotInduced, NotInvertible, TooLarge
-from .gf import Mat, inv_mod, invert, mat_to_text
+from .gf import Mat, all_matrices, digit_value, inv_mod, invert, mat_to_text
 from .dual import extension
 from .normal_cones import category, hom_between
 from .semigroup import Endo
@@ -91,30 +93,33 @@ class FunctorVerdict(NamedTuple):
     failure: str | None
 
 
-def is_local_isomorphism(
-    objects: Sequence[Subspace], omap: dict, mmap: dict, targets: Iterable[Subspace]
-) -> FunctorVerdict:
-    """Local isomorphism on the full subcategory spanned by objects.
+def is_local_isomorphism(functor: CrossConn, targets: Iterable[Subspace]) -> FunctorVerdict:
+    """Local isomorphism on the full subcategory spanned by the functor's objects.
 
     Identities and composites are preserved, inclusions go to inclusions,
     every hom-set is mapped bijectively onto the hom-set between the
     images, and each principal ideal is mapped onto the objects of
-    targets that lie below the image of its generator. Composites are read
-    from per-object-triple tables of positions in the hom-sets.
+    targets that lie below the image of its generator. `hom_between`
+    lists a hom-set in counting order, so once F(f) is known to lie in
+    hom(F a, F b) its position there is the index of its matrix, and
+    composites are read from `_compose_table` by the dimensions alone.
     """
+    omap, mmap, p = functor.object_map, functor.morphism_map, functor.p
+    objects = tuple(omap)
     homs = {(a, b): hom_between(a, b) for a in objects for b in objects}
     for a in objects:
         if mmap[Morphism.identity(a)] != Morphism.identity(omap[a]):
             return FunctorVerdict(False, "identity not preserved")
     pos = {}  # pos[a, b][i] is the position of the image of hom(a, b)[i] in hom(F a, F b)
     for (a, b), hom in homs.items():
-        at = _hom_positions(omap[a], omap[b])
-        pos[a, b] = [at.get(mmap[g], -1) for g in hom]
-    if any(-1 in at for at in pos.values()):  # F(f) outside hom(F a, F b) cannot compose with F(1_a)
-        return FunctorVerdict(False, "composition not preserved")
+        images = [mmap[g] for g in hom]
+        if any(g.dom != omap[a] or g.cod != omap[b] for g in images):  # F(f) cannot compose with F(1_a)
+            return FunctorVerdict(False, "composition not preserved")
+        pos[a, b] = [digit_value(g.mat.flat(), p) for g in images]
     for a, b, c in itertools.product(objects, repeat=3):
-        table, image_table = _compose_table(a, b, c), _compose_table(omap[a], omap[b], omap[c])
-        width, pac = len(hom_between(omap[b], omap[c])), pos[a, c]
+        fa, fb, fc = omap[a], omap[b], omap[c]
+        table, image_table = _compose_table(a.dim, b.dim, c.dim, p), _compose_table(fa.dim, fb.dim, fc.dim, p)
+        width, pac = p ** (fb.dim * fc.dim), pos[a, c]
         pairs = itertools.product(pos[a, b], pos[b, c])  # in the order of the table's entries
         if any(pac[t] != image_table[x * width + y] for t, (x, y) in zip(table, pairs)):
             return FunctorVerdict(False, "composition not preserved")
@@ -129,7 +134,7 @@ def is_local_isomorphism(
         images = set(pos[a, b])
         if len(images) != len(hom):
             return FunctorVerdict(False, "not faithful")
-        if len(images) != len(hom_between(omap[a], omap[b])):
+        if len(images) != p ** (omap[a].dim * omap[b].dim):
             return FunctorVerdict(False, "not full")
     for c in objects:
         ideal_image = {omap[a] for a in objects if c.contains(a)}
@@ -140,15 +145,13 @@ def is_local_isomorphism(
 
 
 @lru_cache(maxsize=None)
-def _hom_positions(a: Subspace, b: Subspace) -> dict[Morphism, int]:
-    return {f: i for i, f in enumerate(hom_between(a, b))}
+def _compose_table(i: int, j: int, k: int, p: int) -> tuple[int, ...]:
+    """Entry x p^(jk) + y is the index of the x-th i x j times the y-th j x k matrix, all in counting order.
 
-
-@lru_cache(maxsize=None)
-def _compose_table(a: Subspace, b: Subspace, c: Subspace) -> tuple[int, ...]:
-    """Entry i |hom(b, c)| + j is the position in hom(a, c) of hom(a, b)[i] . hom(b, c)[j]."""
-    at = _hom_positions(a, c)
-    return tuple(at[g.compose(h)] for g in hom_between(a, b) for h in hom_between(b, c))
+    For objects a, b, c of dimensions i, j, k it is the position in hom(a, c) of hom(a, b)[x] . hom(b, c)[y].
+    """
+    right = tuple(all_matrices(j, k, p))
+    return tuple(digit_value((m @ r).flat(), p) for m in all_matrices(i, j, p) for r in right)
 
 
 def is_crossconnection(gamma: CrossConn) -> FunctorVerdict:
@@ -162,8 +165,7 @@ def is_crossconnection(gamma: CrossConn) -> FunctorVerdict:
         raise ValueError("cross-connection check expects a dual-side functor")
     primal = category(gamma.n, gamma.p, Side.PRIMAL)
     dual = category(gamma.n, gamma.p, Side.DUAL)
-    objects = dual.objects
-    verdict = is_local_isomorphism(objects, gamma.object_map, gamma.morphism_map, objects)
+    verdict = is_local_isomorphism(gamma, dual.objects)
     if not verdict.ok:
         return verdict
     for a in primal.objects:

@@ -217,7 +217,7 @@ class Universe(_UniverseFields):
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:  # the p^n rows, in counting order
-        return tuple(itertools.product(range(self.p), repeat=self.n))
+        return row_vectors(self.n, self.p)
 
     @cached_property
     def vector_at(self) -> dict[tuple[int, ...], int]:  # the inverse of `vectors`
@@ -376,7 +376,7 @@ def _transpose_table(n: int, p: int) -> array:
     places = [
         [
             sum(v[j] * p ** (n * n - 1 - (j * n + i)) for j in range(n))
-            for v in itertools.product(range(p), repeat=n)
+            for v in row_vectors(n, p)
         ]
         for i in range(n)
     ]
@@ -439,7 +439,7 @@ def universe(n: int, p: int) -> Universe:
     """Build the tables for End(GF(p)^n); raises TooLarge beyond `all_endos`' limit."""
     enum_guard(n, n, p)
     lat = lattice(n, p)
-    vs = list(itertools.product(range(p), repeat=n))
+    vs = row_vectors(n, p)
     add = tuple(array(INDEX, (digit_value([(x + y) % p for x, y in zip(u, v)], p) for v in vs)) for u in vs)
     scale = tuple(array(INDEX, (digit_value([c * x % p for x in v], p) for v in vs)) for c in range(p))
     join = _join_table(lat.members, add, scale)

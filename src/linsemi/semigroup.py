@@ -213,20 +213,15 @@ def idempotents(n: int, p: int) -> tuple[Endo, ...]:
     return tuple(u.elements[x] for x, _, _ in u.decompositions)
 
 
-def regular_elements(elements: Sequence, product: Callable) -> tuple[list, dict]:
-    """Elements a admitting a witness b with a*b*a == a, plus the witnesses.
-
-    Exhaustive search; the first witness in element order is recorded.
-    """
+def regular_elements(elements: Sequence, product: Callable) -> list:
+    """Elements a admitting a witness b with a*b*a == a, by exhaustive search, in element order."""
     regular = []
-    witness = {}
     for a in elements:
         for b in elements:
             if product(product(a, b), a) == a:
                 regular.append(a)
-                witness[a] = b
                 break
-    return regular, witness
+    return regular
 
 
 def mult_table(elements: Sequence, product: Callable) -> tuple[tuple[int, ...], ...]:

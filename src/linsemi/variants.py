@@ -130,7 +130,7 @@ class VariantCxnReport(NamedTuple):
 def _restricted_verdict(f: CrossConn) -> tuple[FunctorVerdict, bool]:
     """Local-isomorphism verdict against the image objects, and object-surjectivity."""
     images = set(f.object_map.values())
-    verdict = is_local_isomorphism(tuple(f.object_map), f.object_map, f.morphism_map, images)
+    verdict = is_local_isomorphism(f, images)
     return verdict, images == set(enumerate_subspaces(f.n, f.p, SubspaceFilter.PROPER, f.side))
 
 

@@ -121,7 +121,7 @@ def check_idempotents(p: int, n: int) -> Verdict:
 def check_sing_regular(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)
     prod = u.products
-    reg, _ = sg.regular_elements(u.singular, lambda a, b: prod[a][b])
+    reg = sg.regular_elements(u.singular, lambda a, b: prod[a][b])
     return len(reg) == len(u.singular), {"regular": len(reg)}
 
 
@@ -296,8 +296,7 @@ def theta_crossconnection(theta: sg.Endo) -> Verdict:
     verdict = cx.is_crossconnection(gamma)
     if not verdict.ok:
         return False, verdict.failure
-    objects = nc.category(theta.n, theta.p).objects
-    if not cx.is_local_isomorphism(objects, delta.object_map, delta.morphism_map, objects).ok:
+    if not cx.is_local_isomorphism(delta, nc.category(theta.n, theta.p).objects).ok:
         return False, "delta"
     return True, None
 

@@ -7,7 +7,7 @@ import pytest
 from linsemi import crossconn, indexed, verify
 
 from linsemi.errors import NotInduced, NotInvertible, TooLarge
-from linsemi.gf import Mat, mat_to_text
+from linsemi.gf import Mat, invert, mat_to_text
 from linsemi.crossconn import (
     CrossConn,
     _bifunctor_indices,
@@ -82,14 +82,14 @@ class TestLocalIso:
         objects = category(2, 2, Side.PRIMAL).objects
         for theta in gl(2, 2):
             _, delta = gamma_delta_theta(theta)
-            assert is_local_isomorphism(objects, delta.object_map, delta.morphism_map, objects).ok
+            assert is_local_isomorphism(delta, objects).ok
 
     def test_constant_functor_fails(self):
         cat = category(2, 2, Side.PRIMAL)
         zero = zero_subspace(2, 2)
         omap = {a: zero for a in cat.objects}
         mmap = {f: Morphism.zero(zero, zero) for f in cat.all_morphisms()}
-        verdict = is_local_isomorphism(cat.objects, omap, mmap, cat.objects)
+        verdict = is_local_isomorphism(CrossConn(2, 2, Side.PRIMAL, omap, mmap), cat.objects)
         assert not verdict.ok
 
     def test_collapsing_functor_fails(self):
@@ -349,7 +349,7 @@ def test_functor_check_catches_broken_composition():
     broken = dict(delta.morphism_map)
     target = next(f for f in cat.all_morphisms() if f.dom == a and f.cod == a and f.is_iso)
     broken[target] = Morphism.zero(delta.obj(a), delta.obj(a))
-    assert not is_local_isomorphism(cat.objects, delta.object_map, broken, cat.objects).ok
+    assert not is_local_isomorphism(delta._replace(morphism_map=broken), cat.objects).ok
 
 
 def test_functor_check_catches_image_outside_the_hom_set():
@@ -359,7 +359,7 @@ def test_functor_check_catches_image_outside_the_hom_set():
     zero, line = zero_subspace(2, 2), canonical([[1, 0]], 2, 2)
     broken = dict(delta.morphism_map)
     broken[Morphism.zero(zero, line)] = Morphism.zero(zero, canonical([[1, 1]], 2, 2))
-    verdict = is_local_isomorphism(cat.objects, delta.object_map, broken, cat.objects)
+    verdict = is_local_isomorphism(delta._replace(morphism_map=broken), cat.objects)
     assert verdict == (False, "composition not preserved")
 
 
@@ -372,13 +372,13 @@ class TestRestrictedLocalIso:
         objects, _ = restricted_objects(ctx)
         delta = functor_from_global(ctx.theta, objects)
         images = set(delta.object_map.values())
-        assert is_local_isomorphism(objects, delta.object_map, delta.morphism_map, images).ok
+        assert is_local_isomorphism(delta, images).ok
         line = next(a for a in objects if a.dim == 1)
         # The zero endomorphism of L is the composite L -> 0 -> L; send it
         # to the identity instead.
         broken = dict(delta.morphism_map)
         broken[Morphism.zero(line, line)] = Morphism.identity(delta.obj(line))
-        verdict = is_local_isomorphism(objects, delta.object_map, broken, images)
+        verdict = is_local_isomorphism(delta._replace(morphism_map=broken), images)
         assert verdict == (False, "composition not preserved")
 
     def test_noncommuting_composites(self):
@@ -388,7 +388,7 @@ class TestRestrictedLocalIso:
         for g in ([[0, 1, 0], [1, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 1, 1]]):
             f = functor_from_global(Mat.make(g, 2), objects)
             images = set(f.object_map.values())
-            assert is_local_isomorphism(objects, f.object_map, f.morphism_map, images).ok
+            assert is_local_isomorphism(f, images).ok
 
     def test_extra_target_in_an_ideal(self):
         # The full subcategory on {0, P} for a plane P of GF(2)^3, carried
@@ -397,10 +397,73 @@ class TestRestrictedLocalIso:
         objects = (zero_subspace(3, 2), plane)
         f = functor_from_global(Mat.identity(3, 2), objects)
         images = set(f.object_map.values())
-        assert is_local_isomorphism(objects, f.object_map, f.morphism_map, images).ok
+        assert is_local_isomorphism(f, images).ok
         targets = images | {canonical([[1, 0, 0]], 3, 2)}
-        verdict = is_local_isomorphism(objects, f.object_map, f.morphism_map, targets)
+        verdict = is_local_isomorphism(f, targets)
         assert verdict == (False, "principal ideal not mapped onto")
+
+
+def _relabelled(objects, omap, frame=lambda a: Mat.identity(a.dim, a.p)):
+    """The functor f -> S_a^-1 f S_b, with S_a = frame(a) onto omap[a] of the same dimension.
+
+    Identities, composites and hom-set bijections are kept whatever omap and the frames are.
+    """
+    inverse = {a: invert(frame(a)) for a in objects}
+    mmap = {
+        f: Morphism(omap[a], omap[b], inverse[a] @ f.mat @ frame(b))
+        for a in objects for b in objects for f in hom_between(a, b)
+    }
+    a0 = objects[0]
+    return CrossConn(a0.n, a0.p, a0.side, {a: omap[a] for a in objects}, mmap)
+
+
+class TestFailureReasons:
+    """Each remaining reason of the functor checks, reached on a doctored functor."""
+
+    def test_not_faithful(self):
+        # On {0, L} at (3, 2), c 1_L goes to c^2 1_L: 1 and 2 meet, composites are kept.
+        zero, line = zero_subspace(2, 3), canonical([[1, 0]], 2, 3)
+        objects = (zero, line)
+        f = _relabelled(objects, {zero: zero, line: line})
+        squared = {g: Morphism(line, line, g.mat @ g.mat) for g in hom_between(line, line)}
+        verdict = is_local_isomorphism(f._replace(morphism_map={**f.morphism_map, **squared}), objects)
+        assert verdict == (False, "not faithful")
+
+    def test_not_full(self):
+        # {0, L} goes to {0, P} in GF(2)^3 with c 1_L sent to c 1_P: two of the 16 maps P -> P are reached.
+        zero, line = zero_subspace(3, 2), canonical([[1, 0, 0]], 3, 2)
+        plane = canonical([[1, 0, 0], [0, 1, 0]], 3, 2)
+        objects, omap = (zero, line), {zero: zero, line: plane}
+        mmap = {g: Morphism.zero(omap[a], omap[b]) for a in objects for b in objects for g in hom_between(a, b)}
+        for g in hom_between(line, line):
+            mmap[g] = Morphism(plane, plane, Mat.identity(2, 2).scale(g.mat.rows[0][0]))
+        verdict = is_local_isomorphism(CrossConn(3, 2, Side.PRIMAL, omap, mmap), {zero, plane})
+        assert verdict == (False, "not full")
+
+    def test_inclusion_of_objects_not_preserved(self):
+        # L < P in GF(2)^3, but L is relabelled onto a line outside P.
+        line, plane = canonical([[1, 0, 0]], 3, 2), canonical([[1, 0, 0], [0, 1, 0]], 3, 2)
+        objects = (zero_subspace(3, 2), line, plane)
+        f = _relabelled(objects, {**dict(zip(objects, objects)), line: canonical([[0, 0, 1]], 3, 2)})
+        verdict = is_local_isomorphism(f, set(f.object_map.values()))
+        assert verdict == (False, "inclusion of objects not preserved")
+
+    def test_inclusion_morphism_not_preserved(self):
+        # Objects fixed in GF(3)^3, the plane's frame scaled by 2: the inclusion L -> P goes to twice itself.
+        line, plane = canonical([[1, 0, 0]], 3, 3), canonical([[1, 0, 0], [0, 1, 0]], 3, 3)
+        objects = (zero_subspace(3, 3), line, plane)
+        frame = lambda a: Mat.identity(a.dim, 3).scale(2 if a == plane else 1)
+        f = _relabelled(objects, dict(zip(objects, objects)), frame)
+        verdict = is_local_isomorphism(f, objects)
+        assert verdict == (False, "inclusion morphism not preserved")
+
+    def test_no_mset_contains(self):
+        # Every dual line relabelled onto one line y: a local isomorphism whose M-sets miss ann(y).
+        objects = category(2, 2, Side.DUAL).objects
+        y = next(a for a in objects if a.dim == 1)
+        gamma = _relabelled(objects, {a: y if a.dim == 1 else a for a in objects})
+        assert is_local_isomorphism(gamma, objects).ok
+        assert is_crossconnection(gamma) == (False, f"no M-set contains {annihilator(y).basis}")
 
 
 class TestTransportOncePerObject:
@@ -475,18 +538,23 @@ def test_theta_recover_roundtrip_fails_on_another_automorphisms_delta(monkeypatc
     assert verify.theta_recover_roundtrip(other) == (True, mat_to_text(other))
 
 
-def test_gl_batch_composes_each_pair_at_most_once(monkeypatch):
-    # Composites come from one table per object triple, shared by every functor.
-    crossconn._compose_table.cache_clear()  # an earlier test at (3,2) may have filled it
+def test_gl_batch_uses_one_compose_table_per_dimension_triple(monkeypatch):
+    # Composites come from one table per dimension triple, shared by both sides and every functor.
+    crossconn._compose_table.cache_clear()  # an earlier test may have filled it
     calls = []
     compose = Morphism.compose
     monkeypatch.setattr(Morphism, "compose", lambda f, g: calls.append(1) or compose(f, g))
     assert verify.check_gl_crossconnections(3, 2) == (True, {"automorphisms": 48})
-    pairs = 0
-    for side in Side:
-        objects = category(2, 3, side).objects
-        pairs += sum(
-            len(hom_between(a, b)) * len(hom_between(b, c)) for a in objects for b in objects for c in objects
-        )
-    assert pairs == 1402
-    assert 0 < len(calls) <= pairs
+    assert crossconn._compose_table.cache_info().currsize == 8  # the dimension triples over {0, 1}
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("side", list(Side))
+def test_compose_table_matches_morphism_composites(n, p, side):
+    objects = category(n, p, side).objects
+    for a, c in itertools.product(objects, repeat=2):
+        at = {f: i for i, f in enumerate(hom_between(a, c))}
+        for b in objects:
+            want = tuple(at[g.compose(h)] for g in hom_between(a, b) for h in hom_between(b, c))
+            assert crossconn._compose_table(a.dim, b.dim, c.dim, p) == want

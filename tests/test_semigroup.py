@@ -141,19 +141,17 @@ class TestIdempotentFrom:
 class TestRegularElements:
     def test_sing_is_regular(self):
         elements = sing(2, 2)
-        reg, witness = regular_elements(elements, lambda a, b: a @ b)
-        assert len(reg) == 10
-        for a, b in witness.items():
-            assert a @ b @ a == a
+        reg = regular_elements(elements, lambda a, b: a @ b)
+        assert len(reg) == 10 and reg == list(elements)  # every singular map is regular
 
     def test_zero_alone(self):
-        reg, _ = regular_elements([Endo.zero(2, 2)], lambda a, b: a @ b)
+        reg = regular_elements([Endo.zero(2, 2)], lambda a, b: a @ b)
         assert reg == [Endo.zero(2, 2)]
 
     def test_sandwich_regular_count(self):
         theta = E11
         product = lambda a, b: a @ theta @ b
-        reg, _ = regular_elements(all_endos(2, 2), product)
+        reg = regular_elements(all_endos(2, 2), product)
         assert len(reg) == 5
 
 
