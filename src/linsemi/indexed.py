@@ -38,10 +38,11 @@ and not kept, and a pass over a whole view builds its records in bulk.
   of every element without a row reduction per element. The tests
   compare every table entry with `row_basis`, `kernel_basis` and
   `Mat.transpose`.
-- `kernel[i]` uses the identity ker(M) = ann(image(M^T)): v @ M = 0
-  says exactly that v is orthogonal to every row of M^T, so `ann` and
-  `transpose[i]`, the index of the transposed matrix, give every kernel
-  without a row reduction per element.
+- `kernel[i]` is ann(image(M^T)), as v @ M = 0 says that v is orthogonal
+  to every row of M^T: `ann` and `transpose[i]`, the index of M^T, give
+  every kernel with no row reduction. Green's relations, `confined`, the
+  variant tables, `dual.table-op` and `dual.naturality` read `kernel` or
+  `transpose`; none runs at (3, 3) or (2, 4).
 - `add[u][v]` and `scale[c][v]` are the vector indices of u + v and c v;
   `combine(v, rows)` sums the given row vectors with the entries of
   vector v as coefficients.
@@ -60,10 +61,10 @@ and not kept, and a pass over a whole view builds its records in bulk.
   target over the member vectors, and the unit vectors' targets are its rows.
 
 Products with a fixed right factor t are lookups: the rows of a @ t are
-the rows of a acted on by t's row digits, so one p^n-entry action table
-maps each row digit. `product_images(t)` folds the join table over the
-vectors t reaches, deduplicating after each round: the images of all
-p^(n^2) products a @ t from at most n * |lattice| * p^n lookups.
+the rows of a acted on by t's row digits, and `action(t)`, every v @ t
+in one fold over t's rows, maps each digit. `product_images(t)` folds
+the join table over the vectors t reaches, deduplicating after each round:
+the images of all p^(n^2) products a @ t from n * |lattice| * p^n lookups.
 
 The Cayley table `products`, built on its own first use column by column
 from `right_products`, makes every product a @ b one lookup (Froidure &
@@ -356,16 +357,22 @@ class Universe(_UniverseFields):
         except KeyError:
             raise NotClosed("a product escapes the members") from None
 
+    def action(self, t: int) -> list[int]:
+        """Entry v is the vector index of v @ t: one fold over t's rows, digit j of v picking a multiple of row j."""
+        out, add = [0], self.add
+        for r in self.rows(t):
+            multiples = [c[r] for c in self.scale]
+            out = [add[a][m] for a in out for m in multiples]
+        return out
+
     def right_products(self, t: int) -> array:
         """Entry a is the index of a @ t, for every element a."""
-        n, q, rows = self.n, len(self.vectors), self.rows(t)
-        action = [self.combine(v, rows) for v in range(q)]
+        n, q, action = self.n, len(self.vectors), self.action(t)
         return _digit_sums([[w * q ** (n - 1 - i) for w in action] for i in range(n)])
 
     def product_images(self, t: int) -> set[int]:
         """The images of a @ t over every element a, as subspace indices."""
-        rows = self.rows(t)
-        reached, out = {self.combine(v, rows) for v in range(len(self.vectors))}, {0}
+        reached, out = set(self.action(t)), {0}
         for _ in range(self.n):  # row k of a @ t is any reached vector
             out = {self.join[s][w] for s in out for w in reached}
         return out

@@ -21,14 +21,14 @@ every component is assembled from those coordinates. The coherence test
 of `validate_cone` uses the same routine.
 
 An `IndexCone` keeps only the vertex index and the vector index of each
-distinct row's image, read from the row digits of alpha with the vector
-tables of `indexed`. On it the M-set (the objects of the vertex's
-dimension whose row images span the vertex, by the join table) and
-composition (gamma's row images through delta's row map at gamma's
-vertex, cached per component) are lookups, which the composition, M-set
-and cone-table checks use; `cone_table` returns positions, as
-`Universe.table` does. The `Morphism` cones stay the definition for
-the round trip, the idempotent law and the census.
+distinct row's image, read from alpha's action on the vectors,
+`Universe.action`. On it composition (gamma's row images through
+delta's row map at gamma's vertex, cached per component) is lookups,
+which the composition and cone-table checks use; `cone_table` returns
+positions, as `Universe.table` does. The M-set of alpha needs no cone:
+it is the objects of alpha's rank that meet alpha's zero set only in 0,
+one AND of member bitmasks per object. The `Morphism` cones stay the
+definition for the round trip, the idempotent law and the census.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import NotACone, NotClosed, NotSingular, ShapeError, TooLarge
 from .gf import Mat, all_matrices, kernel_basis, pivot_complement, projection
-from .indexed import Universe
+from .indexed import Universe, lattice
 from .semigroup import Endo
 from .subspaces import Morphism, Side, Subspace, SubspaceFilter, canonical, enumerate_subspaces, inclusion
 from .subspaces import gaussian_binomial
@@ -271,22 +271,16 @@ def _rows(u: Universe) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 
 def index_cone(u: Universe, x: int) -> IndexCone:
-    """The principal cone of element x, each row image read from the row digits of x."""
-    digits = u.rows(x)
-    return IndexCone(u.image[x], tuple(u.combine(v, digits) for v in _rows(u)[0]))
+    """The principal cone of element x, each row image read from the action of x."""
+    return IndexCone(u.image[x], tuple(map(u.action(x).__getitem__, _rows(u)[0])))
 
 
-def index_m_set(u: Universe, cone: IndexCone) -> frozenset[int]:
-    """The objects, as subspace indices, where dim A = dim vertex and A's row images span the vertex."""
-    dims, per_object, join, images = u.dims, _rows(u)[1], u.join, cone.images
-    dim, out = dims[cone.vertex], []
-    for a in range(bisect_left(dims, dim), bisect_right(dims, dim)):  # subspaces come dimension-major
-        s = 0  # `Universe.span` inline: a call per object would double the time
-        for k in per_object[a]:
-            s = join[s][images[k]]
-        if s == cone.vertex:
-            out.append(a)
-    return frozenset(out)
+def index_m_set(u: Universe, x: int) -> frozenset[int]:
+    """The objects, as subspace indices, where the principal cone of x is an isomorphism: those of x's rank that
+    meet x's zero set, read from its action, only in 0, as an injective map of equal dimensions is onto."""
+    zero = sum(1 << v for v, w in enumerate(u.action(x)) if not w)
+    dims, members, dim = u.dims, lattice(u.n, u.p).members, u.dims[u.image[x]]
+    return frozenset(a for a in range(bisect_left(dims, dim), bisect_right(dims, dim)) if members[a] & zero == 1)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from . import semigroup as sg
 from . import subspaces as sub
 from . import variants as va
 from .errors import AlgebraError, TooLarge
-from .gf import MAX_ENUM, Mat, all_matrices, mat_to_text
+from .gf import MAX_ENUM, Mat, all_matrices, kernel_basis, mat_to_text
 
 Verdict = tuple[bool, object]  # (passed, witness)
 
@@ -106,14 +106,17 @@ def check_green_oracle(p: int, n: int) -> Verdict:
 
 
 def check_idempotents(p: int, n: int) -> Verdict:
+    """The row-prefix scan finds exactly the idempotents built from the pairs (K, W), and each x is the projection
+    onto W along K: x sends K's basis rows to 0 and W's to themselves, and K + W = V with dim K + dim W = n."""
     u = ix.universe(n, p)
     built = u.decompositions
     if [x for x, _, _ in built] != u.idempotents.tolist():  # both in counting order
         return False, {"built": len(built), "brute": len(u.idempotents)}
-    for x, null, image in built:  # the table's kernel and image must be x's decomposition
-        kernel, img = u.kernel[x], u.image[x]
-        span = u.span(u.vector_at[v] for s in (kernel, img) for v in u.subspaces[s].basis.rows)  # kernel + image
-        if u.dims[kernel] + u.dims[img] != n or span != u.whole or (kernel, img) != (null, image):
+    basis = [[u.vector_at[v] for v in a.basis.rows] for a in u.subspaces]
+    for x, null, image in built:
+        rows, both = u.rows(x), basis[null] + basis[image]
+        moved = [u.combine(v, rows) for v in both] != [0] * len(basis[null]) + basis[image]
+        if moved or len(both) != n or u.span(both) != u.whole or u.image[x] != image:  # and the image table agrees
             return False, mat_to_text(u.elements[x])
     return True, {"count": len(built)}
 
@@ -201,14 +204,10 @@ def check_hfunctor_keys(p: int, n: int) -> Verdict:
 def check_msets(p: int, n: int) -> Verdict:
     """Each singular idempotent's M-set, where its cone is an isomorphism, is its kernel's complements."""
     u, lat = ix.universe(n, p), ix.lattice(n, p)
-    complements = {null: set(lat.complements(null)) for null in {u.kernel[x] for x in u.idempotents}}
-    for x in u.idempotents:
-        null = u.kernel[x]
-        k = u.dims[null]
-        if k == 0:  # the identity, the one invertible idempotent
-            continue
-        by_iso = nc.index_m_set(u, nc.index_cone(u, x))
-        if by_iso != complements[null] or len(by_iso) != p ** (k * (n - k)):
+    complements = {null: set(lat.complements(null)) for null in {null for _, null, _ in u.decompositions}}
+    for x, null, _ in u.decompositions:
+        by_iso, k = nc.index_m_set(u, x), u.dims[null]
+        if null and (by_iso != complements[null] or len(by_iso) != p ** (k * (n - k))):  # kernel 0 is the identity
             return False, mat_to_text(u.elements[x])
     return True, None
 
@@ -474,11 +473,11 @@ def check_variant_membership(p: int, n: int) -> Verdict:
     u = ix.universe(n, p)
     for theta in _variant_mats(p, n):
         t = u.index(theta)
-        image, null = u.image[t], u.kernel[t]
+        image, null = u.image[t], u.subspace_at[sub.Subspace(n, p, sub.Side.PRIMAL, kernel_basis(theta))]
         if not all(u.contains(image, s) for s in u.product_images(t)):
             return False, mat_to_text(theta)
         # ker(theta a) = ann(image(a^T theta^T)), and a^T runs over every element.
-        if not all(u.contains(u.ann[s], null) for s in u.product_images(u.transpose[t])):
+        if not all(u.contains(u.ann[s], null) for s in u.product_images(u.index(Mat.transpose(theta)))):
             return False, mat_to_text(theta)
     return True, None
 

@@ -176,6 +176,18 @@ class TestMSet:
         check = verify.run_check("dual.mset-characterizations", verify.check_msets, 2, 2)
         assert (check.passed, check.witness) == (False, "0,0;0,1")
 
+    def test_check_rejects_a_disturbed_zero_set(self, monkeypatch):
+        # E22 kills e1 only. Reading e2 as killed too leaves its cone an isomorphism on <e1 + e2>
+        # alone, so route 1 misses <e2>, a complement of its kernel <e1>.
+        real, e2 = Universe.action, universe(2, 2).vector_at[0, 1]
+
+        def disturbed(u, t):
+            return [0 if v == e2 else w for v, w in enumerate(real(u, t))] if t == u.index(E22) else real(u, t)
+
+        monkeypatch.setattr(Universe, "action", disturbed)
+        check = verify.run_check("dual.mset-characterizations", verify.check_msets, 2, 2)
+        assert (check.passed, check.witness) == (False, "0,0;0,1")
+
     def test_sweep_bound_decided_before_building(self):
         # 20 833 singular idempotents at (2, 5); the closed form says so without building them.
         semigroup.idempotents.cache_clear()
@@ -184,7 +196,7 @@ class TestMSet:
         assert semigroup.idempotents.cache_info().currsize == 0
 
     def test_sweep_reads_idempotents_from_the_universe(self, monkeypatch):
-        # The 801 singular idempotents at (2, 4) come from `Universe.idempotents`, not as Endos.
+        # The 801 singular idempotents at (2, 4) come from `Universe.decompositions`, not as Endos.
         semigroup.idempotents.cache_clear()
         built = []
         monkeypatch.setattr(Endo, "__post_init__", lambda self: built.append(self))

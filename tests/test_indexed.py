@@ -233,11 +233,10 @@ def test_product_images_match_right_products(p, n):
 
 def test_membership_check_reads_the_annihilator_table(monkeypatch):
     # theta = 0 comes first at (2, 2): its kernel law needs ann(0) = V to contain
-    # ker(0) = V. Making every subspace its own annihilator must fail it; the
-    # kernels, which the universe reads off `ann` on first use, stay the true ones.
+    # ker(0) = V. Making every subspace its own annihilator must fail it; the check
+    # reads theta's own kernel by row reduction, not through `ann`.
     real = indexed.universe(2, 2)
     tampered = real._replace(ann=array("I", range(len(real.subspaces))))
-    tampered.kernel = real.kernel
     monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
     assert check_variant_membership(2, 2) == (False, "0,0;0,0")
 
@@ -276,6 +275,16 @@ def test_sing_and_the_order_check_build_no_kernel_or_transpose_table(monkeypatch
     assert check_sing_order(2, 4) == (True, {"order": 45_376})
     assert {"kernel", "transpose"}.isdisjoint(vars(u))
     assert u.kernel[0] == u.whole and {"kernel", "transpose"} <= set(vars(u))
+
+
+def test_idempotent_mset_and_membership_checks_build_no_kernel_or_transpose_table(monkeypatch):
+    # The certificate, the zero sets and the thetas' own kernels stand in for both tables.
+    u = indexed.universe.__wrapped__(4, 2)
+    monkeypatch.setattr(indexed, "universe", lambda n, p: u)
+    assert check_idempotents(2, 4) == (True, {"count": 802})
+    assert check_msets(2, 4) == (True, None)
+    assert check_variant_membership(2, 4) == (True, None)
+    assert {"kernel", "transpose"}.isdisjoint(vars(u))
 
 
 def test_products_build_no_transpose_table():

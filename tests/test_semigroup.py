@@ -110,6 +110,19 @@ class TestIdempotents:
         passed, witness = verify.check_idempotents(2, 2)
         assert not passed and witness == "0,0;0,0"  # the zero map, first in counting order
 
+    def test_certificate_rejects_another_complement_as_kernel(self, monkeypatch):
+        from linsemi import indexed, verify
+
+        # Entry 1 is E22 = 0,0;0,1 with kernel <e1> and image <e2>. <e1 + e2> is the other complement
+        # of <e2>; E22 does not send it to 0, so the row-action certificate rejects the entry.
+        real = indexed.universe(2, 2)
+        x, null, image = real.decompositions[1]
+        other = next(t for t in indexed.lattice(2, 2).complements(image) if t != null)
+        tampered = real._replace()
+        tampered.decompositions = (real.decompositions[0], (x, other, image), *real.decompositions[2:])
+        monkeypatch.setattr(indexed, "universe", lambda n, p: tampered)
+        assert verify.check_idempotents(2, 2) == (False, "0,0;0,1")
+
     @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (2, 4)])
     def test_singular_count_closed_form(self, p, n):
         assert singular_idempotent_count(n, p) == len([e for e in idempotents(n, p) if not e.kernel.is_zero])
